@@ -27,7 +27,7 @@ from .errors import (
     IllConditionedError,
     UnknownSimplexError,
 )
-from .linalg import Field, Reduction, SparseColumnMatrix, rank, reduce, restrict_rows_cols
+from .linalg import Field, Reduction, SparseColumnMatrix, rank, reduce
 from .nn import (
     FeatureBundle,
     FiltrationGradient,

@@ -8,9 +8,8 @@ Exit codes: 0 success, 2 configuration error, 3 computation contract error,
 from __future__ import annotations
 
 import argparse
-import os
+import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,7 +38,6 @@ class RunConfig:
     rings: int
     field: Field
     mode: tuple
-    threads: int
     out: str | None
 
     def validate(self):
@@ -49,8 +47,8 @@ class RunConfig:
             raise ConfigError("--max-dim must be >= max_order + 1")
         if self.rings < 1:
             raise ConfigError("--rings must be >= 1")
-        if self.threads < 1:
-            raise ConfigError("--threads must be >= 1")
+        if not (math.isfinite(self.field.eps) and self.field.eps > 0):
+            raise ConfigError("--eps must be finite and > 0")
 
 
 def _parse_mode(text: str) -> tuple:
@@ -58,9 +56,12 @@ def _parse_mode(text: str) -> tuple:
         return ("weighted",)
     if text.startswith("slice="):
         try:
-            return ("slice", float(text.split("=", 1)[1]))
+            t = float(text.split("=", 1)[1])
         except ValueError:
             raise ConfigError(f"bad slice time in --mode {text!r}") from None
+        if not math.isfinite(t):
+            raise ConfigError(f"slice time in --mode {text!r} must be finite")
+        return ("slice", t)
     raise ConfigError("--mode must be 'slice=<t>' or 'weighted'")
 
 
@@ -94,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--field", choices=["exact", "float"], default="exact")
         p.add_argument("--eps", type=float, default=1e-9)
         p.add_argument("--mode", default="weighted")
-        p.add_argument("--threads", type=int, default=0, help="0 = all cores")
+        p.add_argument("--threads", type=int, default=0, help="ignored; stalks run serially")
         p.add_argument("--out", help="output path (directory for stalks)")
         if "alpha" in extra:
             p.add_argument("--alpha", type=float, default=None)
@@ -106,6 +107,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
+    if args.threads < 0:
+        raise ConfigError("--threads must be >= 0")
     cfg = RunConfig(
         input=args.input,
         format=args.format,
@@ -116,7 +119,6 @@ def _config_from_args(args) -> RunConfig:
         rings=args.rings,
         field=Field(kind=args.field, eps=args.eps),
         mode=_parse_mode(args.mode),
-        threads=args.threads if args.threads > 0 else (os.cpu_count() or 1),
         out=args.out,
     )
     cfg.validate()
@@ -152,15 +154,15 @@ def _out_base(cfg: RunConfig) -> str:
 
 
 def _all_stalks(filt: Filtration, cfg: RunConfig):
-    """Per-vertex stalks, computed in parallel, assembled in vertex order."""
-    vertices = list(range(filt.vertex_count))
-    worker = lambda v: compute_stalk(filt, v, cfg.max_order, cfg.rings, cfg.field)
-    if cfg.threads == 1:
-        results = [worker(v) for v in vertices]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            results = list(pool.map(worker, vertices))
-    return {v: stalk for v, stalk in zip(vertices, results)}
+    """Per-vertex stalks in vertex order.
+
+    Serial on purpose: stalk computation is pure Python, so a thread pool
+    only adds interpreter-lock contention.
+    """
+    return {
+        v: compute_stalk(filt, v, cfg.max_order, cfg.rings, cfg.field)
+        for v in range(filt.vertex_count)
+    }
 
 
 def cmd_filtration(cfg: RunConfig) -> int:

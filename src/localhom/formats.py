@@ -11,7 +11,7 @@ import json
 import math
 from fractions import Fraction
 
-from .complexes import Filtration, WeightedGraph, graph_from_points
+from .complexes import Filtration, WeightedGraph, facets, graph_from_points
 from .errors import ConfigError
 from .persistence import Diagram, PersistentCocycle
 
@@ -105,10 +105,43 @@ def filtration_to_obj(filtration: Filtration) -> list[dict]:
 
 
 def filtration_from_obj(obj, max_dim: int | None = None) -> Filtration:
-    records = sorted(obj, key=lambda r: r["index"])
-    simplices = [tuple(r["vertices"]) for r in records]
-    values = [float(r["value"]) for r in records]
-    vertex_count = max((s[-1] for s in simplices if s), default=-1) + 1
+    """Filtration from dump records, taken in `index` order.
+
+    The records must form a filtration: strictly increasing nonnegative
+    vertex ids, no simplex twice, finite values nondecreasing in index
+    order, every facet recorded earlier (so all faces are present and
+    valued no higher) and a record for every vertex id below the largest.
+    A record that breaks this raises ConfigError naming its index.
+    """
+    try:
+        records = sorted(obj, key=lambda r: r["index"])
+        simplices = [tuple(r["vertices"]) for r in records]
+        values = [float(r["value"]) for r in records]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(
+            f"filtration dump must list records with vertices, value and index ({exc!r})"
+        ) from None
+    seen: set[tuple[int, ...]] = set()
+    for i, s in enumerate(simplices):
+        where = f"filtration record {records[i]['index']}"
+        if not (s and all(type(x) is int and x >= 0 for x in s) and list(s) == sorted(set(s))):
+            raise ConfigError(f"{where}: vertices {list(s)} are not strictly increasing ids >= 0")
+        if s in seen:
+            raise ConfigError(f"{where}: simplex {list(s)} appears twice")
+        if not math.isfinite(values[i]):
+            raise ConfigError(f"{where}: value {values[i]!r} is not finite")
+        if i and values[i] < values[i - 1]:
+            raise ConfigError(
+                f"{where}: value {values[i]!r} is below the previous record's {values[i - 1]!r}"
+            )
+        for face, _ in facets(s) if len(s) > 1 else ():
+            if face not in seen:
+                raise ConfigError(f"{where}: face {list(face)} of {list(s)} has no earlier record")
+        seen.add(s)
+    vertex_count = max((s[-1] for s in simplices), default=-1) + 1
+    missing = [v for v in range(vertex_count) if (v,) not in seen]
+    if missing:
+        raise ConfigError(f"filtration dump has no record for vertex {missing[0]}")
     dim = max((len(s) - 1 for s in simplices), default=0)
     return Filtration(
         simplices=simplices,

@@ -107,15 +107,6 @@ class SparseColumnMatrix:
         m.cols = [field.prune(c) for c in m.cols]
         return m
 
-    def column(self, j: int) -> Column:
-        return self.cols[j]
-
-    def entry(self, i: int, j: int):
-        for r, c in self.cols[j]:
-            if r == i:
-                return c
-        return self.field.coerce(0)
-
     def to_dense(self) -> list[list]:
         zero = self.field.coerce(0)
         dense = [[zero] * self.col_count for _ in range(self.row_count)]
@@ -123,26 +114,6 @@ class SparseColumnMatrix:
             for r, c in col:
                 dense[r][j] = c
         return dense
-
-    def matmul(self, other: "SparseColumnMatrix") -> "SparseColumnMatrix":
-        if self.col_count != other.row_count:
-            raise ContractError("shape mismatch in matmul")
-        cols = []
-        for j in range(other.col_count):
-            acc: Column = []
-            for r, c in other.cols[j]:
-                acc = axpy(acc, self.cols[r], c)
-            cols.append(self.field.prune(acc))
-        return SparseColumnMatrix(self.row_count, other.col_count, cols, self.field)
-
-    def transpose(self) -> "SparseColumnMatrix":
-        cols: list[Column] = [[] for _ in range(self.row_count)]
-        for j, col in enumerate(self.cols):
-            for r, c in col:
-                cols[r].append((j, c))
-        for col in cols:
-            col.sort()
-        return SparseColumnMatrix(self.col_count, self.row_count, cols, self.field)
 
 
 @dataclass
@@ -190,43 +161,6 @@ def rank(matrix: SparseColumnMatrix) -> int:
     return len(reduce(matrix).pivots)
 
 
-def restrict_rows_cols(
-    matrix: SparseColumnMatrix,
-    keep_rows,
-    keep_cols,
-) -> SparseColumnMatrix:
-    """Submatrix on the given index sets, re-enumerated in original order."""
-    keep_rows = sorted(set(keep_rows))
-    keep_cols = sorted(set(keep_cols))
-    if keep_rows and not (0 <= keep_rows[0] and keep_rows[-1] < matrix.row_count):
-        raise ContractError("row index out of range")
-    if keep_cols and not (0 <= keep_cols[0] and keep_cols[-1] < matrix.col_count):
-        raise ContractError("column index out of range")
-    rmap = {r: i for i, r in enumerate(keep_rows)}
-    cols = []
-    for c in keep_cols:
-        cols.append([(rmap[r], v) for r, v in matrix.cols[c] if r in rmap])
-    return SparseColumnMatrix(len(keep_rows), len(keep_cols), cols, matrix.field)
-
-
-def solve_upper_triangular(V: SparseColumnMatrix, rhs: Column) -> Column:
-    """Solve V x = rhs for upper-triangular V with nonzero diagonal."""
-    residual = {r: c for r, c in rhs}
-    x: dict[int, object] = {}
-    for j in range(V.col_count - 1, -1, -1):
-        rj = residual.get(j)
-        if rj is None or rj == 0:
-            continue
-        col = V.cols[j]
-        if not col or col[-1][0] != j:
-            raise ContractError("V is not invertible upper-triangular")
-        xj = rj / col[-1][1]
-        x[j] = xj
-        for r, c in col:
-            residual[r] = residual.get(r, 0) - xj * c
-    return sorted(x.items())
-
-
 def dense_rank_exact(rows: list[list[Fraction]]) -> int:
     """Exact Gaussian-elimination rank of a dense rational matrix."""
     m = [list(r) for r in rows]
@@ -249,15 +183,3 @@ def dense_rank_exact(rows: list[list[Fraction]]) -> int:
         if row == nr:
             break
     return rank_
-
-
-def write_matrixmarket(matrix: SparseColumnMatrix, path) -> None:
-    """Coordinate-format MatrixMarket dump for external checkers."""
-    lines = ["%%MatrixMarket matrix coordinate real general"]
-    nnz = sum(len(c) for c in matrix.cols)
-    lines.append(f"{matrix.row_count} {matrix.col_count} {nnz}")
-    for j, col in enumerate(matrix.cols):
-        for r, c in col:
-            lines.append(f"{r + 1} {j + 1} {repr(float(c))}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

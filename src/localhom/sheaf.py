@@ -6,18 +6,22 @@ an extended coboundary matrix is reduced to find pairs of stalk cocycles
 whose sum vanishes on st u ∪ st v modulo coboundaries of the union's
 lower simplices; each surviving reduced column is a rank-1 Laplacian atom
 v_A v_B^T tagged with the interval on which the identification persists.
+
+One rule, `_entry_weight`, weights every Laplacian entry: an atom adds
+coefficient products scaled by 1/0 (alive at the slice time t or not) in
+slice mode, or by the lifespan overlap share in weighted mode. The slice
+operator is delta^T delta of the restriction maps alive at t.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .complexes import Filtration, star_of_vertices, truncate_neighborhood
 from .errors import ContractError
-from .linalg import Field, SparseColumnMatrix, reduce as column_reduce
+from .linalg import Field, SparseColumnMatrix, dense_rank_exact, reduce as column_reduce
 from .persistence import (
     INF,
     PersistentCocycle,
@@ -203,12 +207,6 @@ class SheafLaplacianBlock:
     def dim_v(self) -> int:
         return len(self.intervals_v)
 
-    def entry_interval(self, atom: LaplacianAtom, a: int, b: int) -> tuple[float, float]:
-        """Intersection of the atom interval with both cocycle lifespans."""
-        lo = max(atom.start, self.intervals_u[a][0], self.intervals_v[b][0])
-        hi = min(atom.end, self.intervals_u[a][1], self.intervals_v[b][1])
-        return lo, hi
-
 
 def _combined_support_min(
     stalk: LocalStalk,
@@ -284,50 +282,37 @@ def sheaf_laplacian_block(
     )
 
 
-def _alive(interval: tuple[float, float], t: float) -> bool:
-    return interval[0] <= t < interval[1]
+def _entry_weight(mode: tuple, atom: LaplacianAtom, out_iv, in_iv, horizon: float):
+    """Weight of one atom's entry at (output cocycle, input cocycle).
+
+    The single rule behind every Laplacian entry. Slice mode ("slice", t):
+    1 when t lies in the atom's interval and in both cocycle lifespans,
+    else 0. Weighted mode: the overlap of atom and both lifespans divided by
+    the output lifespan, with essential deaths capped at the horizon t+. A
+    class born exactly at the horizon has zero nominal span; it is alive
+    only at the final instant, so its weight degenerates to 1 when atom and
+    partner are still alive there and to 0 otherwise.
+    """
+    lo = max(atom.start, out_iv[0], in_iv[0])
+    hi = min(atom.end, out_iv[1], in_iv[1])
+    if mode[0] == "slice":
+        return 1 if lo <= mode[1] < hi else 0
+    span = min(out_iv[1], horizon) - out_iv[0]
+    if span <= 0:
+        return 1.0 if atom.end == INF and in_iv[1] == INF else 0.0
+    return max(min(hi, horizon) - lo, 0.0) / span
 
 
 def laplacian_at_time(block: SheafLaplacianBlock, t: float) -> np.ndarray:
     """Sum of atoms alive at t, with dead cocycle components zeroed."""
     out = np.zeros((block.dim_u, block.dim_v))
     for atom in block.atoms:
-        if not (atom.start <= t < atom.end):
-            continue
-        va = np.zeros(block.dim_u)
-        vb = np.zeros(block.dim_v)
-        for a, c in atom.v_a.items():
-            if _alive(block.intervals_u[a], t):
-                va[a] = float(c)
-        for b, c in atom.v_b.items():
-            if _alive(block.intervals_v[b], t):
-                vb[b] = float(c)
-        out += np.outer(va, vb)
+        for a, ca in atom.v_a.items():
+            for b, cb in atom.v_b.items():
+                iu, iv = block.intervals_u[a], block.intervals_v[b]
+                if _entry_weight(("slice", t), atom, iu, iv, block.horizon):
+                    out[a, b] += float(ca) * float(cb)
     return out
-
-
-def _lifespan_weight(
-    block: SheafLaplacianBlock,
-    atom: LaplacianAtom,
-    out_interval: tuple[float, float],
-    in_interval: tuple[float, float],
-) -> float:
-    """Overlap of atom and both lifespans divided by the output lifespan.
-
-    Essential deaths are capped at the horizon t+. A class born exactly at
-    the horizon has zero nominal span; it is alive only at the final
-    instant, so its weight degenerates to 1 when atom and partner are
-    still alive there and to 0 otherwise.
-    """
-    h = block.horizon
-    cap = lambda x: min(x, h)
-    lo = max(atom.start, out_interval[0], in_interval[0])
-    hi = min(cap(atom.end), cap(out_interval[1]), cap(in_interval[1]))
-    denom = cap(out_interval[1]) - out_interval[0]
-    if denom <= 0:
-        alive_at_end = atom.end == INF and in_interval[1] == INF
-        return 1.0 if alive_at_end else 0.0
-    return max(hi - lo, 0.0) / denom
 
 
 @dataclass
@@ -352,22 +337,14 @@ class AssembledLaplacian:
     def dimension(self) -> int:
         return self.dense.shape[0]
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.dense @ x
-
     def kernel_dim_exact(self) -> int:
         """dim ker via exact rank; requires the exact carrier."""
-        from fractions import Fraction
-
-        from .linalg import dense_rank_exact
-
         if self.dense_exact is None:
             raise ContractError("exact kernel rank needs the exact carrier")
         n = self.dimension
         if n == 0:
             return 0
-        rows = [[Fraction(v) for v in row] for row in self.dense_exact]
-        return n - dense_rank_exact(rows)
+        return n - dense_rank_exact(self.dense_exact)
 
 
 def assemble_laplacian(
@@ -379,10 +356,12 @@ def assemble_laplacian(
 ) -> AssembledLaplacian:
     """Assemble the global operator from pairwise blocks.
 
-    mode is ("slice", t) or "weighted". The diagonal (u,u) block sums, over
-    neighbors v, the outer squares of the u-side atom vectors, so the slice
-    operator is exactly delta^T delta. Atoms whose per-entry interval is
-    empty contribute nothing in either mode.
+    mode is ("slice", t) or "weighted". Each atom of the (u, v) block
+    couples its u-side and v-side components pairwise, so one pass fills
+    the off-diagonal blocks, their transposes and both diagonal blocks; the
+    slice operator is exactly delta^T delta. Every entry is scaled by
+    `_entry_weight`, so an atom whose per-entry interval is empty
+    contributes nothing in either mode.
     """
     if isinstance(mode, str):
         mode = (mode,)
@@ -404,10 +383,7 @@ def assemble_laplacian(
         offsets[v] = total
         total += dims[v]
 
-    exact = fld.kind == "exact"
-    from fractions import Fraction
-
-    zero = Fraction(0) if exact else 0.0
+    zero = fld.coerce(0)
     dense_obj = [[zero] * total for _ in range(total)]
 
     edge_pairs = [
@@ -419,48 +395,16 @@ def assemble_laplacian(
             continue
         block = sheaf_laplacian_block(stalks[u], stalks[v], filtration, k, fld)
         blocks[(u, v)] = block
-        ou, ov = offsets[u], offsets[v]
         for atom in block.atoms:
-            for a, ca in atom.v_a.items():
-                for b, cb in atom.v_b.items():
-                    if mode_t[0] == "slice":
-                        t = mode_t[1]
-                        lo, hi = block.entry_interval(atom, a, b)
-                        if not (lo <= t < hi):
-                            continue
-                        val = ca * cb
-                        dense_obj[ou + a][ov + b] += val
-                        dense_obj[ov + b][ou + a] += val
-                    else:
-                        w_uv = _lifespan_weight(
-                            block, atom, block.intervals_u[a], block.intervals_v[b]
-                        )
-                        w_vu = _lifespan_weight(
-                            block, atom, block.intervals_v[b], block.intervals_u[a]
-                        )
-                        val = ca * cb
-                        if w_uv:
-                            dense_obj[ou + a][ov + b] += val * _coerce_w(w_uv, exact)
-                        if w_vu:
-                            dense_obj[ov + b][ou + a] += val * _coerce_w(w_vu, exact)
-            # diagonal contributions delta^T delta style
-            for (vec, intervals, off) in (
-                (atom.v_a, block.intervals_u, ou),
-                (atom.v_b, block.intervals_v, ov),
-            ):
-                for a, ca in vec.items():
-                    for b, cb in vec.items():
-                        if mode_t[0] == "slice":
-                            t = mode_t[1]
-                            lo = max(atom.start, intervals[a][0], intervals[b][0])
-                            hi = min(atom.end, intervals[a][1], intervals[b][1])
-                            if not (lo <= t < hi):
-                                continue
-                            dense_obj[off + a][off + b] += ca * cb
-                        else:
-                            w = _lifespan_weight(block, atom, intervals[a], intervals[b])
-                            if w:
-                                dense_obj[off + a][off + b] += ca * cb * _coerce_w(w, exact)
+            # (global index, coefficient, lifespan) of both sides; u != v, so
+            # each dense cell gets at most one term per atom
+            comps = [(offsets[u] + a, c, block.intervals_u[a]) for a, c in atom.v_a.items()]
+            comps += [(offsets[v] + b, c, block.intervals_v[b]) for b, c in atom.v_b.items()]
+            for i, ci, out_iv in comps:
+                for j, cj, in_iv in comps:
+                    w = _entry_weight(mode_t, atom, out_iv, in_iv, block.horizon)
+                    if w:
+                        dense_obj[i][j] += ci * cj * fld.coerce(w)
 
     dense = np.array(
         [[float(v) for v in row] for row in dense_obj], dtype=float
@@ -473,11 +417,5 @@ def assemble_laplacian(
         offsets=offsets,
         blocks=blocks,
         dense=dense,
-        dense_exact=dense_obj if exact else None,
+        dense_exact=dense_obj if fld.kind == "exact" else None,
     )
-
-
-def _coerce_w(w: float, exact: bool):
-    from fractions import Fraction
-
-    return Fraction(w) if exact else w

@@ -4,9 +4,13 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from localhom.cli import main
+from localhom.complexes import build_flag_complex
+from localhom.formats import read_edge_csv
+from localhom.sheaf import assemble_laplacian, compute_stalk
 
 
 def write(path, text):
@@ -94,6 +98,61 @@ def test_persistence_single_point(tmp_path):
     assert "0,0.0,inf" in base.with_suffix(".csv").read_text()
 
 
+@pytest.mark.parametrize("eps", ["0", "-1", "inf", "nan"])
+def test_bad_eps_is_config_error(eps, c4_csv, tmp_path, capsys):
+    code = main(
+        ["persistence", "--input", c4_csv, "--field", "float", "--eps", eps,
+         "--out", str(tmp_path / "d")]
+    )
+    assert code == 2
+    assert "--eps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["slice=nan", "slice=inf"])
+def test_non_finite_slice_time_is_config_error(mode, c4_csv, tmp_path, capsys):
+    code = main(["laplacian", "--input", c4_csv, "--mode", mode, "--out", str(tmp_path / "l")])
+    assert code == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_negative_threads_is_config_error(c4_csv, tmp_path):
+    code = main(["stalks", "--input", c4_csv, "--threads", "-1", "--out", str(tmp_path / "s")])
+    assert code == 2
+
+
+def dump(*records):
+    return [{"vertices": s, "value": w, "index": i} for i, (s, w) in enumerate(records)]
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        (dump(([0], 0.0), ([0, 1], 1.0)), "filtration record 1: face [1] of [0, 1]"),
+        (
+            dump(([0], 0.0), ([1], 0.0), ([2], 0.0), ([0, 1], 2.0), ([0, 2], 2.0),
+                 ([1, 2], 2.0), ([0, 1, 2], 1.0)),
+            "filtration record 6: value 1.0 is below",
+        ),
+        (dump(([0], 1.0), ([1], 0.0), ([0, 1], 2.0)), "filtration record 1: value 0.0"),
+        (dump(([0], 0.0), ([1], 0.0), ([0, 1], 1.0), ([0, 1], 1.0)), "appears twice"),
+        (dump(([0], 0.0), ([1], 0.0), ([1, 0], 1.0)), "record 2: vertices [1, 0]"),
+        (dump(([0], 0.0), ([2], 0.0)), "no record for vertex 1"),
+        ([{"vertices": [0], "index": 0}], "'value'"),
+        ({"vertices": [0]}, "must list records"),
+    ],
+    ids=["missing_face", "triangle_below_edges", "vertices_out_of_order", "duplicate",
+         "unsorted_vertices", "vertex_gap", "missing_key", "not_a_list"],
+)
+def test_malformed_filtration_dump_is_config_error(obj, message, tmp_path, capsys):
+    path = write(tmp_path / "filt.json", json.dumps(obj))
+    code = main(
+        ["persistence", "--input", path, "--format", "filtration", "--max-order", "0",
+         "--max-dim", "1", "--out", str(tmp_path / "d")]
+    )
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_order_exceeding_max_dim_is_config_error(c4_csv, tmp_path, capsys):
     code = main(
         ["persistence", "--input", c4_csv, "--max-order", "2", "--max-dim", "2",
@@ -166,6 +225,13 @@ def test_laplacian_slice_writes_matrixmarket(c4_csv, tmp_path):
     assert mtx[0].startswith("%%MatrixMarket")
     nr, nc, nnz = (int(x) for x in mtx[1].split())
     assert nr == nc == 4 and nnz == 12
+    rebuilt = np.zeros((nr, nc))
+    for line in mtx[2:]:
+        i, j, v = line.split()
+        rebuilt[int(i) - 1, int(j) - 1] = float(v)
+    filt = build_flag_complex(read_edge_csv(c4_csv), 2)
+    stalks = {v: compute_stalk(filt, v, 1) for v in range(filt.vertex_count)}
+    assert np.array_equal(rebuilt, assemble_laplacian(filt, stalks, 1, ("slice", 1.0)).dense)
 
 
 def test_diffuse_c4_energy_drops(c4_csv, tmp_path):
