@@ -47,8 +47,6 @@ class RunConfig:
             raise ConfigError("--max-dim must be >= max_order + 1")
         if self.rings < 1:
             raise ConfigError("--rings must be >= 1")
-        if not (math.isfinite(self.field.eps) and self.field.eps > 0):
-            raise ConfigError("--eps must be finite and > 0")
 
 
 def _parse_mode(text: str) -> tuple:
@@ -109,6 +107,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> RunConfig:
     if args.threads < 0:
         raise ConfigError("--threads must be >= 0")
+    if not (math.isfinite(args.eps) and args.eps > 0):
+        raise ConfigError("--eps must be finite and > 0")
+    if args.command == "diffuse":
+        if args.channels < 1:
+            raise ConfigError("--channels must be >= 1")
+        if args.steps < 0:
+            raise ConfigError("--steps must be >= 0")
+        if args.seed < 0:
+            raise ConfigError("--seed must be >= 0")
     cfg = RunConfig(
         input=args.input,
         format=args.format,
@@ -216,10 +223,10 @@ def cmd_diffuse(cfg: RunConfig, args) -> int:
     mode = cfg.mode if cfg.mode[0] == "slice" else ("slice", filt.t_plus)
     assembled = assemble_laplacian(filt, stalks, cfg.max_order, mode, cfg.field)
     if args.features:
-        import json as _json
-
-        with open(args.features) as fh:
-            features = formats.features_from_obj(_json.load(fh), assembled)
+        try:
+            features = formats.read_features_json(args.features, assembled)
+        except OSError as exc:
+            raise ConfigError(f"cannot read {args.features}: {exc}") from None
     else:
         features = FeatureBundle.random(
             assembled, cfg.max_order, channels=args.channels, seed=args.seed

@@ -5,6 +5,11 @@ vertex ids; that ascending order is the chosen orientation everywhere.
 A filtration keeps its simplices in the total order
 (value, dimension, lexicographic vertices), which makes every output of
 this module deterministic and face-monotone by construction.
+
+Every `Filtration` also keeps a posting index: vertex id -> ids of the
+simplices containing that vertex, in filtration order. The star of a
+simplex is read off the posting list of its rarest vertex, so a star
+lookup costs the length of that list, not the size of the filtration.
 """
 
 from __future__ import annotations
@@ -89,15 +94,21 @@ class Filtration:
         if not self.index:
             self.index = {s: i for i, s in enumerate(self.simplices)}
         self._by_dim: dict[int, list[int]] = {}
+        # vertex -> ids of the simplices containing it, in filtration order;
+        # a dict, so a truncation indexes only the vertices it keeps
+        self._postings: dict[int, list[int]] = {}
         for i, s in enumerate(self.simplices):
             self._by_dim.setdefault(dimension(s), []).append(i)
+            for v in s:
+                self._postings.setdefault(v, []).append(i)
+        self._t_plus = max(self.values) if self.values else 0.0
 
     def __len__(self) -> int:
         return len(self.simplices)
 
     @property
     def t_plus(self) -> float:
-        return max(self.values) if self.values else 0.0
+        return self._t_plus
 
     def ids_of_dim(self, k: int) -> list[int]:
         """Simplex ids of dimension k, in filtration order."""
@@ -174,8 +185,12 @@ def _validate_ids(filtration: Filtration, ids) -> frozenset[int]:
 
 
 def is_open_set(filtration: Filtration, ids: frozenset[int]) -> bool:
-    """A set is open iff it contains the star of each of its members."""
-    return all(_star_ids(filtration, {i}) <= ids for i in ids)
+    """A set is open iff it contains the star of each of its members.
+
+    In a face-closed complex every coface of a simplex is reached through
+    a chain of cofacets, so containing each member's cofacets suffices.
+    """
+    return all(c in ids for i in ids for c, _ in filtration.cofacets(i))
 
 
 def build_flag_complex(
@@ -233,13 +248,17 @@ def build_flag_complex(
     )
 
 
-def _star_ids(filtration: Filtration, seed_ids: set[int]) -> frozenset[int]:
-    seeds = [frozenset(filtration.simplices[i]) for i in seed_ids]
-    out = set()
-    for j, tau in enumerate(filtration.simplices):
-        tset = frozenset(tau)
-        if any(s <= tset for s in seeds):
-            out.add(j)
+def _star_ids(filtration: Filtration, seed_ids) -> frozenset[int]:
+    """Ids of every simplex having some seed simplex as a face."""
+    simplices, postings = filtration.simplices, filtration._postings
+    out: set[int] = set()
+    for i in seed_ids:
+        seed = simplices[i]
+        posting = min((postings[v] for v in seed), key=len)
+        if len(seed) == 1:  # a vertex's posting list is its star
+            out.update(posting)
+        else:
+            out.update(j for j in posting if all(v in simplices[j] for v in seed))
     return frozenset(out)
 
 

@@ -244,21 +244,63 @@ def features_to_obj(features) -> dict:
 
 
 def features_from_obj(obj, laplacian):
+    """Features from a `features_to_obj` dump, laid out on `laplacian`.
+
+    The dump must carry the Laplacian's order and a list of channels,
+    each mapping vertex ids of the Laplacian to {cocycle index: value}
+    with indices below that vertex's stalk dimension. A dump that breaks
+    this raises ConfigError.
+    """
     import numpy as np
 
     from .nn import FeatureBundle
 
-    channels = obj["channels"]
-    n_channels = len(channels)
-    values = {}
-    for v in laplacian.vertices:
-        dim = laplacian.dims[v]
-        arr = np.zeros((dim, n_channels))
-        for c, chan in enumerate(channels):
-            for i_str, val in chan.get(str(v), {}).items():
-                arr[int(i_str), c] = _parse_float(val) if isinstance(val, str) else val
-        values[v] = arr
-    return FeatureBundle(order=obj["order"], channels=n_channels, values=values)
+    try:
+        order, channels = obj["order"], obj["channels"]
+    except (KeyError, TypeError):
+        raise ConfigError("feature JSON must be an object with 'order' and 'channels'") from None
+    if type(order) is not int or order != laplacian.order:
+        raise ConfigError(
+            f"feature order {order!r} does not match the Laplacian's {laplacian.order}"
+        )
+    if not (isinstance(channels, list) and channels
+            and all(isinstance(ch, dict) for ch in channels)):
+        raise ConfigError("feature 'channels' must be a non-empty list of objects")
+    values = {v: np.zeros((laplacian.dims[v], len(channels))) for v in laplacian.vertices}
+    vertex_of = {str(v): v for v in laplacian.vertices}
+    for c, chan in enumerate(channels):
+        for v_str, entries in chan.items():
+            v = vertex_of.get(v_str)
+            if v is None:
+                raise ConfigError(f"feature channel {c}: vertex {v_str!r} is not in the Laplacian")
+            if not isinstance(entries, dict):
+                raise ConfigError(f"feature channel {c}, vertex {v}: entries must be an object")
+            dim = laplacian.dims[v]
+            index_of = {str(i): i for i in range(dim)}
+            for i_str, val in entries.items():
+                i = index_of.get(i_str)
+                if i is None:
+                    raise ConfigError(
+                        f"feature channel {c}, vertex {v}: cocycle index {i_str!r} "
+                        f"is not below the stalk dimension {dim}"
+                    )
+                try:
+                    values[v][i, c] = _parse_float(val) if isinstance(val, str) else val
+                except (TypeError, ValueError):
+                    raise ConfigError(
+                        f"feature channel {c}, vertex {v}: value {val!r} is not a number"
+                    ) from None
+    return FeatureBundle(order=order, channels=len(channels), values=values)
+
+
+def read_features_json(path, laplacian):
+    """Re-ingest a `features_to_obj` dump for `laplacian`."""
+    with open(path) as fh:
+        try:
+            obj = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: invalid feature JSON ({exc})") from None
+    return features_from_obj(obj, laplacian)
 
 
 def energy_trace_csv(energies) -> str:

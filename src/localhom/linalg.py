@@ -9,6 +9,7 @@ package; the dense brute-force oracle deliberately does not use it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +29,12 @@ class Field:
 
     kind: str = EXACT
     eps: float = DEFAULT_EPS
+
+    def __post_init__(self):
+        if self.kind not in (EXACT, FLOAT):
+            raise ContractError(f"field kind must be {EXACT!r} or {FLOAT!r}, not {self.kind!r}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ContractError(f"eps must be finite and > 0, not {self.eps!r}")
 
     def coerce(self, x):
         return Fraction(x) if self.kind == EXACT else float(x)
@@ -88,24 +95,26 @@ class SparseColumnMatrix:
     def __post_init__(self):
         if len(self.cols) != self.col_count:
             raise ContractError("column list does not match col_count")
-        for col in self.cols:
-            rows = [r for r, _ in col]
-            if rows != sorted(set(rows)):
-                raise ContractError("column rows must be strictly increasing")
-            if any(not (0 <= r < self.row_count) for r in rows):
-                raise ContractError("row index out of range")
 
     @classmethod
     def from_entries(cls, row_count, col_count, entries, field=Field()):
-        """entries: iterable of (row, col, value)."""
+        """entries: iterable of (row, col, value), each (row, col) at most once.
+
+        This is where caller data enters, so rows and columns are checked
+        here; `reduce` keeps rows sorted and in range by construction.
+        """
         cols: list[Column] = [[] for _ in range(col_count)]
         for r, c, v in entries:
+            if not (0 <= c < col_count):
+                raise ContractError("column index out of range")
+            if not (0 <= r < row_count):
+                raise ContractError("row index out of range")
             cols[c].append((r, field.coerce(v)))
         for col in cols:
             col.sort()
-        m = cls(row_count, col_count, cols, field)
-        m.cols = [field.prune(c) for c in m.cols]
-        return m
+            if any(a[0] == b[0] for a, b in zip(col, col[1:])):
+                raise ContractError("duplicate (row, col) entry")
+        return cls(row_count, col_count, [field.prune(c) for c in cols], field)
 
     def to_dense(self) -> list[list]:
         zero = self.field.coerce(0)

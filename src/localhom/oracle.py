@@ -115,6 +115,17 @@ def ids_at(filtration: Filtration, t: float) -> set[int]:
     return {i for i, v in enumerate(filtration.values) if v <= t}
 
 
+def star_ids_scan(filtration: Filtration, seed_ids) -> frozenset[int]:
+    """Union of the stars of the seed simplices, by a scan of every simplex."""
+    seeds = [frozenset(filtration.simplices[i]) for i in seed_ids]
+    out = set()
+    for j, tau in enumerate(filtration.simplices):
+        tset = frozenset(tau)
+        if any(s <= tset for s in seeds):
+            out.add(j)
+    return frozenset(out)
+
+
 def _check_closed(filtration: Filtration, ids: set[int]) -> None:
     for i in ids:
         s = filtration.simplices[i]

@@ -120,6 +120,56 @@ def test_negative_threads_is_config_error(c4_csv, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--channels", "-1"], "--channels"), (["--channels", "0"], "--channels"),
+     (["--steps", "-1"], "--steps"), (["--seed", "-1"], "--seed")],
+)
+def test_bad_diffuse_counts_are_config_errors(flags, message, c4_csv, tmp_path, capsys):
+    code = main(["diffuse", "--input", c4_csv, "--max-dim", "2", *flags,
+                 "--out", str(tmp_path / "d")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+C4_FEATURES = {"order": 1, "channels": [{str(v): {"0": 1.0} for v in range(4)}]}
+
+
+def _diffuse_features(c4_csv, tmp_path, features_path):
+    return main(["diffuse", "--input", c4_csv, "--max-dim", "2", "--steps", "0",
+                 "--features", features_path, "--out", str(tmp_path / "d")])
+
+
+def test_features_round_trip(c4_csv, tmp_path):
+    src = write(tmp_path / "f.json", json.dumps(C4_FEATURES))
+    assert _diffuse_features(c4_csv, tmp_path, src) == 0
+    assert json.loads((tmp_path / "d.json").read_text()) == C4_FEATURES
+
+
+def test_features_missing_file_is_config_error(c4_csv, tmp_path, capsys):
+    assert _diffuse_features(c4_csv, tmp_path, str(tmp_path / "absent.json")) == 2
+    assert "absent.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"order": 1}, "'order' and 'channels'"),
+        ({"channels": C4_FEATURES["channels"]}, "'order' and 'channels'"),
+        ([1, 2], "'order' and 'channels'"),
+        ({"order": 2, "channels": C4_FEATURES["channels"]}, "feature order 2"),
+        ({"order": 1, "channels": []}, "non-empty list"),
+        ({"order": 1, "channels": [{"0": {"1": 1.0}}]}, "cocycle index '1'"),
+        ({"order": 1, "channels": [{"4": {"0": 1.0}}]}, "vertex '4' is not in the Laplacian"),
+        ({"order": 1, "channels": [{"0": {"0": "x"}}]}, "is not a number"),
+    ],
+)
+def test_malformed_features_are_config_errors(obj, message, c4_csv, tmp_path, capsys):
+    src = write(tmp_path / "f.json", json.dumps(obj))
+    assert _diffuse_features(c4_csv, tmp_path, src) == 2
+    assert message in capsys.readouterr().err
+
+
 def dump(*records):
     return [{"vertices": s, "value": w, "index": i} for i, (s, w) in enumerate(records)]
 

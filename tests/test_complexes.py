@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from localhom.complexes import (
+    Filtration,
     SimplexSubset,
     WeightedGraph,
     build_flag_complex,
@@ -66,10 +67,7 @@ def closure_fixpoint(filt, ids):
 
 
 def star_scan(filt, sid):
-    base = set(filt.simplices[sid])
-    return frozenset(
-        j for j, t in enumerate(filt.simplices) if base <= set(t)
-    )
+    return oracle.star_ids_scan(filt, {sid})
 
 
 def interior_scan(filt, ids):
@@ -217,6 +215,61 @@ def test_interior_matches_scan_oracle(k3_filt, c4_filt):
     for filt in (k3_filt, c4_filt):
         cl = closure(star(filt, (0,)))
         assert interior(cl).ids == interior_scan(filt, cl.ids)
+
+
+def _star_index_cases(corpus):
+    """Corpus flag complexes, a directly built filtration and truncations.
+
+    The direct filtration's subfiltration drops vertex 0, and each corpus
+    truncation drops the vertices outside one closed star, so their
+    posting indexes have gaps in the vertex ids.
+    """
+    cases = [build_flag_complex(g, 3) for g in corpus[:60]]
+    direct = Filtration(
+        simplices=[(0,), (1,), (2,), (3,), (0, 1), (1, 2), (0, 2), (2, 3), (0, 1, 2)],
+        values=[0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 2.0, 3.0],
+        vertex_count=4,
+        max_dim=2,
+    )
+    without_0 = {i for i, s in enumerate(direct.simplices) if 0 not in s}
+    cases += [direct, direct.subfiltration(without_0)[0]]
+    cases += [truncate_neighborhood(f, [f.vertex_count - 1], 1)[0] for f in cases[:60:6]]
+    return cases
+
+
+def test_star_lookups_match_scan_oracle(corpus):
+    for filt in _star_index_cases(corpus):
+        vertices = sorted({v for s in filt.simplices for v in s})
+        for sid, s in enumerate(filt.simplices):
+            expected = oracle.star_ids_scan(filt, {sid})
+            assert star(filt, s).ids == expected
+            cl = closure(SimplexSubset(filt, frozenset({sid}), is_open=False))
+            for ids in (expected, cl.ids, closure(star(filt, s)).ids):
+                subset = SimplexSubset(filt, ids, is_open=False)
+                assert interior(subset).ids == interior_scan(filt, ids)
+        for u, v in [(v, v) for v in vertices] + [
+            filt.simplices[i] for i in filt.ids_of_dim(1)
+        ]:
+            seeds = {filt.id_of((u,)), filt.id_of((v,))}
+            assert star_of_vertices(filt, {u, v}).ids == oracle.star_ids_scan(filt, seeds)
+
+
+def test_is_open_set_matches_star_per_member(corpus, k3_filt):
+    edge = SimplexSubset(k3_filt, frozenset({k3_filt.id_of((0, 1))}), is_open=False)
+    assert not is_open_set(k3_filt, closure(edge).ids)
+    for filt in _star_index_cases(corpus):
+        candidates = [frozenset(), frozenset(range(len(filt)))]
+        for sid, s in enumerate(filt.simplices):
+            st_ids = star(filt, s).ids
+            candidates += [
+                st_ids,
+                closure(star(filt, s)).ids,
+                closure(SimplexSubset(filt, frozenset({sid}), is_open=False)).ids,
+                st_ids - {sid},
+            ]
+        for ids in candidates:
+            by_stars = all(oracle.star_ids_scan(filt, {i}) <= ids for i in ids)
+            assert is_open_set(filt, ids) == by_stars
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Sparse column reduction, field carriers and rank."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from localhom.errors import IllConditionedError
+from localhom.errors import ContractError, IllConditionedError
 from localhom.linalg import (
     Field,
     SparseColumnMatrix,
@@ -56,6 +57,36 @@ def boundary_1(edges, n_vertices, field=Field()):
         entries.append((u, j, -1))
         entries.append((v, j, 1))
     return SparseColumnMatrix.from_entries(n_vertices, len(edges), entries, field=field)
+
+
+# ---------------------------------------------------------------------------
+# carriers and construction checks
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kind, eps",
+    [("float", 0.0), ("float", -1.0), ("float", math.inf), ("float", math.nan),
+     ("exact", 0.0), ("complex", 1e-9)],
+)
+def test_field_rejects_bad_kind_or_eps(kind, eps):
+    with pytest.raises(ContractError):
+        Field(kind=kind, eps=eps)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [(0, 0, 1), (0, 0, 2)],  # duplicate (row, col)
+        [(2, 0, 1)],  # row past row_count
+        [(-1, 0, 1)],  # negative row
+        [(0, 1, 1)],  # column past col_count
+        [(0, -1, 1)],  # negative column
+    ],
+)
+def test_from_entries_rejects_bad_entries(entries):
+    with pytest.raises(ContractError):
+        SparseColumnMatrix.from_entries(2, 1, entries)
 
 
 # ---------------------------------------------------------------------------
