@@ -116,6 +116,8 @@ def _config_from_args(args) -> RunConfig:
             raise ConfigError("--steps must be >= 0")
         if args.seed < 0:
             raise ConfigError("--seed must be >= 0")
+        if args.alpha is not None and not (math.isfinite(args.alpha) and args.alpha > 0):
+            raise ConfigError("--alpha must be finite and > 0")
     cfg = RunConfig(
         input=args.input,
         format=args.format,

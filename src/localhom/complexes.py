@@ -101,6 +101,11 @@ class Filtration:
             self._by_dim.setdefault(dimension(s), []).append(i)
             for v in s:
                 self._postings.setdefault(v, []).append(i)
+        self._cofacets: list[list[tuple[int, int]]] = [[] for _ in self.simplices]
+        for j, s in enumerate(self.simplices):
+            if len(s) >= 2:
+                for face, sign in facets(s):
+                    self._cofacets[self.index[face]].append((j, sign))
         self._t_plus = max(self.values) if self.values else 0.0
 
     def __len__(self) -> int:
@@ -114,9 +119,6 @@ class Filtration:
         """Simplex ids of dimension k, in filtration order."""
         return self._by_dim.get(k, [])
 
-    def max_dim_present(self) -> int:
-        return max(self._by_dim) if self._by_dim else -1
-
     def id_of(self, simplex: Simplex) -> int:
         try:
             return self.index[tuple(simplex)]
@@ -128,18 +130,7 @@ class Filtration:
 
     def cofacets(self, sid: int) -> list[tuple[int, int]]:
         """(coface id, incidence sign) for codimension-1 cofaces of sid."""
-        return self._cofacet_table()[sid]
-
-    def _cofacet_table(self) -> list[list[tuple[int, int]]]:
-        if not hasattr(self, "_cofacets"):
-            table: list[list[tuple[int, int]]] = [[] for _ in self.simplices]
-            for j, s in enumerate(self.simplices):
-                if len(s) < 2:
-                    continue
-                for face, sign in facets(s):
-                    table[self.index[face]].append((j, sign))
-            self._cofacets = table
-        return self._cofacets
+        return self._cofacets[sid]
 
     def subfiltration(self, ids: set[int]) -> tuple["Filtration", dict[int, int]]:
         """Filtration induced on a closed id set, plus old-id -> new-id map.
@@ -313,8 +304,8 @@ def truncate_neighborhood(
     Returns (truncation, old->new id map, image of the open set
     union-of-stars inside the truncation). Relative cohomology against the
     complement of that open set is identical on the truncation and on the
-    full filtration at every threshold, which is what makes per-node local
-    homology computations cheap.
+    full filtration at every threshold (excision); stalks use the full
+    filtration, and this is the reference the tests compare them against.
     """
     if rings < 1:
         raise ContractError("rings must be >= 1")

@@ -20,5 +20,6 @@ class UnknownSimplexError(ContractError, KeyError):
 class IllConditionedError(ArithmeticError):
     """Float-carrier elimination produced entries larger than 1/eps.
 
-    Callers are expected to retry with the exact carrier.
+    Nothing retries: the CLI exits 3, and the run can be repeated with
+    `--field exact`.
     """

@@ -4,16 +4,18 @@ The coboundary matrix of each order is reduced with rows and columns
 sorted by decreasing filtration order (value, then reverse tie-break).
 For a column that reduces to nonzero, the pivot row's simplex kills the
 class; a zero column that was not a pivot row one order down is an
-essential class. The column of the transformation matrix V is the
-representative cocycle and the reduced column R is its coboundary, so
-births come from the representative's lowest-value support simplex and
-deaths from the pivot.
+essential class. The column of a simplex that was a pivot row one order
+down reduces to zero, so it is cleared without work (Bauer, "Ripser",
+2021). The column of the transformation matrix V is the representative
+cocycle and the reduced column R is its coboundary, so births come from
+the representative's lowest-value support simplex and deaths from the
+pivot.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .complexes import Filtration, SimplexSubset, is_open_set
 from .errors import ContractError
@@ -52,21 +54,12 @@ class PersistentCocycle:
 
 @dataclass
 class Diagram:
-    """Persistence diagram grouped by order, zero-length pairs excluded.
-
-    `pair_ledger` keeps every pivot pair including zero-persistence ones;
-    downstream bookkeeping (clearing, extended-matrix construction) needs
-    those pivots even though they carry no feature signal.
-    """
+    """Persistence diagram grouped by order, zero-length pairs excluded."""
 
     classes: list[PersistentCocycle]
-    pair_ledger: list[tuple[int, int, int]] = field(default_factory=list)
 
     def of_order(self, k: int) -> list[PersistentCocycle]:
         return [c for c in self.classes if c.order == k]
-
-    def orders(self) -> list[int]:
-        return sorted({c.order for c in self.classes})
 
 
 def betti_at(diagram: Diagram, t: float, k: int) -> int:
@@ -84,12 +77,15 @@ def coboundary_block(
 
     Returns (matrix, column simplex ids, row simplex ids). With `keep` set,
     rows and columns are restricted to those simplex ids (the open-set
-    restriction used for relative cohomology).
+    restriction used for relative cohomology), read from `keep` itself so
+    the cost is that of the set, not of the filtration.
     """
-    col_ids = [i for i in filtration.ids_of_dim(k) if keep is None or i in keep]
-    row_ids = [i for i in filtration.ids_of_dim(k + 1) if keep is None or i in keep]
-    col_ids.reverse()
-    row_ids.reverse()
+    def ids_desc(d: int) -> list[int]:
+        if keep is None:
+            return filtration.ids_of_dim(d)[::-1]
+        return sorted((i for i in keep if len(filtration.simplices[i]) == d + 1), reverse=True)
+
+    col_ids, row_ids = ids_desc(k), ids_desc(k + 1)
     row_pos = {sid: r for r, sid in enumerate(row_ids)}
     entries = []
     for j, sid in enumerate(col_ids):
@@ -108,18 +104,13 @@ def _diagram_from_reductions(
     keep: frozenset[int] | None,
     max_order: int,
     fld: Field,
-    clearing: bool,
 ) -> Diagram:
     classes: list[PersistentCocycle] = []
-    ledger: list[tuple[int, int, int]] = []
     destroyers: set[int] = set()
     for k in range(max_order + 1):
         matrix, col_ids, row_ids = coboundary_block(filtration, k, keep, fld)
-        skip = (
-            frozenset(j for j, sid in enumerate(col_ids) if sid in destroyers)
-            if clearing
-            else frozenset()
-        )
+        # clearing: a simplex that was a pivot row one order down has a zero column
+        skip = frozenset(j for j, sid in enumerate(col_ids) if sid in destroyers)
         red = column_reduce(matrix, skip_cols=skip)
         pivot_of_col = {j: low for low, j in red.pivots.items()}
         next_destroyers = set()
@@ -130,7 +121,6 @@ def _diagram_from_reductions(
                 next_destroyers.add(death_id)
                 birth = filtration.values[sid]
                 death = filtration.values[death_id]
-                ledger.append((k, sid, death_id))
                 if birth < death:
                     classes.append(
                         PersistentCocycle(
@@ -157,14 +147,13 @@ def _diagram_from_reductions(
                 )
         destroyers = next_destroyers
     classes.sort(key=lambda c: (c.order, c.birth, c.birth_index))
-    return Diagram(classes=classes, pair_ledger=ledger)
+    return Diagram(classes=classes)
 
 
 def persistent_cohomology(
     filtration: Filtration,
     max_order: int,
     fld: Field = Field(),
-    clearing: bool = False,
 ) -> Diagram:
     """Diagram of the absolute persistent cohomology up to max_order."""
     if max_order < 0:
@@ -174,7 +163,7 @@ def persistent_cohomology(
             "filtration was built with max_dim "
             f"{filtration.max_dim}; order {max_order} needs max_dim >= {max_order + 1}"
         )
-    return _diagram_from_reductions(filtration, None, max_order, fld, clearing)
+    return _diagram_from_reductions(filtration, None, max_order, fld)
 
 
 def persistent_relative_cohomology(
@@ -182,7 +171,6 @@ def persistent_relative_cohomology(
     open_set: SimplexSubset,
     max_order: int,
     fld: Field = Field(),
-    clearing: bool = False,
 ) -> Diagram:
     """Diagram of H^k(S_t, S_t \\ U_t) for the open set U.
 
@@ -201,4 +189,4 @@ def persistent_relative_cohomology(
         raise ContractError("open_set belongs to a different filtration")
     if not is_open_set(filtration, open_set.ids):
         raise ContractError("subset is not open (not a union of stars)")
-    return _diagram_from_reductions(filtration, open_set.ids, max_order, fld, clearing)
+    return _diagram_from_reductions(filtration, open_set.ids, max_order, fld)

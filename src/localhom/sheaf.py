@@ -1,7 +1,9 @@
 """Per-node stalks of persistent local homology and sheaf Laplacian blocks.
 
-A vertex's stalk is the persistent relative cohomology of (S_t, S_t \\ st v)
-computed on an excision-truncated neighborhood. For an adjacent pair (u, v)
+A vertex's stalk is the persistent relative cohomology of (S_t, S_t \\ st v),
+computed on the full filtration: the open star is closed under coboundary,
+so its relative coboundary never leaves the star and the work per node is
+the size of its star (excision, used directly). For an adjacent pair (u, v)
 an extended coboundary matrix is reduced to find pairs of stalk cocycles
 whose sum vanishes on st u ∪ st v modulo coboundaries of the union's
 lower simplices; each surviving reduced column is a rank-1 Laplacian atom
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexes import Filtration, star_of_vertices, truncate_neighborhood
+from .complexes import Filtration, SimplexSubset, star_of_vertices
 from .errors import ContractError
 from .linalg import Field, SparseColumnMatrix, dense_rank_exact, reduce as column_reduce
 from .persistence import (
@@ -31,20 +33,28 @@ from .persistence import (
 
 @dataclass
 class LocalStalk:
-    """Persistent relative cocycles of one vertex's star.
+    """Persistent relative cocycles of one vertex's open star.
 
-    Representatives and indices are keyed by simplex ids of the *full*
-    filtration (remapped from the truncation), so stalks from different
-    vertices can meet inside one extended matrix. Degree-0 classes only
-    flag isolated components and carry no sheaf structure at the orders
-    the Laplacian couples, so stalks keep orders 1..max_order.
+    Representatives and indices are simplex ids of the full filtration, so
+    stalks from different vertices can meet inside one extended matrix;
+    `star` is the open set the cohomology is relative to. Degree-0 classes
+    only flag isolated components and carry no sheaf structure at the
+    orders the Laplacian couples, so stalks keep orders 1..max_order.
     """
 
     vertex: int
     cocycles: list[PersistentCocycle]
-    truncation: Filtration
+    star: SimplexSubset
     horizon: float
     field_kind: str
+
+    @property
+    def truncation(self) -> SimplexSubset:
+        """Alias of `star`, kept only for the benchmark's
+        `sheaf.truncation_size_mean` counter; it goes in the benchmark-only
+        change that renames that counter.
+        """
+        return self.star
 
     def order_cocycles(self, k: int) -> list[PersistentCocycle]:
         return [c for c in self.cocycles if c.order == k]
@@ -54,18 +64,6 @@ class LocalStalk:
         return [(c.order, c.birth, c.death_or(self.horizon)) for c in self.cocycles]
 
 
-def _remap_cocycle(c: PersistentCocycle, new_to_old: dict[int, int]) -> PersistentCocycle:
-    return PersistentCocycle(
-        order=c.order,
-        birth=c.birth,
-        death=c.death,
-        birth_index=new_to_old[c.birth_index],
-        death_index=None if c.death_index is None else new_to_old[c.death_index],
-        representative={new_to_old[i]: v for i, v in c.representative.items()},
-        coboundary={new_to_old[i]: v for i, v in c.coboundary.items()},
-    )
-
-
 def compute_stalk(
     filtration: Filtration,
     vertex: int,
@@ -73,24 +71,22 @@ def compute_stalk(
     rings: int = 1,
     fld: Field = Field(),
 ) -> LocalStalk:
-    """Stalk of `vertex`: relative persistence of its star on a truncation.
+    """Stalk of `vertex`: relative persistence of its open star.
 
-    By excision the result is identical to the full-complex computation;
-    the truncation only bounds the work per node.
+    Computed on `filtration` itself; no neighborhood is cut out, so the
+    cost is that of the star. `rings` is accepted for compatibility and
+    must be >= 1; it has no effect.
     """
     if not (0 <= vertex < filtration.vertex_count):
         raise ContractError(f"vertex {vertex} does not exist")
-    truncation, idmap, open_image = truncate_neighborhood(filtration, [vertex], rings)
-    diagram = persistent_relative_cohomology(truncation, open_image, max_order, fld)
-    new_to_old = {new: old for old, new in idmap.items()}
-    cocycles = [
-        _remap_cocycle(c, new_to_old) for c in diagram.classes if c.order >= 1
-    ]
-    cocycles.sort(key=lambda c: (c.order, c.birth, c.birth_index))
+    if rings < 1:
+        raise ContractError("rings must be >= 1")
+    open_star = star_of_vertices(filtration, [vertex])
+    diagram = persistent_relative_cohomology(filtration, open_star, max_order, fld)
     return LocalStalk(
         vertex=vertex,
-        cocycles=cocycles,
-        truncation=truncation,
+        cocycles=[c for c in diagram.classes if c.order >= 1],
+        star=open_star,
         horizon=filtration.t_plus,
         field_kind=fld.kind,
     )
@@ -129,8 +125,10 @@ def build_extended_matrix(
     if (min(u, v), max(u, v)) not in filtration.index:
         raise ContractError(f"vertices {u} and {v} are not adjacent (empty intersection)")
 
-    a_ids = star_of_vertices(filtration, [u]).ids
-    b_ids = star_of_vertices(filtration, [v]).ids
+    if stalk_u.star.filtration is not filtration or stalk_v.star.filtration is not filtration:
+        raise ContractError("stalks were computed on a different filtration")
+    a_ids = stalk_u.star.ids
+    b_ids = stalk_v.star.ids
     d_ids = a_ids | b_ids
 
     rows: list[tuple[str, int]] = []

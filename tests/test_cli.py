@@ -132,6 +132,14 @@ def test_bad_diffuse_counts_are_config_errors(flags, message, c4_csv, tmp_path, 
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf", "0", "-1"])
+def test_bad_alpha_is_config_error(alpha, c4_csv, tmp_path, capsys):
+    code = main(["diffuse", "--input", c4_csv, "--max-dim", "2", "--alpha", alpha,
+                 "--out", str(tmp_path / "d")])
+    assert code == 2
+    assert "--alpha" in capsys.readouterr().err
+
+
 C4_FEATURES = {"order": 1, "channels": [{str(v): {"0": 1.0} for v in range(4)}]}
 
 

@@ -119,12 +119,31 @@ def test_relative_with_whole_complex_equals_absolute(c4_filt, square_filt):
 
 
 def test_betti_duality_against_oracle(corpus):
+    """Cleared absolute diagrams, both carriers, against dense Betti numbers."""
     for graph in corpus[:30]:
         filt = build_flag_complex(graph, 3)
-        d = persistent_cohomology(filt, 2)
-        for t in filt.threshold_values():
-            for k in range(3):
-                assert betti_at(d, t, k) == oracle.betti_dense(filt, t, k)
+        for fld in (Field(), Field(kind="float")):
+            d = persistent_cohomology(filt, 2, fld)
+            for t in filt.threshold_values():
+                for k in range(3):
+                    assert betti_at(d, t, k) == oracle.betti_dense(filt, t, k)
+
+
+def test_relative_betti_against_oracle(corpus):
+    """Cleared diagrams relative to a vertex star, both carriers, against
+    dense relative Betti numbers."""
+    for gi, graph in enumerate(corpus[:25]):
+        filt = build_flag_complex(graph, 3)
+        open_star = star_of_vertices(filt, [gi % graph.vertex_count])
+        rest = SimplexSubset(
+            filt, frozenset(range(len(filt))) - open_star.ids, is_open=False
+        )
+        for fld in (Field(), Field(kind="float")):
+            d = persistent_relative_cohomology(filt, open_star, 2, fld)
+            for t in filt.threshold_values():
+                for k in range(3):
+                    dense = oracle.relative_betti_dense(filt, t, rest, k)
+                    assert betti_at(d, t, k) == dense, (gi, fld.kind, t, k)
 
 
 def test_representative_validity(corpus):
@@ -152,14 +171,6 @@ def test_field_parity_on_corpus_sample(corpus):
         exact = persistent_cohomology(filt, 2, Field())
         floaty = persistent_cohomology(filt, 2, Field(kind="float"))
         assert pairs(exact) == pairs(floaty)
-
-
-def test_clearing_parity(corpus):
-    for graph in corpus[:25]:
-        filt = build_flag_complex(graph, 3)
-        plain = persistent_cohomology(filt, 2, clearing=False)
-        cleared = persistent_cohomology(filt, 2, clearing=True)
-        assert pairs(plain) == pairs(cleared)
 
 
 def test_single_simplex_step_changes_one_class(corpus):
@@ -192,11 +203,9 @@ def test_diagram_deterministic(c4_filt, corpus):
         ]
 
 
-def test_zero_persistence_pairs_kept_in_ledger(k3_filt):
+def test_zero_persistence_pair_yields_no_class(k3_filt):
     d = persistent_cohomology(k3_filt, 1)
     assert pairs(d, 1) == []  # the K3 one-cycle has zero persistence
-    k1_ledger = [entry for entry in d.pair_ledger if entry[0] == 1]
-    assert len(k1_ledger) == 1
 
 
 def test_representative_lowest_value_is_birth(corpus):

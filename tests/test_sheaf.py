@@ -1,21 +1,24 @@
 """Stalks, extended coboundary matrices, Laplacian atoms and assembly."""
 
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from localhom import oracle
+from localhom import oracle, persistence
 from localhom.complexes import (
     SimplexSubset,
     WeightedGraph,
     build_flag_complex,
+    graph_from_points,
     star_of_vertices,
+    truncate_neighborhood,
 )
 from localhom.errors import ContractError
-from localhom.linalg import Field
-from localhom.persistence import persistent_relative_cohomology
+from localhom.linalg import Field, SparseColumnMatrix
+from localhom.persistence import coboundary_block, persistent_relative_cohomology
 from localhom.sheaf import (
     assemble_laplacian,
     build_extended_matrix,
@@ -76,15 +79,60 @@ def test_stalk_unknown_vertex(c4_filt):
         compute_stalk(c4_filt, 0, 1, rings=0)
 
 
-def test_stalk_invariant_under_extra_rings(oct_filt, corpus):
-    """Wider truncations change the work, not the answer (excision)."""
-    for filt, v in [(oct_filt, 0), (build_flag_complex(corpus[0], 3), 1)]:
-        one = compute_stalk(filt, v, 2, rings=1)
-        two = compute_stalk(filt, v, 2, rings=2)
-        assert stalk_pairs(one) == stalk_pairs(two)
-        assert [c.representative for c in one.cocycles] == [
-            c.representative for c in two.cocycles
-        ]
+def filtered_coboundary_block(filtration, k, keep, fld):
+    """The relative block as stalks once built it: the whole coboundary
+    block, rows and columns outside `keep` dropped in order."""
+    matrix, col_ids, row_ids = coboundary_block(filtration, k, None, fld)
+    cols = [j for j, sid in enumerate(col_ids) if sid in keep]
+    rows = [r for r, sid in enumerate(row_ids) if sid in keep]
+    row_pos = {r: i for i, r in enumerate(rows)}
+    entries = [
+        (row_pos[r], jj, x) for jj, j in enumerate(cols) for r, x in matrix.cols[j] if r in row_pos
+    ]
+    return (
+        SparseColumnMatrix.from_entries(len(rows), len(cols), entries, fld),
+        [col_ids[j] for j in cols],
+        [row_ids[r] for r in rows],
+    )
+
+
+def truncated_stalk(filt, v, rings, fld, monkeypatch):
+    """Stalk cocycles the old way: relative cohomology on an excision
+    truncation with filtered blocks, ids mapped back to `filt`."""
+    trunc, idmap, open_img = truncate_neighborhood(filt, [v], rings)
+    old = {new: old for old, new in idmap.items()}
+    with monkeypatch.context() as m:
+        m.setattr(persistence, "coboundary_block", filtered_coboundary_block)
+        diagram = persistent_relative_cohomology(trunc, open_img, 2, fld)
+    cocycles = [
+        replace(
+            c,
+            birth_index=old[c.birth_index],
+            death_index=None if c.death_index is None else old[c.death_index],
+            representative={old[i]: x for i, x in c.representative.items()},
+            coboundary={old[i]: x for i, x in c.coboundary.items()},
+        )
+        for c in diagram.classes
+        if c.order >= 1
+    ]
+    return sorted(cocycles, key=lambda c: (c.order, c.birth, c.birth_index))
+
+
+def test_stalk_equals_truncated_reference(oct_filt, corpus, monkeypatch):
+    """The stalk on the full filtration equals the one on 1- and 2-ring
+    truncations (excision): every field of every cocycle, both carriers."""
+    rng = random.Random(60)
+    cloud = graph_from_points([(rng.random(), rng.random()) for _ in range(60)], knn=6)
+    filts = [oct_filt] + [build_flag_complex(g, 3) for g in corpus[:25] + [cloud]]
+    for fld in (Field(), Field(kind="float")):
+        for fi, filt in enumerate(filts):
+            for v in range(filt.vertex_count):
+                stalk = compute_stalk(filt, v, 2, fld=fld)
+                for rings in (1, 2):
+                    reference = truncated_stalk(filt, v, rings, fld, monkeypatch)
+                    assert stalk.cocycles == reference, (
+                        fld.kind, fi, v, rings,
+                    )
 
 
 def test_stalk_excision_equals_full_complex(corpus):
@@ -105,6 +153,12 @@ def test_stalk_excision_equals_full_complex(corpus):
 # ---------------------------------------------------------------------------
 # extended coboundary matrix
 # ---------------------------------------------------------------------------
+
+
+def test_stalks_from_another_filtration_rejected(c4_filt, k4_filt):
+    stalks = {v: compute_stalk(c4_filt, v, 1) for v in range(4)}
+    with pytest.raises(ContractError):
+        assemble_laplacian(k4_filt, stalks, 1, "weighted")
 
 
 def test_extended_matrix_c4_shape(c4_filt):
