@@ -18,9 +18,15 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import BudgetExceededError, ContractError, UnknownSimplexError
 
 DEFAULT_SIMPLEX_BUDGET = 5_000_000
+
+# kNN ingestion ranks candidates from approximate distances computed this
+# many rows at a time, so its largest temporary holds KNN_BLOCK_ROWS * n floats
+KNN_BLOCK_ROWS = 256
 
 Simplex = tuple[int, ...]
 
@@ -328,32 +334,88 @@ def graph_from_points(
     """Complete weighted graph on a point cloud, optionally kNN-sparsified.
 
     With knn=k an edge survives iff either endpoint is among the other's k
-    nearest neighbors.
+    nearest neighbors, ties going to the lower vertex id. Coordinates must
+    be finite, and an edge whose length overflows a float is a
+    ContractError naming its two points.
     """
     pts = [tuple(float(c) for c in p) for p in points]
     n = len(pts)
     if any(len(p) != len(pts[0]) for p in pts):
         raise ContractError("points must share a dimension")
+    for i, p in enumerate(pts):
+        if not all(math.isfinite(c) for c in p):
+            raise ContractError(f"point {i} has a non-finite coordinate")
     if metric == "euclidean":
         dist = lambda a, b: math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
     elif metric == "manhattan":
         dist = lambda a, b: sum(abs(x - y) for x, y in zip(a, b))
     else:
         raise ContractError(f"unknown metric {metric!r}")
-    weights = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            weights[(i, j)] = dist(pts[i], pts[j])
-    if knn is not None:
-        if knn < 1:
-            raise ContractError("knn must be >= 1")
-        keep = set()
-        for i in range(n):
-            ranked = sorted(
-                (weights[(min(i, j), max(i, j))], j) for j in range(n) if j != i
-            )
+    if knn is not None and knn < 1:
+        raise ContractError("knn must be >= 1")
+
+    weights: dict[tuple[int, int], float] = {}
+
+    def weight(i: int, j: int) -> float:
+        """Exact length of edge (i, j), i < j, computed once."""
+        w = weights.get((i, j))
+        if w is None:
+            try:
+                w = dist(pts[i], pts[j])
+            except OverflowError:
+                w = math.inf
+            if not math.isfinite(w):
+                raise ContractError(f"distance between points {i} and {j} overflows")
+            weights[(i, j)] = w
+        return w
+
+    if knn is None:
+        pairs = itertools.combinations(range(n), 2)
+    else:
+        pairs = sorted(_knn_pairs(pts, metric, knn, weight))
+    edges = tuple((i, j, weight(i, j)) for i, j in pairs)
+    return WeightedGraph(vertex_count=n, edges=edges)
+
+
+def _knn_pairs(pts, metric: str, knn: int, weight) -> set[tuple[int, int]]:
+    """Pairs (i, j), i < j, with one endpoint among the other's knn nearest.
+
+    numpy computes approximate distances one block of rows at a time and
+    keeps a few candidates per row; Python ranks only those candidates, by
+    the exact `weight` and then the vertex id.
+    """
+    n = len(pts)
+    keep: set[tuple[int, int]] = set()
+    if n < 2:
+        return keep
+    coords = np.array(pts, dtype=float).reshape(n, len(pts[0]))
+    rank = min(knn, n - 1)
+    for lo in range(0, n, KNN_BLOCK_ROWS):
+        hi = min(lo + KNN_BLOCK_ROWS, n)
+        rows = np.arange(hi - lo)
+        approx = np.zeros((hi - lo, n))
+        with np.errstate(over="ignore"):  # an overflowing distance is +inf
+            for c in range(coords.shape[1]):
+                diff = coords[lo:hi, c, None] - coords[None, :, c]
+                approx += diff * diff if metric == "euclidean" else np.abs(diff)
+            approx[rows, lo + rows] = np.inf
+            kth = np.partition(approx, rank - 1, axis=1)[:, rank - 1]
+            # approx (squared, for euclidean) and the exact Python sum it
+            # stands for each have relative error at most d * 2**-52 on these
+            # non-negative sums, far inside the 1e-9 margin; the 1e-300 floor
+            # covers the absolute error of terms that underflow. A j past the
+            # bound is therefore strictly farther, exactly, than all k
+            # approximate nearest, so the exact top k (ties included) is kept.
+            bound = kth * (1.0 + 1e-9) + 1e-300
+        mask = approx <= bound[:, None]
+        mask[rows, lo + rows] = False
+        counts = np.count_nonzero(mask, axis=1).tolist()
+        cols = np.nonzero(mask)[1].tolist()
+        start = 0
+        for i, count in zip(range(lo, hi), counts):
+            cand = cols[start:start + count]
+            start += count
+            ranked = sorted((weight(min(i, j), max(i, j)), j) for j in cand)
             for _, j in ranked[:knn]:
                 keep.add((min(i, j), max(i, j)))
-        weights = {e: w for e, w in weights.items() if e in keep}
-    edges = tuple((u, v, w) for (u, v), w in sorted(weights.items()))
-    return WeightedGraph(vertex_count=n, edges=edges)
+    return keep

@@ -116,10 +116,12 @@ def diffuse(
     if not (0.0 < alpha < limit):
         raise ContractError(f"alpha={alpha} outside (0, 2/lambda_max={limit:.6g})")
     x = features.stacked(laplacian)
-    energies = [float(np.sum(x * (laplacian.dense @ x)))]
+    lx = laplacian.dense @ x
+    energies = [float(np.sum(x * lx))]
     for _ in range(steps):
-        x = x - alpha * (laplacian.dense @ x)
-        energies.append(float(np.sum(x * (laplacian.dense @ x))))
+        x = x - alpha * lx
+        lx = laplacian.dense @ x
+        energies.append(float(np.sum(x * lx)))
     return FeatureBundle.from_stacked(laplacian, x, features.order), energies
 
 

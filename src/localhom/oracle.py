@@ -507,3 +507,41 @@ def excision_check(filtration: Filtration, vertex: int, k: int) -> bool:
         if left != right:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# point-cloud ingestion
+# ---------------------------------------------------------------------------
+
+
+def knn_graph_scan(points, metric: str = "euclidean", knn: int | None = None):
+    """Edges of `complexes.graph_from_points`, by ranking every pair in Python.
+
+    Returns the sorted (u, v, weight) tuples with u < v.
+    """
+    pts = [tuple(float(c) for c in p) for p in points]
+    n = len(pts)
+    if any(len(p) != len(pts[0]) for p in pts):
+        raise ContractError("points must share a dimension")
+    if metric == "euclidean":
+        dist = lambda a, b: math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
+    elif metric == "manhattan":
+        dist = lambda a, b: sum(abs(x - y) for x, y in zip(a, b))
+    else:
+        raise ContractError(f"unknown metric {metric!r}")
+    weights = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            weights[(i, j)] = dist(pts[i], pts[j])
+    if knn is not None:
+        if knn < 1:
+            raise ContractError("knn must be >= 1")
+        keep = set()
+        for i in range(n):
+            ranked = sorted(
+                (weights[(min(i, j), max(i, j))], j) for j in range(n) if j != i
+            )
+            for _, j in ranked[:knn]:
+                keep.add((min(i, j), max(i, j)))
+        weights = {e: w for e, w in weights.items() if e in keep}
+    return tuple((u, v, w) for (u, v), w in sorted(weights.items()))

@@ -227,6 +227,24 @@ def test_contract_error_exit_code(tmp_path, capsys):
     assert "self-loop" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "rows,message",
+    [
+        ("0,0\n1e200,0\n2e200,1\n", "points 0 and 1 overflows"),
+        ("0,0\n1,nan\n2,2\n", "point 1 has a non-finite coordinate"),
+    ],
+    ids=["overflow", "nan"],
+)
+def test_bad_point_cloud_is_contract_error(rows, message, tmp_path, capsys):
+    pts = write(tmp_path / "p.csv", rows)
+    code = main(
+        ["filtration", "--input", pts, "--format", "points", "--knn", "1",
+         "--out", str(tmp_path / "x.json")]
+    )
+    assert code == 3
+    assert message in capsys.readouterr().err
+
+
 def test_missing_input_is_config_error(tmp_path):
     code = main(
         ["filtration", "--input", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "x")]

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -397,6 +398,78 @@ def test_points_knn_union_rule():
     assert set(graph.weight_map()) == {(0, 1), (1, 2)}
 
 
+def test_points_knn_tie_after_sqrt_goes_to_lower_id():
+    # |0a|^2 is one ulp above |0b|^2, yet both round to the same distance:
+    # the exact tie goes to the lower id a, so a ranking by squared
+    # distances alone would pick b
+    a = (0.622901694889702, 0.7417869892607294)
+    b = (0.6229016948897019, 0.7417869892607294)
+    assert a[0] ** 2 + a[1] ** 2 > b[0] ** 2 + b[1] ** 2
+    pts = [(0.0, 0.0), a, b]
+    graph = graph_from_points(pts, knn=1)
+    assert set(graph.weight_map()) == {(0, 1), (1, 2)}
+    assert graph.edges == oracle.knn_graph_scan(pts, knn=1)
+
+
 def test_points_bad_metric():
     with pytest.raises(ContractError):
         graph_from_points([(0, 0)], metric="chebyshev")
+
+
+@pytest.mark.parametrize("knn", [None, 1])
+def test_points_overflow_names_pair(knn):
+    with pytest.raises(ContractError, match="points 0 and 1 overflows"):
+        graph_from_points([(0, 0), (1e200, 0), (2e200, 1)], knn=knn)
+    with pytest.raises(ContractError, match="points 0 and 1 overflows"):
+        graph_from_points([(-1e308,), (1e308,)], metric="manhattan", knn=knn)
+
+
+@pytest.mark.parametrize("knn", [None, 2])
+@pytest.mark.parametrize("row", [0, 2, 4])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_points_non_finite_coordinate_names_point(bad, row, knn):
+    pts = [(float(i), 0.5 * i) for i in range(5)]
+    pts[row] = (pts[row][0], bad)
+    with pytest.raises(ContractError, match=f"point {row} has a non-finite"):
+        graph_from_points(pts, knn=knn)
+
+
+@st.composite
+def point_clouds(draw):
+    """Up to 40 points in 1-4 dimensions: floats (subnormals included) or a
+    small integer lattice (many exact distance ties), plus repeated points."""
+    d = draw(st.integers(min_value=1, max_value=4))
+    coord = draw(
+        st.sampled_from(
+            [
+                st.floats(min_value=-10, max_value=10),
+                st.integers(min_value=-2, max_value=2).map(float),
+            ]
+        )
+    )
+    pts = draw(st.lists(st.tuples(*[coord] * d), max_size=40))
+    repeats = draw(st.lists(st.integers(min_value=0, max_value=39), max_size=10))
+    if pts:
+        pts += [pts[i % len(pts)] for i in repeats]
+    return pts[:40]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    point_clouds(),
+    st.sampled_from(["euclidean", "manhattan"]),
+    st.integers(min_value=1, max_value=41),
+    st.booleans(),
+)
+def test_points_edges_match_scan_oracle(pts, metric, k, dense):
+    knn = None if dense else min(k, len(pts) + 1)
+    got = graph_from_points(pts, metric, knn).edges
+    assert got == oracle.knn_graph_scan(pts, metric, knn)
+
+
+@pytest.mark.parametrize("n,d,metric", [(400, 2, "euclidean"), (600, 3, "manhattan")])
+def test_points_knn_several_row_blocks_match_scan_oracle(n, d, metric):
+    rng = random.Random(n)
+    pts = [tuple(rng.random() for _ in range(d)) for _ in range(n)]
+    got = graph_from_points(pts, metric, 6).edges
+    assert got == oracle.knn_graph_scan(pts, metric, 6)

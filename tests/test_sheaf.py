@@ -135,19 +135,24 @@ def test_stalk_equals_truncated_reference(oct_filt, corpus, monkeypatch):
                     )
 
 
-def test_stalk_excision_equals_full_complex(corpus):
-    """Truncated stalk diagram equals the full-complex relative diagram."""
+def test_stalk_alive_counts_match_relative_betti_oracle(corpus):
+    """At every threshold, a stalk's alive order-k classes count
+    H^k(S_t, S_t minus st v), the dense relative Betti number against the
+    closed complement of the open star."""
     for gi, graph in enumerate(corpus[:25]):
         filt = build_flag_complex(graph, 3)
         v = gi % graph.vertex_count
         stalk = compute_stalk(filt, v, 2)
-        full = persistent_relative_cohomology(
-            filt, star_of_vertices(filt, [v]), 2
+        rest = SimplexSubset(
+            filt,
+            frozenset(i for i, s in enumerate(filt.simplices) if v not in s),
+            is_open=False,
         )
-        full_pairs = sorted(
-            (c.order, c.birth, c.death) for c in full.classes if c.order >= 1
-        )
-        assert stalk_pairs(stalk) == full_pairs, (gi, v)
+        for t in filt.threshold_values():
+            for k in (1, 2):
+                alive = sum(1 for c in stalk.cocycles if c.order == k and c.alive_at(t))
+                dense = oracle.relative_betti_dense(filt, t, rest, k)
+                assert alive == dense, (gi, v, t, k)
 
 
 # ---------------------------------------------------------------------------
