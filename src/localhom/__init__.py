@@ -12,13 +12,8 @@ from .complexes import (
     SimplexSubset,
     WeightedGraph,
     build_flag_complex,
-    closure,
-    frontier,
     graph_from_points,
-    interior,
-    star,
     star_of_vertices,
-    truncate_neighborhood,
 )
 from .errors import (
     BudgetExceededError,
@@ -54,7 +49,6 @@ from .sheaf import (
     assemble_laplacian,
     build_extended_matrix,
     compute_stalk,
-    laplacian_at_time,
     sheaf_laplacian_block,
 )
 

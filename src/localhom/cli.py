@@ -17,7 +17,7 @@ from . import formats, golden, oracle
 from .complexes import Filtration, build_flag_complex, star_of_vertices
 from .errors import ConfigError, ContractError, IllConditionedError
 from .linalg import Field
-from .nn import FeatureBundle, diffuse, power_iteration
+from .nn import FeatureBundle, diffuse
 from .persistence import betti_at, persistent_cohomology
 from .sheaf import assemble_laplacian, compute_stalk
 
@@ -47,6 +47,8 @@ class RunConfig:
             raise ConfigError("--max-dim must be >= max_order + 1")
         if self.rings < 1:
             raise ConfigError("--rings must be >= 1")
+        if self.knn is not None and self.knn < 1:
+            raise ConfigError("--knn must be >= 1")
 
 
 def _parse_mode(text: str) -> tuple:
@@ -233,11 +235,7 @@ def cmd_diffuse(cfg: RunConfig, args) -> int:
         features = FeatureBundle.random(
             assembled, cfg.max_order, channels=args.channels, seed=args.seed
         )
-    alpha = args.alpha
-    if alpha is None:
-        lam = power_iteration(assembled.dense)
-        alpha = 0.9 / lam if lam > 0 else 0.5
-    result, energies = diffuse(features, assembled, alpha, args.steps)
+    result, energies = diffuse(features, assembled, args.alpha, args.steps)
     base = _out_base(cfg)
     _write(base + ".json", formats.dumps(formats.features_to_obj(result)))
     _write(base + ".csv", formats.energy_trace_csv(energies))

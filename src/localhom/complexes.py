@@ -7,9 +7,9 @@ A filtration keeps its simplices in the total order
 this module deterministic and face-monotone by construction.
 
 Every `Filtration` also keeps a posting index: vertex id -> ids of the
-simplices containing that vertex, in filtration order. The star of a
-simplex is read off the posting list of its rarest vertex, so a star
-lookup costs the length of that list, not the size of the filtration.
+simplices containing that vertex, in filtration order. A vertex's posting
+list is its star, so a star lookup costs the size of the star, not the
+size of the filtration.
 """
 
 from __future__ import annotations
@@ -101,7 +101,8 @@ class Filtration:
             self.index = {s: i for i, s in enumerate(self.simplices)}
         self._by_dim: dict[int, list[int]] = {}
         # vertex -> ids of the simplices containing it, in filtration order;
-        # a dict, so a truncation indexes only the vertices it keeps
+        # a dict, so a filtration on a vertex subset indexes only the vertices
+        # it keeps
         self._postings: dict[int, list[int]] = {}
         for i, s in enumerate(self.simplices):
             self._by_dim.setdefault(dimension(s), []).append(i)
@@ -138,47 +139,16 @@ class Filtration:
         """(coface id, incidence sign) for codimension-1 cofaces of sid."""
         return self._cofacets[sid]
 
-    def subfiltration(self, ids: set[int]) -> tuple["Filtration", dict[int, int]]:
-        """Filtration induced on a closed id set, plus old-id -> new-id map.
-
-        The relative order of retained simplices is preserved, so the
-        result satisfies the same total-order invariant.
-        """
-        kept = sorted(ids)
-        for i in kept:
-            for face, _ in facets(self.simplices[i]):
-                if len(face) >= 1 and self.index[face] not in ids:
-                    raise ContractError("subfiltration ids are not face-closed")
-        sub = Filtration(
-            simplices=[self.simplices[i] for i in kept],
-            values=[self.values[i] for i in kept],
-            vertex_count=self.vertex_count,
-            max_dim=self.max_dim,
-        )
-        return sub, {old: new for new, old in enumerate(kept)}
-
 
 @dataclass(frozen=True)
 class SimplexSubset:
-    """Set of simplex ids inside a parent filtration, flagged open or closed."""
+    """Set of simplex ids inside a parent filtration."""
 
     filtration: Filtration
     ids: frozenset[int]
-    is_open: bool
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def simplices(self) -> list[Simplex]:
-        return [self.filtration.simplices[i] for i in sorted(self.ids)]
-
-
-def _validate_ids(filtration: Filtration, ids) -> frozenset[int]:
-    ids = frozenset(ids)
-    for i in ids:
-        if not (0 <= i < len(filtration)):
-            raise ContractError(f"simplex id {i} out of range")
-    return ids
 
 
 def is_open_set(filtration: Filtration, ids: frozenset[int]) -> bool:
@@ -245,85 +215,13 @@ def build_flag_complex(
     )
 
 
-def _star_ids(filtration: Filtration, seed_ids) -> frozenset[int]:
-    """Ids of every simplex having some seed simplex as a face."""
-    simplices, postings = filtration.simplices, filtration._postings
-    out: set[int] = set()
-    for i in seed_ids:
-        seed = simplices[i]
-        posting = min((postings[v] for v in seed), key=len)
-        if len(seed) == 1:  # a vertex's posting list is its star
-            out.update(posting)
-        else:
-            out.update(j for j in posting if all(v in simplices[j] for v in seed))
-    return frozenset(out)
-
-
-def star(filtration: Filtration, simplex: Simplex) -> SimplexSubset:
-    """Open star {tau : simplex is a face of tau}, including simplex itself."""
-    sid = filtration.id_of(simplex)
-    return SimplexSubset(filtration, _star_ids(filtration, {sid}), is_open=True)
-
-
 def star_of_vertices(filtration: Filtration, vertices) -> SimplexSubset:
-    """Union of the stars of the given vertices."""
-    ids = {filtration.id_of((v,)) for v in vertices}
-    return SimplexSubset(filtration, _star_ids(filtration, ids), is_open=True)
-
-
-def closure(subset: SimplexSubset) -> SimplexSubset:
-    """Smallest subcomplex containing the subset (add all faces)."""
-    filt = subset.filtration
-    ids = _validate_ids(filt, subset.ids)
-    out = set(ids)
-    for i in ids:
-        s = filt.simplices[i]
-        for r in range(1, len(s)):
-            for face in itertools.combinations(s, r):
-                out.add(filt.index[face])
-    return SimplexSubset(filt, frozenset(out), is_open=False)
-
-
-def frontier(subset: SimplexSubset) -> SimplexSubset:
-    """closure(A) minus A, defined for open A only."""
-    if not subset.is_open or not is_open_set(subset.filtration, subset.ids):
-        raise ContractError("frontier requires an open subset")
-    cl = closure(subset)
-    return SimplexSubset(subset.filtration, cl.ids - subset.ids, is_open=False)
-
-
-def interior(subset: SimplexSubset) -> SimplexSubset:
-    """Largest open set inside the subset: keep simplices whose whole star fits."""
-    filt = subset.filtration
-    ids = _validate_ids(filt, subset.ids)
-    keep = {i for i in ids if _star_ids(filt, {i}) <= ids}
-    return SimplexSubset(filt, frozenset(keep), is_open=True)
-
-
-def truncate_neighborhood(
-    filtration: Filtration,
-    vertices,
-    rings: int,
-) -> tuple[Filtration, dict[int, int], SimplexSubset]:
-    """Sub-filtration induced by the rings-fold closed-star closure of vertices.
-
-    Returns (truncation, old->new id map, image of the open set
-    union-of-stars inside the truncation). Relative cohomology against the
-    complement of that open set is identical on the truncation and on the
-    full filtration at every threshold (excision); stalks use the full
-    filtration, and this is the reference the tests compare them against.
-    """
-    if rings < 1:
-        raise ContractError("rings must be >= 1")
-    current = frozenset(filtration.id_of((v,)) for v in vertices)
-    for _ in range(rings):
-        grown = _star_ids(filtration, set(current))
-        current = closure(SimplexSubset(filtration, grown, is_open=True)).ids
-    sub, idmap = filtration.subfiltration(set(current))
-    open_ids = frozenset(
-        idmap[i] for i in star_of_vertices(filtration, vertices).ids
-    )
-    return sub, idmap, SimplexSubset(sub, open_ids, is_open=True)
+    """Union of the open stars of the given vertices: their posting lists."""
+    ids: set[int] = set()
+    for v in vertices:
+        filtration.id_of((v,))  # an unknown vertex is an UnknownSimplexError
+        ids.update(filtration._postings[v])
+    return SimplexSubset(filtration, frozenset(ids))
 
 
 def graph_from_points(

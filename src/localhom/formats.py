@@ -11,6 +11,8 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from .complexes import Filtration, WeightedGraph, facets, graph_from_points
 from .errors import ConfigError
 from .persistence import Diagram, PersistentCocycle
@@ -313,12 +315,11 @@ def energy_trace_csv(energies) -> str:
 def dense_to_matrixmarket(matrix) -> str:
     """Dense symmetric slice export in MatrixMarket coordinate format."""
     n, m = matrix.shape
-    entries = [
-        (i + 1, j + 1, matrix[i, j])
-        for i in range(n)
-        for j in range(m)
-        if matrix[i, j] != 0.0
+    rows, cols = np.nonzero(matrix)  # row-major order
+    # tolist() gives Python floats, whose repr round-trips without a type tag
+    values = matrix[rows, cols].tolist()
+    lines = ["%%MatrixMarket matrix coordinate real general", f"{n} {m} {len(values)}"]
+    lines += [
+        f"{i + 1} {j + 1} {v!r}" for i, j, v in zip(rows.tolist(), cols.tolist(), values)
     ]
-    lines = ["%%MatrixMarket matrix coordinate real general", f"{n} {m} {len(entries)}"]
-    lines += [f"{i} {j} {repr(float(v))}" for i, j, v in entries]
     return "\n".join(lines) + "\n"

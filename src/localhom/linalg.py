@@ -116,14 +116,6 @@ class SparseColumnMatrix:
                 raise ContractError("duplicate (row, col) entry")
         return cls(row_count, col_count, [field.prune(c) for c in cols], field)
 
-    def to_dense(self) -> list[list]:
-        zero = self.field.coerce(0)
-        dense = [[zero] * self.col_count for _ in range(self.row_count)]
-        for j, col in enumerate(self.cols):
-            for r, c in col:
-                dense[r][j] = c
-        return dense
-
 
 @dataclass
 class Reduction:
@@ -168,27 +160,3 @@ def reduce(matrix: SparseColumnMatrix, skip_cols=frozenset()) -> Reduction:
 def rank(matrix: SparseColumnMatrix) -> int:
     """Number of pivot columns; mathematical rank for the exact carrier."""
     return len(reduce(matrix).pivots)
-
-
-def dense_rank_exact(rows: list[list[Fraction]]) -> int:
-    """Exact Gaussian-elimination rank of a dense rational matrix."""
-    m = [list(r) for r in rows]
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    rank_ = 0
-    row = 0
-    for col in range(nc):
-        piv = next((r for r in range(row, nr) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        pv = m[row][col]
-        for r in range(row + 1, nr):
-            if m[r][col] != 0:
-                f = m[r][col] / pv
-                m[r] = [a - f * b for a, b in zip(m[r], m[row])]
-        row += 1
-        rank_ += 1
-        if row == nr:
-            break
-    return rank_

@@ -101,17 +101,20 @@ def power_iteration(matrix: np.ndarray, iters: int = 200) -> float:
 def diffuse(
     features: FeatureBundle,
     laplacian: AssembledLaplacian,
-    alpha: float,
+    alpha: float | None,
     steps: int,
 ) -> tuple[FeatureBundle, list[float]]:
     """Explicit Euler diffusion x <- x - alpha * Delta x.
 
     Requires 0 < alpha < 2 / lambda_max (power-iteration estimate), which
     makes the Dirichlet energy non-increasing; the iterates converge to
-    the projection of x onto ker Delta. Returns (features, energy trace
-    with one entry per step including the initial energy).
+    the projection of x onto ker Delta. alpha=None takes 0.9 / lambda_max,
+    or 0.5 when lambda_max is 0. Returns (features, energy trace with one
+    entry per step including the initial energy).
     """
     lam = power_iteration(laplacian.dense)
+    if alpha is None:
+        alpha = 0.9 / lam if lam > 0 else 0.5
     limit = 2.0 / lam if lam > 0 else math.inf
     if not (0.0 < alpha < limit):
         raise ContractError(f"alpha={alpha} outside (0, 2/lambda_max={limit:.6g})")

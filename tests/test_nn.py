@@ -106,6 +106,21 @@ def test_diffuse_alpha_out_of_range(c4_filt):
             diffuse(feats, lap, alpha, 5)
 
 
+@pytest.mark.parametrize("t, expected_alpha", [(1.0, None), (0.0, 0.5)])
+def test_diffuse_default_alpha(c4_filt, t, expected_alpha):
+    """alpha=None steps at 0.9 / lambda_max, or 0.5 on the zero operator."""
+    lap, _ = c4_laplacian(c4_filt, t)
+    feats = FeatureBundle.random(lap, 1, seed=0)
+    lam = power_iteration(lap.dense)
+    alpha = 0.9 / lam if expected_alpha is None else expected_alpha
+    assert (lam == 0.0) == (expected_alpha is not None)
+    out, energies = diffuse(feats, lap, None, 20)
+    out_explicit, energies_explicit = diffuse(feats, lap, alpha, 20)
+    assert energies == energies_explicit
+    for v in out.values:
+        assert np.array_equal(out.values[v], out_explicit.values[v])
+
+
 # ---------------------------------------------------------------------------
 # sign-equivariant layer
 # ---------------------------------------------------------------------------

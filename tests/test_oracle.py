@@ -16,9 +16,7 @@ from localhom.golden import c4, k3, octahedron
 
 
 def closed_subset(filt, simplices):
-    return SimplexSubset(
-        filt, frozenset(filt.id_of(s) for s in simplices), is_open=False
-    )
+    return SimplexSubset(filt, frozenset(filt.id_of(s) for s in simplices))
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +45,7 @@ def test_relative_betti_path_rel_endpoints():
 
 
 def test_relative_betti_empty_subset_is_absolute(c4_filt):
-    empty = SimplexSubset(c4_filt, frozenset(), is_open=False)
+    empty = SimplexSubset(c4_filt, frozenset())
     for k in range(2):
         assert oracle.relative_betti_dense(c4_filt, 1.0, empty, k) == (
             oracle.betti_dense(c4_filt, 1.0, k)
@@ -55,7 +53,7 @@ def test_relative_betti_empty_subset_is_absolute(c4_filt):
 
 
 def test_relative_betti_rejects_non_closed(c4_filt):
-    sub = SimplexSubset(c4_filt, frozenset({c4_filt.id_of((0, 1))}), is_open=False)
+    sub = SimplexSubset(c4_filt, frozenset({c4_filt.id_of((0, 1))}))
     with pytest.raises(ContractError):
         oracle.relative_betti_dense(c4_filt, 1.0, sub, 0)
 
@@ -104,7 +102,7 @@ def test_mv_octahedron_adjacent_stars(oct_filt):
 
 
 def test_mv_rejects_non_open(c4_filt):
-    bad = SimplexSubset(c4_filt, frozenset({c4_filt.id_of((0,))}), is_open=True)
+    bad = SimplexSubset(c4_filt, frozenset({c4_filt.id_of((0,))}))
     with pytest.raises(ContractError):
         oracle.check_mayer_vietoris(c4_filt, bad, bad, 1)
 

@@ -82,7 +82,6 @@ def test_c4_star_relative(c4_filt):
     complement = SimplexSubset(
         c4_filt,
         frozenset(range(len(c4_filt))) - star_of_vertices(c4_filt, [0]).ids,
-        is_open=False,
     )
     assert oracle.relative_betti_dense(c4_filt, 1.0, complement, 0) == 0
     assert oracle.relative_betti_dense(c4_filt, 1.0, complement, 1) == 1
@@ -100,14 +99,14 @@ def test_k3_star_relative_empty_above_degree_zero(k3_filt):
 
 
 def test_relative_rejects_non_open(c4_filt):
-    bad = SimplexSubset(c4_filt, frozenset({c4_filt.id_of((0,))}), is_open=True)
+    bad = SimplexSubset(c4_filt, frozenset({c4_filt.id_of((0,))}))
     with pytest.raises(ContractError):
         persistent_relative_cohomology(c4_filt, bad, 1)
 
 
 def test_relative_with_whole_complex_equals_absolute(c4_filt, square_filt):
     for filt, k in ((c4_filt, 1), (square_filt, 2)):
-        whole = SimplexSubset(filt, frozenset(range(len(filt))), is_open=True)
+        whole = SimplexSubset(filt, frozenset(range(len(filt))))
         rel = persistent_relative_cohomology(filt, whole, k)
         absd = persistent_cohomology(filt, k)
         assert pairs(rel) == pairs(absd)
@@ -135,9 +134,7 @@ def test_relative_betti_against_oracle(corpus):
     for gi, graph in enumerate(corpus[:25]):
         filt = build_flag_complex(graph, 3)
         open_star = star_of_vertices(filt, [gi % graph.vertex_count])
-        rest = SimplexSubset(
-            filt, frozenset(range(len(filt))) - open_star.ids, is_open=False
-        )
+        rest = SimplexSubset(filt, frozenset(range(len(filt))) - open_star.ids)
         for fld in (Field(), Field(kind="float")):
             d = persistent_relative_cohomology(filt, open_star, 2, fld)
             for t in filt.threshold_values():

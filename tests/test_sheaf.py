@@ -14,7 +14,6 @@ from localhom.complexes import (
     build_flag_complex,
     graph_from_points,
     star_of_vertices,
-    truncate_neighborhood,
 )
 from localhom.errors import ContractError
 from localhom.linalg import Field, SparseColumnMatrix
@@ -23,7 +22,6 @@ from localhom.sheaf import (
     assemble_laplacian,
     build_extended_matrix,
     compute_stalk,
-    laplacian_at_time,
     sheaf_laplacian_block,
 )
 
@@ -32,6 +30,19 @@ INF = math.inf
 
 def stalk_pairs(stalk):
     return sorted((c.order, c.birth, c.death) for c in stalk.cocycles)
+
+
+def edge_block_at(filt, stalks, u, v, k, t):
+    """The (u, v) off-diagonal block of the slice Laplacian at t: it gets
+    only the atoms of the (u, v) edge block, under the one entry rule."""
+    lap = assemble_laplacian(filt, stalks, k, ("slice", t))
+    rows = slice(lap.offsets[u], lap.offsets[u] + lap.dims[u])
+    cols = slice(lap.offsets[v], lap.offsets[v] + lap.dims[v])
+    return lap.dense[rows, cols]
+
+
+def rows_in_group(ext, group):
+    return sum(1 for g, _ in ext.row_meta if g == group)
 
 
 def disjoint_lifespan_graph():
@@ -99,7 +110,7 @@ def filtered_coboundary_block(filtration, k, keep, fld):
 def truncated_stalk(filt, v, rings, fld, monkeypatch):
     """Stalk cocycles the old way: relative cohomology on an excision
     truncation with filtered blocks, ids mapped back to `filt`."""
-    trunc, idmap, open_img = truncate_neighborhood(filt, [v], rings)
+    trunc, idmap, open_img = oracle.truncate_neighborhood(filt, [v], rings)
     old = {new: old for old, new in idmap.items()}
     with monkeypatch.context() as m:
         m.setattr(persistence, "coboundary_block", filtered_coboundary_block)
@@ -144,9 +155,7 @@ def test_stalk_alive_counts_match_relative_betti_oracle(corpus):
         v = gi % graph.vertex_count
         stalk = compute_stalk(filt, v, 2)
         rest = SimplexSubset(
-            filt,
-            frozenset(i for i, s in enumerate(filt.simplices) if v not in s),
-            is_open=False,
+            filt, frozenset(i for i, s in enumerate(filt.simplices) if v not in s)
         )
         for t in filt.threshold_values():
             for k in (1, 2):
@@ -171,8 +180,8 @@ def test_extended_matrix_c4_shape(c4_filt):
     s1 = compute_stalk(c4_filt, 1, 1)
     ext = build_extended_matrix(s0, s1, c4_filt, 1)
     # D' = st0 + st1 has 3 edges and no triangles; one B_D column per vertex of D'
-    assert ext.rows_in_group("k") == 3
-    assert ext.rows_in_group("A") == 0 and ext.rows_in_group("B") == 0
+    assert rows_in_group(ext, "k") == 3
+    assert rows_in_group(ext, "A") == 0 and rows_in_group(ext, "B") == 0
     assert ext.n_d_cols == 2
     assert ext.matrix.col_count - ext.n_d_cols == 2  # one per stalk cocycle
 
@@ -183,8 +192,8 @@ def test_extended_matrix_shared_simplices_appear_in_both_groups(k4_filt):
     ext = build_extended_matrix(s0, s1, k4_filt, 1)
     tri_a = {s for s in k4_filt.simplices if 0 in s and len(s) == 3}
     tri_b = {s for s in k4_filt.simplices if 1 in s and len(s) == 3}
-    assert ext.rows_in_group("A") == len(tri_a)
-    assert ext.rows_in_group("B") == len(tri_b)
+    assert rows_in_group(ext, "A") == len(tri_a)
+    assert rows_in_group(ext, "B") == len(tri_b)
     shared = tri_a & tri_b
     both = [
         sid
@@ -217,9 +226,7 @@ def test_extended_matrix_octahedron_top_order(oct_filt):
     assert len(blk.atoms) == 1  # reduction pairs the two columns
     # oracle: the pair's intersection carries one relative 2-class
     inter = star_of_vertices(oct_filt, [0]).ids & star_of_vertices(oct_filt, [1]).ids
-    comp = SimplexSubset(
-        oct_filt, frozenset(range(len(oct_filt))) - inter, is_open=False
-    )
+    comp = SimplexSubset(oct_filt, frozenset(range(len(oct_filt))) - inter)
     assert oracle.relative_betti_dense(oct_filt, 1.0, comp, 2) == 1
 
 
@@ -236,7 +243,8 @@ def test_block_c4_single_essential_atom(c4_filt):
     atom = blk.atoms[0]
     assert (atom.start, atom.end) == (1.0, INF)
     assert abs(atom.v_a[0]) == 1 and abs(atom.v_b[0]) == 1
-    assert abs(laplacian_at_time(blk, 1.0)[0, 0]) == 1.0
+    stalks = {v: compute_stalk(c4_filt, v, 1) for v in range(4)}
+    assert abs(edge_block_at(c4_filt, stalks, 0, 1, 1, 1.0)[0, 0]) == 1.0
 
 
 def test_block_disjoint_lifespans_zero_atoms():
@@ -261,22 +269,19 @@ def test_block_finite_interval_on_unit_square(square_filt):
     inter = star_of_vertices(square_filt, [0]).ids & star_of_vertices(
         square_filt, [1]
     ).ids
-    comp = SimplexSubset(
-        square_filt, frozenset(range(len(square_filt))) - inter, is_open=False
-    )
+    comp = SimplexSubset(square_filt, frozenset(range(len(square_filt))) - inter)
     assert oracle.relative_betti_dense(square_filt, 1.0, comp, 1) == 1
     assert oracle.relative_betti_dense(square_filt, root2, comp, 1) == 0
     # the sheaf Laplacian exists only inside the intersection interval
-    assert laplacian_at_time(blk, 0.5)[0, 0] == 0.0
-    assert abs(laplacian_at_time(blk, 1.2)[0, 0]) == 1.0
-    assert laplacian_at_time(blk, root2)[0, 0] == 0.0
+    stalks = {v: compute_stalk(square_filt, v, 1) for v in range(4)}
+    assert edge_block_at(square_filt, stalks, 0, 1, 1, 0.5)[0, 0] == 0.0
+    assert abs(edge_block_at(square_filt, stalks, 0, 1, 1, 1.2)[0, 0]) == 1.0
+    assert edge_block_at(square_filt, stalks, 0, 1, 1, root2)[0, 0] == 0.0
 
 
 def test_laplacian_at_time_before_births_is_zero(c4_filt):
-    s0 = compute_stalk(c4_filt, 0, 1)
-    s1 = compute_stalk(c4_filt, 1, 1)
-    blk = sheaf_laplacian_block(s0, s1, c4_filt, 1)
-    assert np.all(laplacian_at_time(blk, 0.0) == 0.0)
+    stalks = {v: compute_stalk(c4_filt, v, 1) for v in range(4)}
+    assert np.all(edge_block_at(c4_filt, stalks, 0, 1, 1, 0.0) == 0.0)
 
 
 def test_atom_end_never_exceeds_involved_deaths(corpus):
@@ -296,18 +301,16 @@ def test_atom_end_never_exceeds_involved_deaths(corpus):
 
 def test_block_sign_flip_equivariance(square_filt):
     """Negating a stalk basis cocycle negates that row of every block."""
-    s0 = compute_stalk(square_filt, 0, 1)
-    s1 = compute_stalk(square_filt, 1, 1)
-    base = laplacian_at_time(sheaf_laplacian_block(s0, s1, square_filt, 1), 1.2)
+    stalks = {v: compute_stalk(square_filt, v, 1) for v in range(4)}
+    base = edge_block_at(square_filt, stalks, 0, 1, 1, 1.2)
+    s0 = stalks[0]
     flipped_c = replace(
         s0.cocycles[0],
         representative={i: -v for i, v in s0.cocycles[0].representative.items()},
         coboundary={i: -v for i, v in s0.cocycles[0].coboundary.items()},
     )
-    s0_flipped = replace(s0, cocycles=[flipped_c])
-    flipped = laplacian_at_time(
-        sheaf_laplacian_block(s0_flipped, s1, square_filt, 1), 1.2
-    )
+    stalks[0] = replace(s0, cocycles=[flipped_c])
+    flipped = edge_block_at(square_filt, stalks, 0, 1, 1, 1.2)
     assert np.allclose(flipped, -base)
 
 
@@ -376,6 +379,26 @@ def test_assembled_weighted_mode_square(square_filt):
     sliced = assemble_laplacian(square_filt, stalks, 1, ("slice", 1.0))
     # every class and every atom spans exactly [1, sqrt2): ratios are all 1
     assert np.allclose(weighted.dense, sliced.dense)
+
+
+def test_kernel_dim_exact_matches_oracle_kernel_basis(corpus):
+    """The exact kernel rank agrees with the oracle's RREF null space of the
+    same nonzero entries, and `dense` is their float image."""
+    for gi, graph in enumerate(corpus[:40]):
+        filt = build_flag_complex(graph, 3)
+        stalks = {v: compute_stalk(filt, v, 2) for v in range(graph.vertex_count)}
+        thresholds = filt.threshold_values()
+        modes = ["weighted", ("slice", filt.t_plus), ("slice", thresholds[len(thresholds) // 2])]
+        for k in (1, 2):
+            for mode in modes:
+                lap = assemble_laplacian(filt, stalks, k, mode)
+                rows: dict[int, dict] = {}
+                for (i, j), x in lap.entries.items():
+                    rows.setdefault(i, {})[j] = x
+                    assert lap.dense[i, j] == float(x)
+                assert np.count_nonzero(lap.dense) <= len(lap.entries)
+                basis = oracle.kernel_basis(list(rows.values()), lap.dimension)
+                assert lap.kernel_dim_exact() == len(basis), (gi, k, mode)
 
 
 def test_assembled_mode_validation(c4_filt):
