@@ -109,8 +109,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> RunConfig:
     if args.threads < 0:
         raise ConfigError("--threads must be >= 0")
-    if not (math.isfinite(args.eps) and args.eps > 0):
-        raise ConfigError("--eps must be finite and > 0")
+    if not (0 < args.eps < 1):
+        raise ConfigError("--eps must lie in (0, 1)")
+    if args.command in ("persistence", "stalks", "laplacian", "diffuse") and args.out is None:
+        raise ConfigError(f"--out is required for {args.command}")
     if args.command == "diffuse":
         if args.channels < 1:
             raise ConfigError("--channels must be >= 1")
@@ -158,8 +160,6 @@ def _write(path: str, text: str):
 
 
 def _out_base(cfg: RunConfig) -> str:
-    if cfg.out is None:
-        raise ConfigError("--out is required for this command")
     out = cfg.out
     return out[: -len(".json")] if out.endswith(".json") else out
 
@@ -198,8 +198,6 @@ def cmd_persistence(cfg: RunConfig) -> int:
 def cmd_stalks(cfg: RunConfig) -> int:
     filt = load_filtration(cfg)
     stalks = _all_stalks(filt, cfg)
-    if cfg.out is None:
-        raise ConfigError("--out directory is required for stalks")
     outdir = Path(cfg.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for v in sorted(stalks):

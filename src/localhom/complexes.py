@@ -173,6 +173,10 @@ def build_flag_complex(
     """
     if max_dim < 0:
         raise ContractError("max_dim must be nonnegative")
+    if graph.vertex_count > budget:
+        raise BudgetExceededError(
+            f"{graph.vertex_count} vertices exceed the simplex budget {budget}"
+        )
     adj = graph.adjacency()
     wmap = graph.weight_map()
 

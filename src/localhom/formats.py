@@ -119,7 +119,7 @@ def filtration_from_obj(obj, max_dim: int | None = None) -> Filtration:
         records = sorted(obj, key=lambda r: r["index"])
         simplices = [tuple(r["vertices"]) for r in records]
         values = [float(r["value"]) for r in records]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(
             f"filtration dump must list records with vertices, value and index ({exc!r})"
         ) from None
@@ -141,9 +141,11 @@ def filtration_from_obj(obj, max_dim: int | None = None) -> Filtration:
                 raise ConfigError(f"{where}: face {list(face)} of {list(s)} has no earlier record")
         seen.add(s)
     vertex_count = max((s[-1] for s in simplices), default=-1) + 1
-    missing = [v for v in range(vertex_count) if (v,) not in seen]
-    if missing:
-        raise ConfigError(f"filtration dump has no record for vertex {missing[0]}")
+    # each vertex needs its own record, so a gap shows among those records
+    recorded = sorted(s[0] for s in simplices if len(s) == 1)
+    if len(recorded) < vertex_count:
+        missing = next((v for v, r in enumerate(recorded) if v != r), len(recorded))
+        raise ConfigError(f"filtration dump has no record for vertex {missing}")
     dim = max((len(s) - 1 for s in simplices), default=0)
     return Filtration(
         simplices=simplices,
@@ -253,8 +255,6 @@ def features_from_obj(obj, laplacian):
     with indices below that vertex's stalk dimension. A dump that breaks
     this raises ConfigError.
     """
-    import numpy as np
-
     from .nn import FeatureBundle
 
     try:
@@ -288,7 +288,7 @@ def features_from_obj(obj, laplacian):
                     )
                 try:
                     values[v][i, c] = _parse_float(val) if isinstance(val, str) else val
-                except (TypeError, ValueError):
+                except (TypeError, ValueError, OverflowError):
                     raise ConfigError(
                         f"feature channel {c}, vertex {v}: value {val!r} is not a number"
                     ) from None

@@ -9,7 +9,6 @@ package; the dense brute-force oracle deliberately does not use it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,8 +32,9 @@ class Field:
     def __post_init__(self):
         if self.kind not in (EXACT, FLOAT):
             raise ContractError(f"field kind must be {EXACT!r} or {FLOAT!r}, not {self.kind!r}")
-        if not (math.isfinite(self.eps) and self.eps > 0):
-            raise ContractError(f"eps must be finite and > 0, not {self.eps!r}")
+        # eps >= 1 would call every entry of a column zero next to its largest
+        if not (0 < self.eps < 1):
+            raise ContractError(f"eps must lie in (0, 1), not {self.eps!r}")
 
     def coerce(self, x):
         return Fraction(x) if self.kind == EXACT else float(x)
@@ -100,8 +100,10 @@ class SparseColumnMatrix:
     def from_entries(cls, row_count, col_count, entries, field=Field()):
         """entries: iterable of (row, col, value), each (row, col) at most once.
 
-        This is where caller data enters, so rows and columns are checked
-        here; `reduce` keeps rows sorted and in range by construction.
+        This is where caller data enters (`AssembledLaplacian.kernel_dim_exact`
+        and tests), so rows and columns are checked here. Coboundary blocks
+        build their sorted columns directly, and `reduce` keeps rows sorted
+        and in range by construction.
         """
         cols: list[Column] = [[] for _ in range(col_count)]
         for r, c, v in entries:

@@ -67,36 +67,43 @@ def betti_at(diagram: Diagram, t: float, k: int) -> int:
     return sum(1 for c in diagram.of_order(k) if c.alive_at(t))
 
 
+def row_of(filtration: Filtration, sid: int) -> int:
+    """Row of simplex `sid` in every coboundary matrix of `filtration`.
+
+    Rows run by decreasing filtration index, two per simplex: the second
+    (`row_of + 1`) is the B copy of a simplex shared by both stars of an
+    extended matrix, so it sorts right after the A copy.
+    """
+    return 2 * (len(filtration.simplices) - 1 - sid)
+
+
+def sid_of(filtration: Filtration, row: int) -> int:
+    """Simplex id of a `row_of` row (either copy)."""
+    return len(filtration.simplices) - 1 - row // 2
+
+
 def coboundary_block(
     filtration: Filtration,
     k: int,
     keep: frozenset[int] | None,
     fld: Field,
-) -> tuple[SparseColumnMatrix, list[int], list[int]]:
-    """Order-k coboundary with rows/cols sorted by decreasing filtration order.
+) -> tuple[SparseColumnMatrix, list[int]]:
+    """Order-k coboundary, columns by decreasing filtration index.
 
-    Returns (matrix, column simplex ids, row simplex ids). With `keep` set,
-    rows and columns are restricted to those simplex ids (the open-set
-    restriction used for relative cohomology), read from `keep` itself so
-    the cost is that of the set, not of the filtration.
+    Returns (matrix, column simplex ids); rows are `row_of` rows. With
+    `keep` set, the columns are the k-simplices of that open set, read from
+    `keep` itself so the cost is that of the set, not of the filtration;
+    an open set holds every coface of its members, so no row is dropped.
     """
-    def ids_desc(d: int) -> list[int]:
-        if keep is None:
-            return filtration.ids_of_dim(d)[::-1]
-        return sorted((i for i in keep if len(filtration.simplices[i]) == d + 1), reverse=True)
-
-    col_ids, row_ids = ids_desc(k), ids_desc(k + 1)
-    row_pos = {sid: r for r, sid in enumerate(row_ids)}
-    entries = []
-    for j, sid in enumerate(col_ids):
-        for coface, sign in filtration.cofacets(sid):
-            r = row_pos.get(coface)
-            if r is not None:
-                entries.append((r, j, sign))
-    matrix = SparseColumnMatrix.from_entries(
-        len(row_ids), len(col_ids), entries, field=fld
-    )
-    return matrix, col_ids, row_ids
+    if keep is None:
+        col_ids = filtration.ids_of_dim(k)[::-1]
+    else:
+        col_ids = sorted((i for i in keep if len(filtration.simplices[i]) == k + 1), reverse=True)
+    cols = [
+        sorted((row_of(filtration, c), fld.coerce(sign)) for c, sign in filtration.cofacets(sid))
+        for sid in col_ids
+    ]
+    return SparseColumnMatrix(2 * len(filtration), len(col_ids), cols, fld), col_ids
 
 
 def _diagram_from_reductions(
@@ -105,10 +112,17 @@ def _diagram_from_reductions(
     max_order: int,
     fld: Field,
 ) -> Diagram:
+    if max_order < 0:
+        raise ContractError("max_order must be nonnegative")
+    if max_order + 1 > filtration.max_dim:
+        raise ContractError(
+            "filtration was built with max_dim "
+            f"{filtration.max_dim}; order {max_order} needs max_dim >= {max_order + 1}"
+        )
     classes: list[PersistentCocycle] = []
     destroyers: set[int] = set()
     for k in range(max_order + 1):
-        matrix, col_ids, row_ids = coboundary_block(filtration, k, keep, fld)
+        matrix, col_ids = coboundary_block(filtration, k, keep, fld)
         # clearing: a simplex that was a pivot row one order down has a zero column
         skip = frozenset(j for j, sid in enumerate(col_ids) if sid in destroyers)
         red = column_reduce(matrix, skip_cols=skip)
@@ -117,7 +131,7 @@ def _diagram_from_reductions(
         for j, sid in enumerate(col_ids):
             low = pivot_of_col.get(j)
             if low is not None:
-                death_id = row_ids[low]
+                death_id = sid_of(filtration, low)
                 next_destroyers.add(death_id)
                 birth = filtration.values[sid]
                 death = filtration.values[death_id]
@@ -130,7 +144,7 @@ def _diagram_from_reductions(
                             birth_index=sid,
                             death_index=death_id,
                             representative={col_ids[r]: c for r, c in red.V.cols[j]},
-                            coboundary={row_ids[r]: c for r, c in red.R.cols[j]},
+                            coboundary={sid_of(filtration, r): c for r, c in red.R.cols[j]},
                         )
                     )
             elif sid not in destroyers:
@@ -156,13 +170,6 @@ def persistent_cohomology(
     fld: Field = Field(),
 ) -> Diagram:
     """Diagram of the absolute persistent cohomology up to max_order."""
-    if max_order < 0:
-        raise ContractError("max_order must be nonnegative")
-    if max_order + 1 > filtration.max_dim:
-        raise ContractError(
-            "filtration was built with max_dim "
-            f"{filtration.max_dim}; order {max_order} needs max_dim >= {max_order + 1}"
-        )
     return _diagram_from_reductions(filtration, None, max_order, fld)
 
 
@@ -178,13 +185,6 @@ def persistent_relative_cohomology(
     deleting the rows and columns of the complement yields exactly the
     relative coboundary.
     """
-    if max_order < 0:
-        raise ContractError("max_order must be nonnegative")
-    if max_order + 1 > filtration.max_dim:
-        raise ContractError(
-            "filtration was built with max_dim "
-            f"{filtration.max_dim}; order {max_order} needs max_dim >= {max_order + 1}"
-        )
     if open_set.filtration is not filtration:
         raise ContractError("open_set belongs to a different filtration")
     if not is_open_set(filtration, open_set.ids):

@@ -17,6 +17,8 @@ operator is delta^T delta of the restriction maps alive at t.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +29,10 @@ from .linalg import Field, SparseColumnMatrix, rank, reduce as column_reduce
 from .persistence import (
     INF,
     PersistentCocycle,
+    coboundary_block,
     persistent_relative_cohomology,
+    row_of,
+    sid_of,
 )
 
 
@@ -96,19 +101,20 @@ def compute_stalk(
 class ExtendedCoboundaryMatrix:
     """Block matrix [B_D | B_AB] whose reduction couples two stalks.
 
-    Row groups: "k" rows are k-simplices of D' = st u ∪ st v (carrying
-    representatives and coboundary corrections), "A"/"B" rows are
-    (k+1)-simplices of st u / st v (carrying each cocycle's coboundary; a
-    (k+1)-simplex of the intersection appears once in each group).
-    Rows sort by decreasing filtration index, columns by decreasing weight
-    (B_D) / decreasing birth with ties broken by (owner, position) (B_AB).
+    Rows are `persistence.row_of` rows, by decreasing filtration index. The
+    even row of a simplex holds it as a k-simplex of D' = st u ∪ st v
+    (carrying representatives and coboundary corrections) or as a
+    (k+1)-simplex of st u (carrying A-side coboundaries); B-side
+    coboundaries over (k+1)-simplices of st v shift to the odd row after
+    it, so a (k+1)-simplex of the intersection takes two rows, A then B.
+    B_D is the order-(k-1) coboundary block of D'. The B_AB columns sort
+    by decreasing birth with ties broken by (owner vertex, position);
+    `col_meta` gives (side, position) for each of them.
     """
 
     matrix: SparseColumnMatrix
-    row_meta: list[tuple[str, int]]
-    col_meta: list[tuple]
+    col_meta: list[tuple[str, int]]
     n_d_cols: int
-    order: int
 
 
 def build_extended_matrix(
@@ -124,51 +130,25 @@ def build_extended_matrix(
 
     if stalk_u.star.filtration is not filtration or stalk_v.star.filtration is not filtration:
         raise ContractError("stalks were computed on a different filtration")
-    a_ids = stalk_u.star.ids
-    b_ids = stalk_v.star.ids
-    d_ids = a_ids | b_ids
+    d_ids = stalk_u.star.ids | stalk_v.star.ids
+    d_matrix, d_cols = coboundary_block(filtration, k - 1, d_ids, fld)
 
-    rows: list[tuple[str, int]] = []
-    rows += [("k", sid) for sid in d_ids if len(filtration.simplices[sid]) == k + 1]
-    rows += [("A", sid) for sid in a_ids if len(filtration.simplices[sid]) == k + 2]
-    rows += [("B", sid) for sid in b_ids if len(filtration.simplices[sid]) == k + 2]
-    group_rank = {"k": 0, "A": 1, "B": 2}
-    rows.sort(key=lambda gr: (-gr[1], group_rank[gr[0]]))
-    row_pos = {gr: i for i, gr in enumerate(rows)}
-
-    d_cols = sorted(
-        (sid for sid in d_ids if len(filtration.simplices[sid]) == k),
-        key=lambda sid: -sid,
-    )
     ab_cols = [("A", u, pos, c) for pos, c in enumerate(stalk_u.order_cocycles(k))]
     ab_cols += [("B", v, pos, c) for pos, c in enumerate(stalk_v.order_cocycles(k))]
     ab_cols.sort(key=lambda item: (-item[3].birth, item[1], item[2]))
 
-    entries = []
-    col_meta: list[tuple] = []
-    for j, sid in enumerate(d_cols):
-        col_meta.append(("D", sid))
-        for coface, sign in filtration.cofacets(sid):
-            pos = row_pos.get(("k", coface))
-            if pos is not None:
-                entries.append((pos, j, sign))
-    for jj, (side, owner, pos, c) in enumerate(ab_cols):
-        j = len(d_cols) + jj
-        col_meta.append((side, owner, pos))
-        for sid, coeff in c.representative.items():
-            entries.append((row_pos[("k", sid)], j, coeff))
-        for sid, coeff in c.coboundary.items():
-            entries.append((row_pos[(side, sid)], j, coeff))
-
-    matrix = SparseColumnMatrix.from_entries(
-        len(rows), len(d_cols) + len(ab_cols), entries, field=fld
-    )
+    cols = d_matrix.cols
+    for side, _, _, c in ab_cols:
+        shift = 1 if side == "B" else 0
+        col = [(row_of(filtration, sid), fld.coerce(x)) for sid, x in c.representative.items()]
+        col += [(row_of(filtration, sid) + shift, fld.coerce(x)) for sid, x in c.coboundary.items()]
+        # representative and coboundary are read from a reduction, so the
+        # column is pruned: that is where ill-conditioning is flagged
+        cols.append(fld.prune(sorted(col)))
     return ExtendedCoboundaryMatrix(
-        matrix=matrix,
-        row_meta=rows,
-        col_meta=col_meta,
+        matrix=SparseColumnMatrix(d_matrix.row_count, len(cols), cols, fld),
+        col_meta=[(side, pos) for side, _, pos, _ in ab_cols],
         n_d_cols=len(d_cols),
-        order=k,
     )
 
 
@@ -245,16 +225,14 @@ def sheaf_laplacian_block(
         v_a: dict[int, object] = {}
         v_b: dict[int, object] = {}
         for col_idx, coeff in red.V.cols[j]:
-            meta = ext.col_meta[col_idx]
-            if meta[0] == "A":
-                v_a[meta[2]] = coeff
-            elif meta[0] == "B":
-                v_b[meta[2]] = coeff
+            if col_idx >= ext.n_d_cols:
+                side, pos = ext.col_meta[col_idx - ext.n_d_cols]
+                (v_a if side == "A" else v_b)[pos] = coeff
         if not v_a or not v_b:
             continue
         rcol = red.R.cols[j]
         if rcol:
-            end = filtration.values[ext.row_meta[rcol[-1][0]][1]]
+            end = filtration.values[sid_of(filtration, rcol[-1][0])]
         else:
             end = INF
         s_a = _combined_support_min(stalk_u, k, v_a, filtration, fld)
@@ -333,6 +311,17 @@ class AssembledLaplacian:
         return n - rank(SparseColumnMatrix.from_entries(n, n, cells, Field()))
 
 
+def _slice_time(t) -> float:
+    """`t` as a float; anything but a finite real is a ContractError."""
+    try:
+        finite = isinstance(t, numbers.Real) and math.isfinite(t)
+    except OverflowError:  # an int too large for a float
+        finite = False
+    if not finite:
+        raise ContractError(f"slice time {t!r} is not a finite real")
+    return float(t)
+
+
 def assemble_laplacian(
     filtration: Filtration,
     stalks: dict[int, LocalStalk],
@@ -354,7 +343,7 @@ def assemble_laplacian(
     if tuple(mode[:1]) == ("weighted",) and len(mode) == 1:
         mode_t = ("weighted",)
     elif len(mode) == 2 and mode[0] == "slice":
-        mode_t = ("slice", float(mode[1]))
+        mode_t = ("slice", _slice_time(mode[1]))
     else:
         raise ContractError("mode must be ('slice', t) or 'weighted'")
 

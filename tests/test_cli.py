@@ -3,9 +3,12 @@
 import json
 import math
 import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from localhom.cli import main
 from localhom.complexes import build_flag_complex
@@ -98,7 +101,7 @@ def test_persistence_single_point(tmp_path):
     assert "0,0.0,inf" in base.with_suffix(".csv").read_text()
 
 
-@pytest.mark.parametrize("eps", ["0", "-1", "inf", "nan"])
+@pytest.mark.parametrize("eps", ["0", "-1", "inf", "nan", "1", "2"])
 def test_bad_eps_is_config_error(eps, c4_csv, tmp_path, capsys):
     code = main(
         ["persistence", "--input", c4_csv, "--field", "float", "--eps", eps,
@@ -180,6 +183,7 @@ def test_features_missing_file_is_config_error(c4_csv, tmp_path, capsys):
         ({"order": 1, "channels": [{"0": {"1": 1.0}}]}, "cocycle index '1'"),
         ({"order": 1, "channels": [{"4": {"0": 1.0}}]}, "vertex '4' is not in the Laplacian"),
         ({"order": 1, "channels": [{"0": {"0": "x"}}]}, "is not a number"),
+        ({"order": 1, "channels": [{"0": {"0": 10**400}}]}, "is not a number"),
     ],
 )
 def test_malformed_features_are_config_errors(obj, message, c4_csv, tmp_path, capsys):
@@ -205,11 +209,14 @@ def dump(*records):
         (dump(([0], 0.0), ([1], 0.0), ([0, 1], 1.0), ([0, 1], 1.0)), "appears twice"),
         (dump(([0], 0.0), ([1], 0.0), ([1, 0], 1.0)), "record 2: vertices [1, 0]"),
         (dump(([0], 0.0), ([2], 0.0)), "no record for vertex 1"),
+        (dump(([10**12], 0.0)), "no record for vertex 0"),
+        (dump(([0], 10**400)), "must list records"),
         ([{"vertices": [0], "index": 0}], "'value'"),
         ({"vertices": [0]}, "must list records"),
     ],
     ids=["missing_face", "triangle_below_edges", "vertices_out_of_order", "duplicate",
-         "unsorted_vertices", "vertex_gap", "missing_key", "not_a_list"],
+         "unsorted_vertices", "vertex_gap", "huge_vertex_id", "huge_value", "missing_key",
+         "not_a_list"],
 )
 def test_malformed_filtration_dump_is_config_error(obj, message, tmp_path, capsys):
     path = write(tmp_path / "filt.json", json.dumps(obj))
@@ -219,6 +226,77 @@ def test_malformed_filtration_dump_is_config_error(obj, message, tmp_path, capsy
     )
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+# numbers at the edges of what a float holds, and strings that may parse as one
+edge_numbers = st.one_of(
+    st.floats(), st.integers(), st.sampled_from([10**400, -(10**400)]),
+    st.sampled_from(["inf", "1e999", "x"]),
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+dump_records = st.lists(
+    st.fixed_dictionaries(
+        {
+            "vertices": st.lists(st.integers(-1, 3), max_size=3) | json_values,
+            "value": edge_numbers | json_values,
+            "index": st.integers(0, 6) | json_values,
+        }
+    ),
+    max_size=6,
+)
+feature_dumps = st.fixed_dictionaries(
+    {
+        "order": st.just(1) | json_values,
+        "channels": st.lists(
+            st.dictionaries(
+                st.sampled_from(["0", "3", "4", "x"]),
+                st.dictionaries(
+                    st.sampled_from(["0", "1", "-1"]), edge_numbers | json_values, min_size=1
+                )
+                | json_values,
+                min_size=1,
+                max_size=3,
+            ),
+            min_size=1,
+            max_size=2,
+        )
+        | json_values,
+    }
+)
+
+
+def _exit_code_on(obj, command_for):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write(Path(tmp) / "in.json", json.dumps(obj))
+        return main(command_for(tmp, path))
+
+
+@settings(max_examples=80, deadline=None)
+@given(dump_records | json_values)
+def test_fuzzed_filtration_dump_never_escapes(obj):
+    """Any JSON as a filtration dump ends in a documented exit code."""
+    code = _exit_code_on(obj, lambda tmp, path: [
+        "persistence", "--input", path, "--format", "filtration", "--max-order", "0",
+        "--max-dim", "1", "--out", os.path.join(tmp, "d")])
+    assert code in (0, 2, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(feature_dumps | json_values)
+def test_fuzzed_feature_file_never_escapes(obj):
+    """Any JSON as a feature file ends in a documented exit code."""
+    def command_for(tmp, path):
+        edges = write(Path(tmp) / "c4.csv", "0,1,1.0\n1,2,1.0\n2,3,1.0\n0,3,1.0\n")
+        return ["diffuse", "--input", edges, "--max-dim", "2", "--steps", "0",
+                "--features", path, "--out", os.path.join(tmp, "d")]
+
+    assert _exit_code_on(obj, command_for) in (0, 2, 3)
 
 
 def test_order_exceeding_max_dim_is_config_error(c4_csv, tmp_path, capsys):
@@ -253,6 +331,15 @@ def test_bad_point_cloud_is_contract_error(rows, message, tmp_path, capsys):
     )
     assert code == 3
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["persistence", "stalks", "laplacian", "diffuse"])
+def test_missing_out_is_config_error_before_any_work(command, tmp_path, capsys):
+    """A point cloud holding nan would exit 3 once read; the missing --out
+    is found first."""
+    pts = write(tmp_path / "p.csv", "0,0\n1,nan\n")
+    assert main([command, "--input", pts, "--format", "points"]) == 2
+    assert "--out is required" in capsys.readouterr().err
 
 
 def test_missing_input_is_config_error(tmp_path):

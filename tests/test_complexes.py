@@ -1,6 +1,7 @@
 """Flag complex construction and combinatorial topology operations."""
 
 import itertools
+import json
 import math
 import random
 
@@ -16,7 +17,7 @@ from localhom.complexes import (
     star_of_vertices,
 )
 from localhom.errors import BudgetExceededError, ContractError, UnknownSimplexError
-from localhom.formats import dumps, filtration_to_obj
+from localhom.formats import dumps, filtration_from_obj, filtration_to_obj
 from localhom.golden import c4, k3, k4, octahedron, unit_square_graph
 from localhom import oracle
 from localhom.oracle import closed_star_ids, subfiltration, truncate_neighborhood
@@ -110,6 +111,13 @@ def test_flag_rejects_negative_dim():
 def test_flag_budget_guard():
     with pytest.raises(BudgetExceededError):
         build_flag_complex(k4(), 3, budget=5)
+
+
+def test_flag_budget_checks_vertex_count_first():
+    """Every vertex is a simplex, so a vertex count past the budget is
+    rejected before anything per vertex is allocated."""
+    with pytest.raises(BudgetExceededError):
+        build_flag_complex(WeightedGraph(10**12, ((0, 1, 1.0),)), 1)
 
 
 def test_graph_invariants():
@@ -310,6 +318,14 @@ def test_faces_present_with_smaller_value(graph):
                 j = filt.id_of(face)
                 assert filt.values[j] <= filt.values[i]
                 assert j < i or filt.values[j] < filt.values[i] or len(face) < len(s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graphs, st.integers(min_value=0, max_value=3))
+def test_filtration_dump_round_trip(graph, max_dim):
+    filt = build_flag_complex(graph, max_dim)
+    text = dumps(filtration_to_obj(filt))
+    assert filtration_from_obj(json.loads(text), max_dim=max_dim) == filt
 
 
 @settings(max_examples=40, deadline=None)

@@ -71,7 +71,7 @@ def boundary_1(edges, n_vertices, field=Field()):
 @pytest.mark.parametrize(
     "kind, eps",
     [("float", 0.0), ("float", -1.0), ("float", math.inf), ("float", math.nan),
-     ("exact", 0.0), ("complex", 1e-9)],
+     ("float", 1.0), ("float", 2.0), ("exact", 0.0), ("complex", 1e-9)],
 )
 def test_field_rejects_bad_kind_or_eps(kind, eps):
     with pytest.raises(ContractError):

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from localhom import oracle, persistence
+from localhom import oracle, persistence, sheaf
 from localhom.complexes import (
     SimplexSubset,
     WeightedGraph,
@@ -17,8 +17,14 @@ from localhom.complexes import (
 )
 from localhom.errors import ContractError
 from localhom.linalg import Field, SparseColumnMatrix
-from localhom.persistence import coboundary_block, persistent_relative_cohomology
+from localhom.persistence import (
+    coboundary_block,
+    persistent_relative_cohomology,
+    row_of,
+    sid_of,
+)
 from localhom.sheaf import (
+    ExtendedCoboundaryMatrix,
     assemble_laplacian,
     build_extended_matrix,
     compute_stalk,
@@ -41,8 +47,12 @@ def edge_block_at(filt, stalks, u, v, k, t):
     return lap.dense[rows, cols]
 
 
-def rows_in_group(ext, group):
-    return sum(1 for g, _ in ext.row_meta if g == group)
+def rows_of_dim(ext, filt, d):
+    """Rows of the extended matrix holding an entry on a d-simplex."""
+    return {
+        r for col in ext.matrix.cols for r, _ in col
+        if len(filt.simplices[sid_of(filt, r)]) == d + 1
+    }
 
 
 def disjoint_lifespan_graph():
@@ -92,19 +102,11 @@ def test_stalk_unknown_vertex(c4_filt):
 
 def filtered_coboundary_block(filtration, k, keep, fld):
     """The relative block as stalks once built it: the whole coboundary
-    block, rows and columns outside `keep` dropped in order."""
-    matrix, col_ids, row_ids = coboundary_block(filtration, k, None, fld)
-    cols = [j for j, sid in enumerate(col_ids) if sid in keep]
-    rows = [r for r, sid in enumerate(row_ids) if sid in keep]
-    row_pos = {r: i for i, r in enumerate(rows)}
-    entries = [
-        (row_pos[r], jj, x) for jj, j in enumerate(cols) for r, x in matrix.cols[j] if r in row_pos
-    ]
-    return (
-        SparseColumnMatrix.from_entries(len(rows), len(cols), entries, fld),
-        [col_ids[j] for j in cols],
-        [row_ids[r] for r in rows],
-    )
+    block, columns and rows outside `keep` dropped in order."""
+    matrix, col_ids = coboundary_block(filtration, k, None, fld)
+    kept = [j for j, sid in enumerate(col_ids) if sid in keep]
+    cols = [[(r, x) for r, x in matrix.cols[j] if sid_of(filtration, r) in keep] for j in kept]
+    return SparseColumnMatrix(matrix.row_count, len(cols), cols, fld), [col_ids[j] for j in kept]
 
 
 def truncated_stalk(filt, v, rings, fld, monkeypatch):
@@ -179,28 +181,34 @@ def test_extended_matrix_c4_shape(c4_filt):
     s0 = compute_stalk(c4_filt, 0, 1)
     s1 = compute_stalk(c4_filt, 1, 1)
     ext = build_extended_matrix(s0, s1, c4_filt, 1)
-    # D' = st0 + st1 has 3 edges and no triangles; one B_D column per vertex of D'
-    assert rows_in_group(ext, "k") == 3
-    assert rows_in_group(ext, "A") == 0 and rows_in_group(ext, "B") == 0
+    # D' = st0 + st1 has 3 edges, each on the even row of its id, and no
+    # triangles; one B_D column per vertex of D'
+    edges = [c4_filt.id_of(e) for e in ((0, 1), (1, 2), (0, 3))]
+    assert rows_of_dim(ext, c4_filt, 1) == {row_of(c4_filt, sid) for sid in edges}
+    assert rows_of_dim(ext, c4_filt, 2) == set()
     assert ext.n_d_cols == 2
     assert ext.matrix.col_count - ext.n_d_cols == 2  # one per stalk cocycle
 
 
-def test_extended_matrix_shared_simplices_appear_in_both_groups(k4_filt):
-    s0 = compute_stalk(k4_filt, 0, 2)
-    s1 = compute_stalk(k4_filt, 1, 2)
-    ext = build_extended_matrix(s0, s1, k4_filt, 1)
-    tri_a = {s for s in k4_filt.simplices if 0 in s and len(s) == 3}
-    tri_b = {s for s in k4_filt.simplices if 1 in s and len(s) == 3}
-    assert rows_in_group(ext, "A") == len(tri_a)
-    assert rows_in_group(ext, "B") == len(tri_b)
-    shared = tri_a & tri_b
-    both = [
-        sid
-        for g, sid in ext.row_meta
-        if g in ("A", "B") and k4_filt.simplices[sid] in shared
-    ]
-    assert len(both) == 2 * len(shared)
+def test_extended_matrix_shared_simplices_appear_in_both_groups():
+    """A coboundaries land on the even row of their simplex and B
+    coboundaries on the odd row after it, so a triangle of both stars
+    takes two rows. On the 4-cycle 0-2-1-3 whose diagonal 01 enters late,
+    the 1-classes of vertices 0 and 1 both have coboundary on the shared
+    triangle (0, 1, 3)."""
+    cycle = ((0, 2, 1.0), (1, 2, 1.0), (1, 3, 1.0), (0, 3, 1.0), (0, 1, 2.0))
+    filt = build_flag_complex(WeightedGraph(4, cycle), 2)
+    stalks = {"A": compute_stalk(filt, 0, 1), "B": compute_stalk(filt, 1, 1)}
+    ext = build_extended_matrix(stalks["A"], stalks["B"], filt, 1)
+    assert [side for side, _ in ext.col_meta] == ["A", "B"]
+    for (side, pos), col in zip(ext.col_meta, ext.matrix.cols[ext.n_d_cols:]):
+        c = stalks[side].order_cocycles(1)[pos]
+        shift = 1 if side == "B" else 0
+        expected = {row_of(filt, sid) for sid in c.representative}
+        expected |= {row_of(filt, sid) + shift for sid in c.coboundary}
+        assert [r for r, _ in col] == sorted(expected)
+    tri = row_of(filt, filt.id_of((0, 1, 3)))
+    assert rows_of_dim(ext, filt, 2) == {tri, tri + 1}
 
 
 def test_extended_matrix_rejects_non_adjacent(two_c4_filt):
@@ -228,6 +236,102 @@ def test_extended_matrix_octahedron_top_order(oct_filt):
     inter = star_of_vertices(oct_filt, [0]).ids & star_of_vertices(oct_filt, [1]).ids
     comp = SimplexSubset(oct_filt, frozenset(range(len(oct_filt))) - inter)
     assert oracle.relative_betti_dense(oct_filt, 1.0, comp, 2) == 1
+
+
+class TaggedRows:
+    """The builders as first written: every block keeps an explicit row
+    list sorted by decreasing filtration index (A before B), maps rows
+    through a position dict and sends its entries through `from_entries`.
+    `sid_of` reads the row list of the block built last, which is the one
+    the reduction that follows reads."""
+
+    def __init__(self):
+        self.row_sids = []
+
+    def sid_of(self, filtration, row):
+        return self.row_sids[row]
+
+    def coboundary_block(self, filtration, k, keep, fld):
+        def ids_desc(d):
+            if keep is None:
+                return filtration.ids_of_dim(d)[::-1]
+            return sorted((i for i in keep if len(filtration.simplices[i]) == d + 1), reverse=True)
+
+        col_ids, row_ids = ids_desc(k), ids_desc(k + 1)
+        row_pos = {sid: r for r, sid in enumerate(row_ids)}
+        entries = [
+            (row_pos[coface], j, sign)
+            for j, sid in enumerate(col_ids)
+            for coface, sign in filtration.cofacets(sid)
+            if coface in row_pos
+        ]
+        self.row_sids = row_ids
+        return SparseColumnMatrix.from_entries(len(row_ids), len(col_ids), entries, fld), col_ids
+
+    def build_extended_matrix(self, stalk_u, stalk_v, filtration, k, fld=Field()):
+        u, v = stalk_u.vertex, stalk_v.vertex
+        a_ids, b_ids = stalk_u.star.ids, stalk_v.star.ids
+        d_ids = a_ids | b_ids
+        dim = lambda sid: len(filtration.simplices[sid]) - 1
+        rows = [("k", sid) for sid in d_ids if dim(sid) == k]
+        rows += [("A", sid) for sid in a_ids if dim(sid) == k + 1]
+        rows += [("B", sid) for sid in b_ids if dim(sid) == k + 1]
+        rows.sort(key=lambda gr: (-gr[1], "kAB".index(gr[0])))
+        row_pos = {gr: i for i, gr in enumerate(rows)}
+        d_cols = sorted((sid for sid in d_ids if dim(sid) == k - 1), reverse=True)
+        ab_cols = [("A", u, pos, c) for pos, c in enumerate(stalk_u.order_cocycles(k))]
+        ab_cols += [("B", v, pos, c) for pos, c in enumerate(stalk_v.order_cocycles(k))]
+        ab_cols.sort(key=lambda item: (-item[3].birth, item[1], item[2]))
+        entries = [
+            (row_pos[("k", coface)], j, sign)
+            for j, sid in enumerate(d_cols)
+            for coface, sign in filtration.cofacets(sid)
+            if ("k", coface) in row_pos
+        ]
+        for jj, (side, _, _, c) in enumerate(ab_cols):
+            j = len(d_cols) + jj
+            entries += [(row_pos[("k", sid)], j, x) for sid, x in c.representative.items()]
+            entries += [(row_pos[(side, sid)], j, x) for sid, x in c.coboundary.items()]
+        self.row_sids = [sid for _, sid in rows]
+        matrix = SparseColumnMatrix.from_entries(
+            len(rows), len(d_cols) + len(ab_cols), entries, fld
+        )
+        return ExtendedCoboundaryMatrix(
+            matrix=matrix,
+            col_meta=[(side, pos) for side, _, pos, _ in ab_cols],
+            n_d_cols=len(d_cols),
+        )
+
+
+def test_row_order_matches_tagged_row_builders(corpus, monkeypatch):
+    """Stalk cocycles and Laplacian atoms from the `row_of` layout equal
+    those of the tagged-row builders, every field in every dict order,
+    on both carriers at orders 1 and 2."""
+    rng = random.Random(61)
+    cloud = graph_from_points([(rng.random(), rng.random()) for _ in range(60)], knn=6)
+    tagged = TaggedRows()
+    for fld in (Field(), Field(kind="float")):
+        for gi, graph in enumerate(corpus[:40] + [cloud]):
+            filt = build_flag_complex(graph, 3)
+            stalks = {v: compute_stalk(filt, v, 2, fld=fld) for v in range(filt.vertex_count)}
+            blocks = {}
+            for eid in filt.ids_of_dim(1):
+                u, v = filt.simplices[eid]
+                for k in (1, 2):
+                    blocks[u, v, k] = sheaf_laplacian_block(stalks[u], stalks[v], filt, k, fld)
+            with monkeypatch.context() as m:
+                m.setattr(persistence, "coboundary_block", tagged.coboundary_block)
+                m.setattr(persistence, "sid_of", tagged.sid_of)
+                m.setattr(sheaf, "build_extended_matrix", tagged.build_extended_matrix)
+                m.setattr(sheaf, "sid_of", tagged.sid_of)
+                for v, stalk in stalks.items():
+                    # repr shows every field, dict item order included
+                    assert repr(compute_stalk(filt, v, 2, fld=fld).cocycles) == repr(
+                        stalk.cocycles
+                    ), (fld.kind, gi, v)
+                for (u, v, k), blk in blocks.items():
+                    ref = sheaf_laplacian_block(stalks[u], stalks[v], filt, k, fld)
+                    assert repr(ref.atoms) == repr(blk.atoms), (fld.kind, gi, u, v, k)
 
 
 # ---------------------------------------------------------------------------
@@ -405,3 +509,10 @@ def test_assembled_mode_validation(c4_filt):
     stalks = {v: compute_stalk(c4_filt, v, 1) for v in range(4)}
     with pytest.raises(ContractError):
         assemble_laplacian(c4_filt, stalks, 1, "sliced")
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, "abc", "1.0", None, 10**400, 1j])
+def test_slice_time_must_be_finite_real(c4_filt, t):
+    stalks = {v: compute_stalk(c4_filt, v, 1) for v in range(4)}
+    with pytest.raises(ContractError, match="slice time"):
+        assemble_laplacian(c4_filt, stalks, 1, ("slice", t))
