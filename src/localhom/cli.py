@@ -215,7 +215,7 @@ def cmd_laplacian(cfg: RunConfig) -> int:
     base = _out_base(cfg)
     _write(base + ".json", formats.dumps(formats.laplacian_to_obj(assembled)))
     if assembled.mode[0] == "slice":
-        _write(base + ".mtx", formats.dense_to_matrixmarket(assembled.dense))
+        _write(base + ".mtx", formats.laplacian_to_matrixmarket(assembled))
     return EXIT_OK
 
 

@@ -113,6 +113,9 @@ class Filtration:
             if len(s) >= 2:
                 for face, sign in facets(s):
                     self._cofacets[self.index[face]].append((j, sign))
+        # carrier kind -> simplex id -> coboundary column, filled on demand by
+        # `persistence.coboundary_block` so that each column is built once
+        self.column_cache: dict[str, dict[int, list]] = {}
         self._t_plus = max(self.values) if self.values else 0.0
 
     def __len__(self) -> int:
@@ -136,7 +139,8 @@ class Filtration:
         return sorted(set(self.values))
 
     def cofacets(self, sid: int) -> list[tuple[int, int]]:
-        """(coface id, incidence sign) for codimension-1 cofaces of sid."""
+        """(coface id, incidence sign) for codimension-1 cofaces of sid,
+        by increasing coface id."""
         return self._cofacets[sid]
 
 

@@ -312,14 +312,18 @@ def energy_trace_csv(energies) -> str:
     return "\n".join(lines) + "\n"
 
 
-def dense_to_matrixmarket(matrix) -> str:
-    """Dense symmetric slice export in MatrixMarket coordinate format."""
-    n, m = matrix.shape
-    rows, cols = np.nonzero(matrix)  # row-major order
+def laplacian_to_matrixmarket(assembled) -> str:
+    """Slice export in MatrixMarket coordinate format, read from the COO
+    entries in (row, col) order. A cell whose float value is +-0.0 is left
+    out, so the file lists exactly the nonzeros of the float image."""
+    n = assembled.dimension
+    rows, cols, _ = assembled.entries
+    nonzero = assembled.float_vals != 0
     # tolist() gives Python floats, whose repr round-trips without a type tag
-    values = matrix[rows, cols].tolist()
-    lines = ["%%MatrixMarket matrix coordinate real general", f"{n} {m} {len(values)}"]
+    values = assembled.float_vals[nonzero].tolist()
+    lines = ["%%MatrixMarket matrix coordinate real general", f"{n} {n} {len(values)}"]
     lines += [
-        f"{i + 1} {j + 1} {v!r}" for i, j, v in zip(rows.tolist(), cols.tolist(), values)
+        f"{i + 1} {j + 1} {v!r}"
+        for i, j, v in zip(rows[nonzero].tolist(), cols[nonzero].tolist(), values)
     ]
     return "\n".join(lines) + "\n"

@@ -77,11 +77,15 @@ class FeatureBundle:
 def dirichlet_energy(features: FeatureBundle, laplacian: AssembledLaplacian) -> float:
     """x^T Delta x summed over channels; nonnegative for slice Laplacians."""
     x = features.stacked(laplacian)
-    return float(np.sum(x * (laplacian.dense @ x)))
+    return float(np.sum(x * (laplacian @ x)))
 
 
-def power_iteration(matrix: np.ndarray, iters: int = 200) -> float:
-    """Largest-magnitude eigenvalue estimate, deterministic start vector."""
+def power_iteration(matrix, iters: int = 200) -> float:
+    """Largest-magnitude eigenvalue estimate, deterministic start vector.
+
+    `matrix` is any square operator with `@` and `.shape`: an ndarray or
+    an `AssembledLaplacian`, which multiplies sparsely.
+    """
     n = matrix.shape[0]
     if n == 0:
         return 0.0
@@ -112,18 +116,18 @@ def diffuse(
     or 0.5 when lambda_max is 0. Returns (features, energy trace with one
     entry per step including the initial energy).
     """
-    lam = power_iteration(laplacian.dense)
+    lam = power_iteration(laplacian)
     if alpha is None:
         alpha = 0.9 / lam if lam > 0 else 0.5
     limit = 2.0 / lam if lam > 0 else math.inf
     if not (0.0 < alpha < limit):
         raise ContractError(f"alpha={alpha} outside (0, 2/lambda_max={limit:.6g})")
     x = features.stacked(laplacian)
-    lx = laplacian.dense @ x
+    lx = laplacian @ x
     energies = [float(np.sum(x * lx))]
     for _ in range(steps):
         x = x - alpha * lx
-        lx = laplacian.dense @ x
+        lx = laplacian @ x
         energies.append(float(np.sum(x * lx)))
     return FeatureBundle.from_stacked(laplacian, x, features.order), energies
 
@@ -288,7 +292,7 @@ def message_pass(
     the composition in closed form.
     """
     x = features.stacked(laplacian)
-    return FeatureBundle.from_stacked(laplacian, laplacian.dense @ x, features.order)
+    return FeatureBundle.from_stacked(laplacian, laplacian @ x, features.order)
 
 
 def save_mlp(params: MLPParams, path) -> None:

@@ -12,20 +12,24 @@ v_A v_B^T tagged with the interval on which the identification persists.
 One rule, `_entry_weight`, weights every Laplacian entry: an atom adds
 coefficient products scaled by 1/0 (alive at the slice time t or not) in
 slice mode, or by the lifespan overlap share in weighted mode. The slice
-operator is delta^T delta of the restriction maps alive at t.
+operator is delta^T delta of the restriction maps alive at t. The
+assembled operator is kept as sorted COO arrays of the cells that
+received a term and multiplies sparsely; nothing on the program's path
+builds it as a dense `dim x dim` array.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .complexes import Filtration, SimplexSubset, star_of_vertices
 from .errors import ContractError
-from .linalg import Field, SparseColumnMatrix, rank, reduce as column_reduce
+from .linalg import FLOAT, Column, Field, SparseColumnMatrix, rank, reduce as column_reduce
 from .persistence import (
     INF,
     PersistentCocycle,
@@ -45,6 +49,7 @@ class LocalStalk:
     `star` is the open set the cohomology is relative to. Degree-0 classes
     only flag isolated components and carry no sheaf structure at the
     orders the Laplacian couples, so stalks keep orders 1..max_order.
+    `columns` caches the stalk's B_AB columns for `build_extended_matrix`.
     """
 
     vertex: int
@@ -52,6 +57,9 @@ class LocalStalk:
     star: SimplexSubset
     horizon: float
     field_kind: str
+    columns: dict[tuple[int, Field], tuple[list[Column], list[Column]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def truncation(self) -> SimplexSubset:
@@ -117,6 +125,32 @@ class ExtendedCoboundaryMatrix:
     n_d_cols: int
 
 
+def _stalk_columns(
+    stalk: LocalStalk, filtration: Filtration, k: int, fld: Field
+) -> tuple[list[Column], list[Column]]:
+    """The stalk's order-k B_AB columns as side A and as side B, by position.
+
+    Built and pruned once per (k, fld), since pruning depends on eps. The
+    B copy differs from the A copy only in its coboundary entries, each
+    one row down; that row is free and no row passes another, so the
+    pruned A column gives the B column without a second sort or prune.
+    """
+    cached = stalk.columns.get((k, fld))
+    if cached is None:
+        a_cols, b_cols = [], []
+        for c in stalk.order_cocycles(k):
+            cob_rows = {row_of(filtration, sid) for sid in c.coboundary}
+            col = [(row_of(filtration, sid), fld.coerce(x)) for sid, x in c.representative.items()]
+            col += [(row_of(filtration, sid), fld.coerce(x)) for sid, x in c.coboundary.items()]
+            # representative and coboundary are read from a reduction, so the
+            # column is pruned: that is where ill-conditioning is flagged
+            a_col = fld.prune(sorted(col))
+            a_cols.append(a_col)
+            b_cols.append([(r + 1, x) if r in cob_rows else (r, x) for r, x in a_col])
+        cached = stalk.columns[(k, fld)] = (a_cols, b_cols)
+    return cached
+
+
 def build_extended_matrix(
     stalk_u: LocalStalk,
     stalk_v: LocalStalk,
@@ -137,14 +171,12 @@ def build_extended_matrix(
     ab_cols += [("B", v, pos, c) for pos, c in enumerate(stalk_v.order_cocycles(k))]
     ab_cols.sort(key=lambda item: (-item[3].birth, item[1], item[2]))
 
+    side_cols = {
+        "A": _stalk_columns(stalk_u, filtration, k, fld)[0],
+        "B": _stalk_columns(stalk_v, filtration, k, fld)[1],
+    }
     cols = d_matrix.cols
-    for side, _, _, c in ab_cols:
-        shift = 1 if side == "B" else 0
-        col = [(row_of(filtration, sid), fld.coerce(x)) for sid, x in c.representative.items()]
-        col += [(row_of(filtration, sid) + shift, fld.coerce(x)) for sid, x in c.coboundary.items()]
-        # representative and coboundary are read from a reduction, so the
-        # column is pruned: that is where ill-conditioning is flagged
-        cols.append(fld.prune(sorted(col)))
+    cols += [side_cols[side][pos] for side, _, pos, _ in ab_cols]
     return ExtendedCoboundaryMatrix(
         matrix=SparseColumnMatrix(d_matrix.row_count, len(cols), cols, fld),
         col_meta=[(side, pos) for side, _, pos, _ in ab_cols],
@@ -283,9 +315,15 @@ class AssembledLaplacian:
     In slice mode this equals delta^T delta for the restriction maps alive
     at the slice time, hence symmetric PSD; lifespan-weighted mode rescales
     each entry by its overlap divided by the output cocycle's span.
-    `entries` maps each cell that received a term to its sum in the
-    carrier's scalars (a sum may cancel to zero); `dense` is their float
-    image.
+
+    `entries` holds the cells that received a term as COO arrays
+    `(rows, cols, vals)` sorted by (row, col), each cell once. `vals` are
+    the sums in the carrier's scalars (an object array of Fractions on the
+    exact carrier), and a sum may cancel to zero. `laplacian @ x` multiplies
+    by their float image `float_vals`: each output row is summed from 0.0,
+    one term at a time, in ascending column order, whatever the BLAS build.
+    `dense` builds the `dim x dim` float image on each access; it is kept
+    for tests and small n, and the program never reads it.
     """
 
     order: int
@@ -294,20 +332,50 @@ class AssembledLaplacian:
     dims: dict[int, int]
     offsets: dict[int, int]
     blocks: dict[tuple[int, int], SheafLaplacianBlock]
-    entries: dict[tuple[int, int], object]
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray]
     field_kind: str
-    dense: np.ndarray
+
+    @cached_property
+    def dimension(self) -> int:
+        return sum(self.dims.values())
 
     @property
-    def dimension(self) -> int:
-        return self.dense.shape[0]
+    def shape(self) -> tuple[int, int]:
+        return (self.dimension, self.dimension)
+
+    @cached_property
+    def float_vals(self) -> np.ndarray:
+        return np.asarray(self.entries[2], dtype=float)
+
+    @property
+    def dense(self) -> np.ndarray:
+        rows, cols, _ = self.entries
+        out = np.zeros(self.shape)
+        out[rows, cols] = self.float_vals
+        return out
+
+    def __matmul__(self, x) -> np.ndarray:
+        """Sparse matvec of a vector or of a (dim, channels) array."""
+        x = np.asarray(x, dtype=float)
+        n = self.dimension
+        if x.ndim not in (1, 2) or x.shape[0] != n:
+            raise ContractError(f"operand of shape {x.shape} does not match dimension {n}")
+        rows, cols, _ = self.entries
+        vals = self.float_vals
+        if x.ndim == 1:
+            return np.bincount(rows, weights=vals * x[cols], minlength=n)
+        out = np.empty(x.shape)
+        for c in range(x.shape[1]):
+            out[:, c] = np.bincount(rows, weights=vals * x[cols, c], minlength=n)
+        return out
 
     def kernel_dim_exact(self) -> int:
         """dim ker via exact rank; requires the exact carrier."""
         if self.field_kind != "exact":
             raise ContractError("exact kernel rank needs the exact carrier")
         n = self.dimension
-        cells = ((i, j, x) for (i, j), x in self.entries.items())
+        rows, cols, vals = self.entries
+        cells = zip(rows.tolist(), cols.tolist(), vals.tolist())
         return n - rank(SparseColumnMatrix.from_entries(n, n, cells, Field()))
 
 
@@ -381,9 +449,7 @@ def assemble_laplacian(
                     if w:
                         entries[i, j] = entries.get((i, j), zero) + ci * cj * fld.coerce(w)
 
-    dense = np.zeros((total, total))
-    for (i, j), x in entries.items():
-        dense[i, j] = float(x)
+    cells = sorted(entries)
     return AssembledLaplacian(
         order=k,
         mode=mode_t,
@@ -391,7 +457,10 @@ def assemble_laplacian(
         dims=dims,
         offsets=offsets,
         blocks=blocks,
-        entries=entries,
+        entries=(
+            np.array([i for i, _ in cells], dtype=np.intp),
+            np.array([j for _, j in cells], dtype=np.intp),
+            np.array([entries[c] for c in cells], dtype=float if fld.kind == FLOAT else object),
+        ),
         field_kind=fld.kind,
-        dense=dense,
     )

@@ -421,6 +421,26 @@ def test_diffuse_c4_energy_drops(c4_csv, tmp_path):
     assert all(b <= a + 1e-15 for a, b in zip(energies, energies[1:]))
 
 
+def test_no_command_builds_the_dense_operator(tmp_path, monkeypatch):
+    """`laplacian` (both modes, MatrixMarket included) and `diffuse` never
+    read `AssembledLaplacian.dense`, the dim x dim array."""
+    from localhom.sheaf import AssembledLaplacian
+
+    def refuse(self):
+        raise AssertionError("dense operator built")
+
+    monkeypatch.setattr(AssembledLaplacian, "dense", property(refuse))
+    cloud = np.random.default_rng(7).random((40, 2)).tolist()
+    points = write(tmp_path / "pts.csv", "".join(f"{x!r},{y!r}\n" for x, y in cloud))
+    base = ["--input", points, "--format", "points", "--knn", "6", "--field", "float",
+            "--max-order", "1", "--max-dim", "2"]
+    for mode in ("slice=0.5", "weighted"):
+        assert main(["laplacian", *base, "--mode", mode, "--out", str(tmp_path / "lap")]) == 0
+    assert (tmp_path / "lap.mtx").read_text().startswith("%%MatrixMarket")
+    assert main(["diffuse", *base, "--channels", "2", "--steps", "50",
+                 "--out", str(tmp_path / "diff")]) == 0
+
+
 def test_round_trip_filtration_reproduces_diagram(c4_csv, tmp_path):
     filt_json = tmp_path / "filt.json"
     main(["filtration", "--input", c4_csv, "--max-dim", "2", "--out", str(filt_json)])

@@ -15,7 +15,7 @@ from localhom.complexes import (
     graph_from_points,
     star_of_vertices,
 )
-from localhom.errors import ContractError
+from localhom.errors import ContractError, IllConditionedError
 from localhom.linalg import Field, SparseColumnMatrix
 from localhom.persistence import (
     coboundary_block,
@@ -496,11 +496,12 @@ def test_kernel_dim_exact_matches_oracle_kernel_basis(corpus):
         for k in (1, 2):
             for mode in modes:
                 lap = assemble_laplacian(filt, stalks, k, mode)
+                dense = lap.dense
                 rows: dict[int, dict] = {}
-                for (i, j), x in lap.entries.items():
+                for i, j, x in zip(*(a.tolist() for a in lap.entries)):
                     rows.setdefault(i, {})[j] = x
-                    assert lap.dense[i, j] == float(x)
-                assert np.count_nonzero(lap.dense) <= len(lap.entries)
+                    assert dense[i, j] == float(x)
+                assert np.count_nonzero(dense) <= len(lap.entries[0])
                 basis = oracle.kernel_basis(list(rows.values()), lap.dimension)
                 assert lap.kernel_dim_exact() == len(basis), (gi, k, mode)
 
@@ -516,3 +517,75 @@ def test_slice_time_must_be_finite_real(c4_filt, t):
     stalks = {v: compute_stalk(c4_filt, v, 1) for v in range(4)}
     with pytest.raises(ContractError, match="slice time"):
         assemble_laplacian(c4_filt, stalks, 1, ("slice", t))
+
+
+# ---------------------------------------------------------------------------
+# column caches
+# ---------------------------------------------------------------------------
+
+
+def pipeline_reprs(filt, fld):
+    """repr of the diagram, the stalks and every operator built on `filt`."""
+    stalks = {v: compute_stalk(filt, v, 2, fld=fld) for v in range(filt.vertex_count)}
+    laps = [
+        assemble_laplacian(filt, stalks, k, mode, fld)
+        for k in (1, 2)
+        for mode in (("slice", filt.t_plus), "weighted")
+    ]
+    return (
+        repr(persistence.persistent_cohomology(filt, 2, fld)),
+        repr(stalks),
+        repr(laps),
+        [[a.tolist() for a in lap.entries] for lap in laps],
+    )
+
+
+def test_cached_columns_match_fresh_filtration(corpus):
+    """PH, stalks and assembly on one filtration, carriers float -> exact
+    -> float and two eps values, equal the results on a fresh filtration:
+    no cached column is edited or served to another carrier."""
+    rng = random.Random(62)
+    cloud = graph_from_points([(rng.random(), rng.random()) for _ in range(40)], knn=6)
+    for graph in corpus[:12] + [cloud]:
+        shared = build_flag_complex(graph, 3)
+        for fld in (Field(kind="float"), Field(), Field(kind="float"), Field(kind="float", eps=0.3)):
+            assert pipeline_reprs(shared, fld) == pipeline_reprs(build_flag_complex(graph, 3), fld)
+
+
+def test_stalk_columns_are_cached_per_eps(square_filt):
+    """One stalk pruned into blocks at two eps values gives, at each, the
+    block a fresh stalk gives: the B_AB columns are keyed by the field."""
+    stalks = {v: compute_stalk(square_filt, v, 1, fld=Field(kind="float")) for v in range(4)}
+    c = stalks[0].cocycles[0]
+    first = min(c.representative)
+    # one entry at a quarter of the others: eps=0.3 prunes it, 1e-9 keeps it
+    rep = {i: x / 4 if i == first else x for i, x in c.representative.items()}
+    scaled = lambda: replace(stalks[0], cocycles=[replace(c, representative=rep)])
+    shared = scaled()
+    mats = {}
+    for eps in (1e-9, 0.3, 1e-9):
+        fld = Field(kind="float", eps=eps)
+        got = build_extended_matrix(shared, stalks[1], square_filt, 1, fld).matrix.cols
+        assert got == build_extended_matrix(scaled(), stalks[1], square_filt, 1, fld).matrix.cols
+        mats[eps] = got
+    assert mats[1e-9] != mats[0.3]
+
+
+def test_ill_conditioned_column_raises_every_time(square_filt):
+    """A B_AB column past 1/eps raises on each build: a failed column is
+    never cached as if it had been pruned."""
+    fld = Field(kind="float", eps=1e-9)
+    stalks = {v: compute_stalk(square_filt, v, 1, fld=fld) for v in range(4)}
+    s0 = stalks[0]
+    huge = replace(
+        s0.cocycles[0], representative={i: 1e12 * x for i, x in s0.cocycles[0].representative.items()}
+    )
+    stalks[0] = replace(s0, cocycles=[huge])
+    for _ in range(2):
+        with pytest.raises(IllConditionedError):
+            build_extended_matrix(stalks[0], stalks[1], square_filt, 1, fld)
+        with pytest.raises(IllConditionedError):
+            assemble_laplacian(square_filt, stalks, 1, ("slice", 1.2), fld)
+    # the same stalk is fine on the exact carrier, and its partner still builds
+    build_extended_matrix(stalks[0], stalks[1], square_filt, 1, Field())
+    build_extended_matrix(stalks[1], stalks[2], square_filt, 1, fld)

@@ -1,0 +1,129 @@
+"""Per-stage wall time and peak RSS of the float pipeline on one kNN cloud.
+
+    PYTHONPATH=src python3 tools/scale.py --n 1600 --seed 1
+    PYTHONPATH=src python3 tools/scale.py --n 6400 --seed 1 --cli
+
+Each call is one fresh process and one cloud: n uniform points in the unit
+square (numpy `default_rng(seed)`), kNN 6, max_dim 2, order 1, float
+carrier. The default runs the library stages in CLI order: graph, flag
+complex, persistence, stalks, slice Laplacian at t_plus, weighted
+Laplacian, power iteration and 500 diffusion steps at alpha = 0.9 /
+lambda_max. `--cli` instead times `localhom diffuse` end to end on the
+same cloud written as a points CSV. The last line of stdout is one JSON
+object; `peak_rss_mb` is this process's own peak resident set.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import resource
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+KNN = 6
+MAX_DIM = 2
+ORDER = 1
+STEPS = 500
+
+
+def peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def cloud(n: int, seed: int) -> np.ndarray:
+    return np.random.default_rng(seed).random((n, 2))
+
+
+def run_stages(points: np.ndarray) -> dict:
+    from localhom import (
+        FeatureBundle,
+        Field,
+        assemble_laplacian,
+        build_flag_complex,
+        compute_stalk,
+        diffuse,
+        graph_from_points,
+        persistent_cohomology,
+    )
+    from localhom.nn import power_iteration
+
+    fld = Field(kind="float")
+    stages: dict[str, float] = {}
+    rss: dict[str, float] = {}
+
+    def timed(name, fn):
+        begin = time.perf_counter()
+        out = fn()
+        stages[name] = time.perf_counter() - begin
+        rss[name] = peak_rss_mb()
+        return out
+
+    graph = timed("graph", lambda: graph_from_points(points.tolist(), knn=KNN))
+    filt = timed("flag", lambda: build_flag_complex(graph, MAX_DIM))
+    timed("persistence", lambda: persistent_cohomology(filt, ORDER, fld))
+    stalks = timed("stalks", lambda: {
+        v: compute_stalk(filt, v, ORDER, 1, fld) for v in range(filt.vertex_count)
+    })
+    lap = timed("slice", lambda: assemble_laplacian(
+        filt, stalks, ORDER, ("slice", filt.t_plus), fld))
+    timed("weighted", lambda: assemble_laplacian(filt, stalks, ORDER, "weighted", fld))
+    lam = timed("power_iteration", lambda: power_iteration(lap))
+    features = FeatureBundle.random(lap, ORDER, seed=0)
+    timed("diffuse", lambda: diffuse(features, lap, 0.9 / lam if lam > 0 else 0.5, STEPS))
+    atoms = sum(len(b.atoms) for b in lap.blocks.values())
+    return {
+        "stages_s": stages,
+        "peak_rss_mb_after": rss,
+        "counts": {
+            "simplices": len(filt),
+            "edges": len(filt.ids_of_dim(1)),
+            "laplacian_dim": lap.dimension,
+            "slice_cells": len(lap.entries[0]),
+            "blocks": len(lap.blocks),
+            "atoms": atoms,
+        },
+    }
+
+
+def run_cli(points: np.ndarray) -> dict:
+    from localhom.cli import main as cli_main
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "points.csv"
+        path.write_text("".join(f"{x!r},{y!r}\n" for x, y in points.tolist()))
+        argv = ["diffuse", "--input", str(path), "--format", "points", "--knn", str(KNN),
+                "--field", "float", "--max-order", str(ORDER), "--max-dim", str(MAX_DIM),
+                "--steps", str(STEPS), "--out", str(Path(tmp) / "out")]
+        begin = time.perf_counter()
+        code = cli_main(argv)
+        seconds = time.perf_counter() - begin
+    return {"argv": ["localhom"] + argv[:2] + ["points.csv"] + argv[3:-1] + ["diffused"],
+            "exit_code": code, "cli_diffuse_s": seconds}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--cli", action="store_true", help="time `localhom diffuse` instead")
+    args = parser.parse_args(argv)
+    points = cloud(args.n, args.seed)
+    record = {"n": args.n, "seed": args.seed, "knn": KNN, "max_dim": MAX_DIM,
+              "order": ORDER, "field": "float", "diffuse_steps": STEPS}
+    record.update(run_cli(points) if args.cli else run_stages(points))
+    record["peak_rss_mb"] = peak_rss_mb()
+    record["python"] = sys.version.split()[0]
+    record["numpy"] = np.__version__
+    record["nproc"] = len(os.sched_getaffinity(0))
+    print(json.dumps(record))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
