@@ -113,6 +113,8 @@ def _config_from_args(args) -> RunConfig:
         raise ConfigError("--eps must lie in (0, 1)")
     if args.command in ("persistence", "stalks", "laplacian", "diffuse") and args.out is None:
         raise ConfigError(f"--out is required for {args.command}")
+    if args.command in ("laplacian", "diffuse") and args.max_order < 1:
+        raise ConfigError(f"--max-order must be >= 1 for {args.command}")
     if args.command == "diffuse":
         if args.channels < 1:
             raise ConfigError("--channels must be >= 1")

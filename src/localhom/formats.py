@@ -223,8 +223,8 @@ def laplacian_to_obj(assembled) -> dict:
             atoms.append(
                 {
                     "interval": [atom.start, atom.end],
-                    "vA": [float(atom.v_a.get(i, 0.0)) for i in range(block.dim_u)],
-                    "vB": [float(atom.v_b.get(i, 0.0)) for i in range(block.dim_v)],
+                    "vA": [float(atom.v_a.get(i, 0.0)) for i in range(assembled.dims[u])],
+                    "vB": [float(atom.v_b.get(i, 0.0)) for i in range(assembled.dims[v])],
                 }
             )
         blocks.append({"u": u, "v": v, "atoms": atoms})

@@ -142,34 +142,27 @@ def _diagram_from_reductions(
         pivot_of_col = {j: low for low, j in red.pivots.items()}
         next_destroyers = set()
         for j, sid in enumerate(col_ids):
+            if sid in destroyers:
+                continue  # cleared
             low = pivot_of_col.get(j)
-            if low is not None:
+            if low is None:
+                death_id, death = None, INF
+            else:
                 death_id = sid_of(filtration, low)
-                next_destroyers.add(death_id)
-                birth = filtration.values[sid]
                 death = filtration.values[death_id]
-                if birth < death:
-                    classes.append(
-                        PersistentCocycle(
-                            order=k,
-                            birth=birth,
-                            death=death,
-                            birth_index=sid,
-                            death_index=death_id,
-                            representative={col_ids[r]: c for r, c in red.V.cols[j]},
-                            coboundary={sid_of(filtration, r): c for r, c in red.R.cols[j]},
-                        )
-                    )
-            elif sid not in destroyers:
+                next_destroyers.add(death_id)
+            birth = filtration.values[sid]
+            if birth < death:
+                # an essential class's R column is empty, so its coboundary is too
                 classes.append(
                     PersistentCocycle(
                         order=k,
-                        birth=filtration.values[sid],
-                        death=INF,
+                        birth=birth,
+                        death=death,
                         birth_index=sid,
-                        death_index=None,
+                        death_index=death_id,
                         representative={col_ids[r]: c for r, c in red.V.cols[j]},
-                        coboundary={},
+                        coboundary={sid_of(filtration, r): c for r, c in red.R.cols[j]},
                     )
                 )
         destroyers = next_destroyers

@@ -48,8 +48,10 @@ class LocalStalk:
     stalks from different vertices can meet inside one extended matrix;
     `star` is the open set the cohomology is relative to. Degree-0 classes
     only flag isolated components and carry no sheaf structure at the
-    orders the Laplacian couples, so stalks keep orders 1..max_order.
-    `columns` caches the stalk's B_AB columns for `build_extended_matrix`.
+    orders the Laplacian couples, so stalks keep orders 1..max_order, and
+    `order_cocycles` groups them by order once, when the stalk is made.
+    `field_kind` is the carrier the cocycles were computed on. `columns`
+    caches the stalk's B_AB columns for `build_extended_matrix`.
     """
 
     vertex: int
@@ -57,9 +59,16 @@ class LocalStalk:
     star: SimplexSubset
     horizon: float
     field_kind: str
+    max_order: int
+    _by_order: dict[int, list[PersistentCocycle]] = field(init=False, repr=False, compare=False)
     columns: dict[tuple[int, Field], tuple[list[Column], list[Column]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self):
+        self._by_order = {k: [] for k in range(1, self.max_order + 1)}
+        for c in self.cocycles:
+            self._by_order[c.order].append(c)
 
     @property
     def truncation(self) -> SimplexSubset:
@@ -70,7 +79,11 @@ class LocalStalk:
         return self.star
 
     def order_cocycles(self, k: int) -> list[PersistentCocycle]:
-        return [c for c in self.cocycles if c.order == k]
+        if k not in self._by_order:
+            raise ContractError(
+                f"stalk of vertex {self.vertex} holds orders 1..{self.max_order}, not {k}"
+            )
+        return self._by_order[k]
 
     def descriptors(self) -> list[tuple[int, float, float]]:
         """(order, birth, death_or_horizon) per cocycle, in stalk order."""
@@ -102,6 +115,7 @@ def compute_stalk(
         star=open_star,
         horizon=filtration.t_plus,
         field_kind=fld.kind,
+        max_order=max_order,
     )
 
 
@@ -164,6 +178,8 @@ def build_extended_matrix(
 
     if stalk_u.star.filtration is not filtration or stalk_v.star.filtration is not filtration:
         raise ContractError("stalks were computed on a different filtration")
+    if {stalk_u.field_kind, stalk_v.field_kind} != {fld.kind}:
+        raise ContractError(f"stalks were computed on another carrier than {fld.kind}")
     d_ids = stalk_u.star.ids | stalk_v.star.ids
     d_matrix, d_cols = coboundary_block(filtration, k - 1, d_ids, fld)
 
@@ -196,43 +212,17 @@ class LaplacianAtom:
 
 @dataclass
 class SheafLaplacianBlock:
-    """All atoms coupling the order-k stalks of an adjacent pair (u, v)."""
+    """All atoms coupling the order-k stalks of an adjacent pair (u, v).
+
+    An atom's `v_a` and `v_b` index `stalk_u.order_cocycles(order)` and
+    `stalk_v.order_cocycles(order)`; the cocycles' lifespans and the
+    horizon stay on the stalks.
+    """
 
     u: int
     v: int
     order: int
     atoms: list[LaplacianAtom]
-    intervals_u: list[tuple[float, float]]  # (birth, death) per u stalk cocycle
-    intervals_v: list[tuple[float, float]]
-    horizon: float
-
-    @property
-    def dim_u(self) -> int:
-        return len(self.intervals_u)
-
-    @property
-    def dim_v(self) -> int:
-        return len(self.intervals_v)
-
-
-def _combined_support_min(
-    stalk: LocalStalk,
-    k: int,
-    coeffs: dict[int, object],
-    filtration: Filtration,
-    fld: Field,
-) -> float | None:
-    """Lowest filtration value in the support of the combined cochain."""
-    acc: dict[int, object] = {}
-    order_cocycles = stalk.order_cocycles(k)
-    for pos, c in coeffs.items():
-        for sid, val in order_cocycles[pos].representative.items():
-            acc[sid] = acc.get(sid, 0) + c * val
-    support = [(sid, val) for sid, val in acc.items()]
-    support = fld.prune(sorted(support))
-    if not support:
-        return None
-    return min(filtration.values[sid] for sid, _ in support)
 
 
 def sheaf_laplacian_block(
@@ -245,13 +235,22 @@ def sheaf_laplacian_block(
     """Reduce the extended matrix and read off interval-tagged atoms.
 
     Every reduced B_AB column with both stalk parts nonzero and a nonempty
-    validity interval yields one atom; the interval starts at the larger
-    of the two combined-cocycle births and ends at the pivot's filtration
-    value (never later than any involved cocycle's death). The column's
-    B_D components are coboundary corrections and are discarded.
+    validity interval yields one atom. The interval ends at the pivot's
+    filtration value (never later than any involved cocycle's death) and
+    starts at the later of the two combined cocycles' births, each the
+    earliest birth among the cocycles it combines. That is the lowest
+    value in the combined cochain's support: `linalg.reduce` keeps V unit
+    upper-triangular, so a stalk cocycle's representative holds its birth
+    simplex with coefficient 1 and its other support simplices have larger
+    filtration ids. No other cocycle of the stalk touches the birth
+    simplex of the earliest-born one, so that entry survives the sum and
+    every other support simplex comes later (de Silva, Morozov &
+    Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011). The
+    column's B_D components are coboundary corrections and are discarded.
     """
     ext = build_extended_matrix(stalk_u, stalk_v, filtration, k, fld)
     red = column_reduce(ext.matrix)
+    cocycles_u, cocycles_v = stalk_u.order_cocycles(k), stalk_v.order_cocycles(k)
     atoms: list[LaplacianAtom] = []
     for j in range(ext.n_d_cols, ext.matrix.col_count):
         v_a: dict[int, object] = {}
@@ -267,24 +266,13 @@ def sheaf_laplacian_block(
             end = filtration.values[sid_of(filtration, rcol[-1][0])]
         else:
             end = INF
-        s_a = _combined_support_min(stalk_u, k, v_a, filtration, fld)
-        s_b = _combined_support_min(stalk_v, k, v_b, filtration, fld)
-        if s_a is None or s_b is None:
-            continue
-        start = max(s_a, s_b)
+        start = max(
+            min(cocycles_u[a].birth for a in v_a), min(cocycles_v[b].birth for b in v_b)
+        )
         if start >= end:
             continue
         atoms.append(LaplacianAtom(start=start, end=end, v_a=v_a, v_b=v_b))
-    lifespan = lambda c: (c.birth, c.death_or(INF))
-    return SheafLaplacianBlock(
-        u=stalk_u.vertex,
-        v=stalk_v.vertex,
-        order=k,
-        atoms=atoms,
-        intervals_u=[lifespan(c) for c in stalk_u.order_cocycles(k)],
-        intervals_v=[lifespan(c) for c in stalk_v.order_cocycles(k)],
-        horizon=stalk_u.horizon,
-    )
+    return SheafLaplacianBlock(u=stalk_u.vertex, v=stalk_v.vertex, order=k, atoms=atoms)
 
 
 def _entry_weight(mode: tuple, atom: LaplacianAtom, out_iv, in_iv, horizon: float):
@@ -419,7 +407,11 @@ def assemble_laplacian(
     for v in vertices:
         if v not in stalks:
             raise ContractError(f"missing stalk for vertex {v}")
-    dims = {v: len(stalks[v].order_cocycles(k)) for v in vertices}
+    # (birth, death) per order-k cocycle of each vertex
+    lifespans = {
+        v: [(c.birth, c.death_or(INF)) for c in stalks[v].order_cocycles(k)] for v in vertices
+    }
+    dims = {v: len(lifespans[v]) for v in vertices}
     offsets = {}
     total = 0
     for v in vertices:
@@ -441,11 +433,11 @@ def assemble_laplacian(
         for atom in block.atoms:
             # (global index, coefficient, lifespan) of both sides; u != v, so
             # each cell gets at most one term per atom
-            comps = [(offsets[u] + a, c, block.intervals_u[a]) for a, c in atom.v_a.items()]
-            comps += [(offsets[v] + b, c, block.intervals_v[b]) for b, c in atom.v_b.items()]
+            comps = [(offsets[u] + a, c, lifespans[u][a]) for a, c in atom.v_a.items()]
+            comps += [(offsets[v] + b, c, lifespans[v][b]) for b, c in atom.v_b.items()]
             for i, ci, out_iv in comps:
                 for j, cj, in_iv in comps:
-                    w = _entry_weight(mode_t, atom, out_iv, in_iv, block.horizon)
+                    w = _entry_weight(mode_t, atom, out_iv, in_iv, filtration.t_plus)
                     if w:
                         entries[i, j] = entries.get((i, j), zero) + ci * cj * fld.coerce(w)
 

@@ -153,6 +153,15 @@ def test_bad_alpha_is_config_error(alpha, c4_csv, tmp_path, capsys):
     assert "--alpha" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["laplacian", "diffuse"])
+def test_order_zero_operator_is_config_error(command, c4_csv, tmp_path, capsys):
+    """Stalks hold orders >= 1, so an order-0 operator is always empty."""
+    code = main([command, "--input", c4_csv, "--max-order", "0", "--out", str(tmp_path / "d")])
+    assert code == 2
+    assert "--max-order" in capsys.readouterr().err
+    assert list(tmp_path.glob("d*")) == []
+
+
 C4_FEATURES = {"order": 1, "channels": [{str(v): {"0": 1.0} for v in range(4)}]}
 
 

@@ -16,7 +16,7 @@ from localhom.complexes import (
     star_of_vertices,
 )
 from localhom.errors import ContractError, IllConditionedError
-from localhom.linalg import Field, SparseColumnMatrix
+from localhom.linalg import Field, SparseColumnMatrix, reduce
 from localhom.persistence import (
     coboundary_block,
     persistent_relative_cohomology,
@@ -397,10 +397,69 @@ def test_atom_end_never_exceeds_involved_deaths(corpus):
             u, v = filt.simplices[eid]
             for k in (1, 2):
                 blk = sheaf_laplacian_block(stalks[u], stalks[v], filt, k)
+                cocycles_u, cocycles_v = stalks[u].order_cocycles(k), stalks[v].order_cocycles(k)
                 for atom in blk.atoms:
-                    deaths = [blk.intervals_u[a][1] for a in atom.v_a]
-                    deaths += [blk.intervals_v[b][1] for b in atom.v_b]
+                    deaths = [cocycles_u[a].death_or(INF) for a in atom.v_a]
+                    deaths += [cocycles_v[b].death_or(INF) for b in atom.v_b]
                     assert atom.end <= min(deaths), (gi, u, v, k)
+
+
+def combined_support_min(stalk, k, coeffs, filt, fld):
+    """The start rule as first written: the lowest filtration value in the
+    pruned support of the combined cochain, None if it cancels."""
+    acc = {}
+    cocycles = stalk.order_cocycles(k)
+    for pos, c in coeffs.items():
+        for sid, val in cocycles[pos].representative.items():
+            acc[sid] = acc.get(sid, 0) + c * val
+    support = fld.prune(sorted(acc.items()))
+    if not support:
+        return None
+    return min(filt.values[sid] for sid, _ in support)
+
+
+def support_min_atoms(stalk_u, stalk_v, filt, k, fld):
+    """`sheaf_laplacian_block`'s atoms under the support-minimum start rule."""
+    ext = build_extended_matrix(stalk_u, stalk_v, filt, k, fld)
+    red = reduce(ext.matrix)
+    atoms = []
+    for j in range(ext.n_d_cols, ext.matrix.col_count):
+        parts = {"A": {}, "B": {}}
+        for col_idx, coeff in red.V.cols[j]:
+            if col_idx >= ext.n_d_cols:
+                side, pos = ext.col_meta[col_idx - ext.n_d_cols]
+                parts[side][pos] = coeff
+        if not parts["A"] or not parts["B"]:
+            continue
+        rcol = red.R.cols[j]
+        end = filt.values[sid_of(filt, rcol[-1][0])] if rcol else INF
+        s_a = combined_support_min(stalk_u, k, parts["A"], filt, fld)
+        s_b = combined_support_min(stalk_v, k, parts["B"], filt, fld)
+        if s_a is None or s_b is None or max(s_a, s_b) >= end:
+            continue
+        atoms.append(sheaf.LaplacianAtom(max(s_a, s_b), end, parts["A"], parts["B"]))
+    return atoms
+
+
+def test_atom_start_is_support_minimum(corpus, tie_free_corpus):
+    """An atom starts at the later of the two earliest births it combines;
+    that equals the lowest value in the pruned support of each combined
+    cochain, so the atoms are those of the support-minimum rule, every
+    field, on the corpora and kNN-6 clouds, both carriers, orders 1 and 2."""
+    clouds = []
+    for n in (60, 200):
+        rng = random.Random(n)
+        clouds.append(graph_from_points([(rng.random(), rng.random()) for _ in range(n)], knn=6))
+    for fld in (Field(), Field(kind="float")):
+        for gi, graph in enumerate(corpus[:40] + tie_free_corpus[:20] + clouds):
+            filt = build_flag_complex(graph, 3)
+            stalks = {v: compute_stalk(filt, v, 2, fld=fld) for v in range(filt.vertex_count)}
+            for eid in filt.ids_of_dim(1):
+                u, v = filt.simplices[eid]
+                for k in (1, 2):
+                    got = sheaf_laplacian_block(stalks[u], stalks[v], filt, k, fld).atoms
+                    ref = support_min_atoms(stalks[u], stalks[v], filt, k, fld)
+                    assert repr(got) == repr(ref), (fld.kind, gi, u, v, k)
 
 
 def test_block_sign_flip_equivariance(square_filt):
@@ -587,5 +646,41 @@ def test_ill_conditioned_column_raises_every_time(square_filt):
         with pytest.raises(IllConditionedError):
             assemble_laplacian(square_filt, stalks, 1, ("slice", 1.2), fld)
     # the same stalk is fine on the exact carrier, and its partner still builds
-    build_extended_matrix(stalks[0], stalks[1], square_filt, 1, Field())
+    e0, e1 = (compute_stalk(square_filt, v, 1) for v in (0, 1))
+    exact_huge = replace(
+        e0.cocycles[0],
+        representative={i: 10**12 * x for i, x in e0.cocycles[0].representative.items()},
+    )
+    build_extended_matrix(replace(e0, cocycles=[exact_huge]), e1, square_filt, 1, Field())
     build_extended_matrix(stalks[1], stalks[2], square_filt, 1, fld)
+
+
+def test_mixed_carriers_rejected(square_filt):
+    """Stalks reduce on the carrier they were computed on: float stalks on
+    the exact carrier would label float-rounded data exact, and the other
+    way round would mix Fractions into float reductions."""
+    for stalk_fld, fld in ((Field(kind="float"), Field()), (Field(), Field(kind="float"))):
+        stalks = {v: compute_stalk(square_filt, v, 1, fld=stalk_fld) for v in range(4)}
+        with pytest.raises(ContractError, match="carrier"):
+            build_extended_matrix(stalks[0], stalks[1], square_filt, 1, fld)
+        with pytest.raises(ContractError, match="carrier"):
+            assemble_laplacian(square_filt, stalks, 1, ("slice", 1.2), fld)
+
+
+def test_orders_outside_the_stalk_rejected(oct_filt):
+    """A stalk holds orders 1..max_order; any other order is an error, not
+    an empty list. At order 2 the octahedron's operator has dimension 6."""
+    low = {v: compute_stalk(oct_filt, v, 1) for v in range(6)}
+    for k in (-1, 0, 2):
+        with pytest.raises(ContractError, match="holds orders 1..1"):
+            low[0].order_cocycles(k)
+        with pytest.raises(ContractError, match="holds orders"):
+            assemble_laplacian(oct_filt, low, k, ("slice", 1.0))
+    full = {v: compute_stalk(oct_filt, v, 2) for v in range(6)}
+    assert assemble_laplacian(oct_filt, full, 2, ("slice", 1.0)).dimension == 6
+    assert full[0].order_cocycles(1) == []
+    # the grouping follows the cocycles through dataclasses.replace
+    assert replace(full[0], cocycles=[]).order_cocycles(2) == []
+    assert replace(low[0], cocycles=full[0].cocycles, max_order=2).order_cocycles(2) == (
+        full[0].cocycles
+    )
