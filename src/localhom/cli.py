@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import formats, golden, oracle
@@ -26,43 +25,8 @@ EXIT_CONFIG = 2
 EXIT_CONTRACT = 3
 EXIT_VERIFY = 4
 
-
-@dataclass
-class RunConfig:
-    input: str | None
-    format: str
-    metric: str
-    knn: int | None
-    max_order: int
-    max_dim: int
-    rings: int
-    field: Field
-    mode: tuple
-    out: str | None
-
-    def validate(self):
-        if self.max_order < 0:
-            raise ConfigError("--max-order must be >= 0")
-        if self.max_dim < self.max_order + 1:
-            raise ConfigError("--max-dim must be >= max_order + 1")
-        if self.rings < 1:
-            raise ConfigError("--rings must be >= 1")
-        if self.knn is not None and self.knn < 1:
-            raise ConfigError("--knn must be >= 1")
-
-
-def _parse_mode(text: str) -> tuple:
-    if text == "weighted":
-        return ("weighted",)
-    if text.startswith("slice="):
-        try:
-            t = float(text.split("=", 1)[1])
-        except ValueError:
-            raise ConfigError(f"bad slice time in --mode {text!r}") from None
-        if not math.isfinite(t):
-            raise ConfigError(f"slice time in --mode {text!r} must be finite")
-        return ("slice", t)
-    raise ConfigError("--mode must be 'slice=<t>' or 'weighted'")
+# stalks hold orders >= 1 only, so at order 0 these commands have nothing to compute
+STALK_COMMANDS = ("stalks", "laplacian", "diffuse")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,14 +35,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Persistent local-homology sheaves of weighted graphs.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, extra in [
-        ("filtration", ()),
-        ("persistence", ()),
-        ("stalks", ()),
-        ("laplacian", ()),
-        ("diffuse", ("alpha", "steps", "features", "seed", "channels")),
-        ("verify", ()),
-    ]:
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--input", help="input file (see --format)")
         p.add_argument(
@@ -97,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mode", default="weighted")
         p.add_argument("--threads", type=int, default=0, help="ignored; stalks run serially")
         p.add_argument("--out", help="output path (directory for stalks)")
-        if "alpha" in extra:
+        if name == "diffuse":
             p.add_argument("--alpha", type=float, default=None)
             p.add_argument("--steps", type=int, default=500)
             p.add_argument("--features", help="feature JSON to diffuse")
@@ -106,53 +63,67 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    if args.threads < 0:
-        raise ConfigError("--threads must be >= 0")
+def check_flags(args) -> None:
+    """Check every flag of `args` before any input is read.
+
+    Raises ConfigError naming the first bad flag. Afterwards `args.max_dim`
+    is set (default max_order + 1), `args.field` is the `Field` of --field
+    and --eps, and `args.mode` is ("weighted",) or ("slice", t).
+    """
+    command = args.command
+    if command != "verify" and args.input is None:
+        raise ConfigError(f"--input is required for {command}")
+    if command in ("persistence", *STALK_COMMANDS) and args.out is None:
+        raise ConfigError(f"--out is required for {command}")
+    floors = {
+        "max_order": 1 if command in STALK_COMMANDS else 0,
+        "rings": 1,
+        "knn": 1,
+        "threads": 0,
+    }
+    if command == "diffuse":
+        floors.update(channels=1, steps=0, seed=0)
+    for name, least in floors.items():
+        value = getattr(args, name)
+        if value is not None and value < least:
+            raise ConfigError(f"--{name.replace('_', '-')} must be >= {least} for {command}")
+    if args.max_dim is None:
+        args.max_dim = args.max_order + 1
+    if args.max_dim < args.max_order + 1:
+        raise ConfigError("--max-dim must be >= max_order + 1")
     if not (0 < args.eps < 1):
         raise ConfigError("--eps must lie in (0, 1)")
-    if args.command in ("persistence", "stalks", "laplacian", "diffuse") and args.out is None:
-        raise ConfigError(f"--out is required for {args.command}")
-    if args.command in ("laplacian", "diffuse") and args.max_order < 1:
-        raise ConfigError(f"--max-order must be >= 1 for {args.command}")
-    if args.command == "diffuse":
-        if args.channels < 1:
-            raise ConfigError("--channels must be >= 1")
-        if args.steps < 0:
-            raise ConfigError("--steps must be >= 0")
-        if args.seed < 0:
-            raise ConfigError("--seed must be >= 0")
-        if args.alpha is not None and not (math.isfinite(args.alpha) and args.alpha > 0):
-            raise ConfigError("--alpha must be finite and > 0")
-    cfg = RunConfig(
-        input=args.input,
-        format=args.format,
-        metric=args.metric,
-        knn=args.knn,
-        max_order=args.max_order,
-        max_dim=args.max_dim if args.max_dim is not None else args.max_order + 1,
-        rings=args.rings,
-        field=Field(kind=args.field, eps=args.eps),
-        mode=_parse_mode(args.mode),
-        out=args.out,
-    )
-    cfg.validate()
-    return cfg
+    if command == "diffuse" and args.alpha is not None and not (
+        math.isfinite(args.alpha) and args.alpha > 0
+    ):
+        raise ConfigError("--alpha must be finite and > 0")
+    if args.mode == "weighted":
+        mode = ("weighted",)
+    elif args.mode.startswith("slice="):
+        try:
+            t = float(args.mode[len("slice="):])
+        except ValueError:
+            raise ConfigError(f"bad slice time in --mode {args.mode!r}") from None
+        if not math.isfinite(t):
+            raise ConfigError(f"slice time in --mode {args.mode!r} must be finite")
+        mode = ("slice", t)
+    else:
+        raise ConfigError("--mode must be 'slice=<t>' or 'weighted'")
+    args.mode = mode
+    args.field = Field(kind=args.field, eps=args.eps)
 
 
-def load_filtration(cfg: RunConfig) -> Filtration:
-    if cfg.input is None:
-        raise ConfigError("--input is required for this command")
+def load_filtration(args) -> Filtration:
     try:
-        if cfg.format == "edges":
-            graph = formats.read_edge_csv(cfg.input)
-            return build_flag_complex(graph, cfg.max_dim)
-        if cfg.format == "points":
-            graph = formats.read_points_csv(cfg.input, cfg.metric, cfg.knn)
-            return build_flag_complex(graph, cfg.max_dim)
-        return formats.read_filtration_json(cfg.input, max_dim=cfg.max_dim)
+        if args.format == "edges":
+            graph = formats.read_edge_csv(args.input)
+            return build_flag_complex(graph, args.max_dim)
+        if args.format == "points":
+            graph = formats.read_points_csv(args.input, args.metric, args.knn)
+            return build_flag_complex(graph, args.max_dim)
+        return formats.read_filtration_json(args.input, max_dim=args.max_dim)
     except OSError as exc:
-        raise ConfigError(f"cannot read {cfg.input}: {exc}") from None
+        raise ConfigError(f"cannot read {args.input}: {exc}") from None
 
 
 def _write(path: str, text: str):
@@ -161,46 +132,46 @@ def _write(path: str, text: str):
         fh.write(text)
 
 
-def _out_base(cfg: RunConfig) -> str:
-    out = cfg.out
+def _out_base(args) -> str:
+    out = args.out
     return out[: -len(".json")] if out.endswith(".json") else out
 
 
-def _all_stalks(filt: Filtration, cfg: RunConfig):
+def _all_stalks(filt: Filtration, args):
     """Per-vertex stalks in vertex order.
 
     Serial on purpose: stalk computation is pure Python, so a thread pool
     only adds interpreter-lock contention.
     """
     return {
-        v: compute_stalk(filt, v, cfg.max_order, cfg.rings, cfg.field)
+        v: compute_stalk(filt, v, args.max_order, fld=args.field)
         for v in range(filt.vertex_count)
     }
 
 
-def cmd_filtration(cfg: RunConfig) -> int:
-    filt = load_filtration(cfg)
+def cmd_filtration(args) -> int:
+    filt = load_filtration(args)
     text = formats.dumps(formats.filtration_to_obj(filt))
-    if cfg.out:
-        _write(cfg.out, text)
+    if args.out:
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
 
 
-def cmd_persistence(cfg: RunConfig) -> int:
-    filt = load_filtration(cfg)
-    diagram = persistent_cohomology(filt, cfg.max_order, cfg.field)
-    base = _out_base(cfg)
+def cmd_persistence(args) -> int:
+    filt = load_filtration(args)
+    diagram = persistent_cohomology(filt, args.max_order, args.field)
+    base = _out_base(args)
     _write(base + ".json", formats.dumps(formats.diagram_to_obj(diagram)))
     _write(base + ".csv", formats.diagram_to_csv(diagram))
     return EXIT_OK
 
 
-def cmd_stalks(cfg: RunConfig) -> int:
-    filt = load_filtration(cfg)
-    stalks = _all_stalks(filt, cfg)
-    outdir = Path(cfg.out)
+def cmd_stalks(args) -> int:
+    filt = load_filtration(args)
+    stalks = _all_stalks(filt, args)
+    outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     for v in sorted(stalks):
         _write(
@@ -210,22 +181,22 @@ def cmd_stalks(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_laplacian(cfg: RunConfig) -> int:
-    filt = load_filtration(cfg)
-    stalks = _all_stalks(filt, cfg)
-    assembled = assemble_laplacian(filt, stalks, cfg.max_order, cfg.mode, cfg.field)
-    base = _out_base(cfg)
+def cmd_laplacian(args) -> int:
+    filt = load_filtration(args)
+    stalks = _all_stalks(filt, args)
+    assembled = assemble_laplacian(filt, stalks, args.max_order, args.mode, args.field)
+    base = _out_base(args)
     _write(base + ".json", formats.dumps(formats.laplacian_to_obj(assembled)))
     if assembled.mode[0] == "slice":
         _write(base + ".mtx", formats.laplacian_to_matrixmarket(assembled))
     return EXIT_OK
 
 
-def cmd_diffuse(cfg: RunConfig, args) -> int:
-    filt = load_filtration(cfg)
-    stalks = _all_stalks(filt, cfg)
-    mode = cfg.mode if cfg.mode[0] == "slice" else ("slice", filt.t_plus)
-    assembled = assemble_laplacian(filt, stalks, cfg.max_order, mode, cfg.field)
+def cmd_diffuse(args) -> int:
+    filt = load_filtration(args)
+    stalks = _all_stalks(filt, args)
+    mode = args.mode if args.mode[0] == "slice" else ("slice", filt.t_plus)
+    assembled = assemble_laplacian(filt, stalks, args.max_order, mode, args.field)
     if args.features:
         try:
             features = formats.read_features_json(args.features, assembled)
@@ -233,10 +204,10 @@ def cmd_diffuse(cfg: RunConfig, args) -> int:
             raise ConfigError(f"cannot read {args.features}: {exc}") from None
     else:
         features = FeatureBundle.random(
-            assembled, cfg.max_order, channels=args.channels, seed=args.seed
+            assembled, args.max_order, channels=args.channels, seed=args.seed
         )
     result, energies = diffuse(features, assembled, args.alpha, args.steps)
-    base = _out_base(cfg)
+    base = _out_base(args)
     _write(base + ".json", formats.dumps(formats.features_to_obj(result)))
     _write(base + ".csv", formats.energy_trace_csv(energies))
     return EXIT_OK
@@ -299,11 +270,11 @@ def _verify_fixture(name: str, filt: Filtration, max_order: int, checks: list):
     record("field_parity", exact_pairs == float_pairs)
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(args) -> int:
     checks: list[dict] = []
-    if cfg.input is not None:
-        filt = load_filtration(cfg)
-        _verify_fixture("input", filt, cfg.max_order, checks)
+    if args.input is not None:
+        filt = load_filtration(args)
+        _verify_fixture("input", filt, args.max_order, checks)
     else:
         for name, builder, max_dim, _ in golden.GOLDEN_BETTI:
             filt = build_flag_complex(builder(), max_dim)
@@ -311,31 +282,28 @@ def cmd_verify(cfg: RunConfig) -> int:
         filt = build_flag_complex(golden.k3(), 2)
         _verify_fixture("k3", filt, 1, checks)
     text = formats.dumps(checks)
-    if cfg.out:
-        _write(cfg.out, text)
+    if args.out:
+        _write(args.out, text)
     sys.stdout.write(text)
     failed = [c for c in checks if c["status"] != "pass"]
     return EXIT_VERIFY if failed else EXIT_OK
 
 
+COMMANDS = {
+    "filtration": cmd_filtration,
+    "persistence": cmd_persistence,
+    "stalks": cmd_stalks,
+    "laplacian": cmd_laplacian,
+    "diffuse": cmd_diffuse,
+    "verify": cmd_verify,
+}
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        if args.command == "filtration":
-            return cmd_filtration(cfg)
-        if args.command == "persistence":
-            return cmd_persistence(cfg)
-        if args.command == "stalks":
-            return cmd_stalks(cfg)
-        if args.command == "laplacian":
-            return cmd_laplacian(cfg)
-        if args.command == "diffuse":
-            return cmd_diffuse(cfg, args)
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        check_flags(args)
+        return COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

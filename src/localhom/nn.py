@@ -6,7 +6,6 @@ training loops and optimizers live outside the package.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -33,6 +32,8 @@ class FeatureBundle:
     def __post_init__(self):
         for v, arr in self.values.items():
             arr = np.asarray(arr, dtype=float)
+            if arr.ndim not in (1, 2):
+                raise ContractError(f"vertex {v}: feature array is {arr.ndim}-d, not 1-d or 2-d")
             if arr.ndim == 1:
                 arr = arr[:, None]
             if arr.shape[1] != self.channels:
@@ -42,10 +43,20 @@ class FeatureBundle:
             self.values[v] = arr
 
     def stacked(self, laplacian: AssembledLaplacian) -> np.ndarray:
-        """Concatenate vertex vectors in the Laplacian's layout."""
+        """Concatenate vertex vectors in the Laplacian's layout.
+
+        The bundle's order must be the Laplacian's, and each of its vertices
+        one of the Laplacian's.
+        """
+        if self.order != laplacian.order:
+            raise ContractError(
+                f"feature order {self.order} != Laplacian order {laplacian.order}"
+            )
         x = np.zeros((laplacian.dimension, self.channels))
         for v, arr in self.values.items():
-            dim = laplacian.dims.get(v, 0)
+            if v not in laplacian.dims:
+                raise ContractError(f"vertex {v} is not in the Laplacian")
+            dim = laplacian.dims[v]
             if arr.shape[0] != dim:
                 raise ContractError(
                     f"vertex {v}: feature dim {arr.shape[0]} != stalk dim {dim}"
@@ -294,30 +305,3 @@ def message_pass(
     x = features.stacked(laplacian)
     return FeatureBundle.from_stacked(laplacian, laplacian @ x, features.order)
 
-
-def save_mlp(params: MLPParams, path) -> None:
-    """JSON shape header + flat little-endian float64 parameter array."""
-    widths = [params.in_dim] + [w.shape[0] for w in params.weights]
-    header = json.dumps({"widths": widths, "activation": "tanh"}).encode()
-    flat = np.concatenate(
-        [w.ravel() for w in params.weights] + [b.ravel() for b in params.biases]
-    ).astype("<f8")
-    with open(path, "wb") as fh:
-        fh.write(header + b"\n")
-        fh.write(flat.tobytes())
-
-
-def load_mlp(path) -> MLPParams:
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        flat = np.frombuffer(fh.read(), dtype="<f8")
-    widths = header["widths"]
-    weights, biases = [], []
-    pos = 0
-    for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-        weights.append(flat[pos : pos + fan_in * fan_out].reshape(fan_out, fan_in).copy())
-        pos += fan_in * fan_out
-    for fan_out in widths[1:]:
-        biases.append(flat[pos : pos + fan_out].copy())
-        pos += fan_out
-    return MLPParams(weights=weights, biases=biases)

@@ -101,10 +101,13 @@ def compute_stalk(
 
     Computed on `filtration` itself; no neighborhood is cut out, so the
     cost is that of the star. `rings` is accepted for compatibility and
-    must be >= 1; it has no effect.
+    must be >= 1; it has no effect. A stalk holds orders >= 1 only, so
+    `max_order` must be >= 1.
     """
     if not (0 <= vertex < filtration.vertex_count):
         raise ContractError(f"vertex {vertex} does not exist")
+    if max_order < 1:
+        raise ContractError(f"max_order must be >= 1 for a stalk, not {max_order}")
     if rings < 1:
         raise ContractError("rings must be >= 1")
     open_star = star_of_vertices(filtration, [vertex])

@@ -153,7 +153,7 @@ def test_bad_alpha_is_config_error(alpha, c4_csv, tmp_path, capsys):
     assert "--alpha" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["laplacian", "diffuse"])
+@pytest.mark.parametrize("command", ["stalks", "laplacian", "diffuse"])
 def test_order_zero_operator_is_config_error(command, c4_csv, tmp_path, capsys):
     """Stalks hold orders >= 1, so an order-0 operator is always empty."""
     code = main([command, "--input", c4_csv, "--max-order", "0", "--out", str(tmp_path / "d")])

@@ -17,12 +17,9 @@ from localhom.nn import (
     dirichlet_energy,
     filtration_gradient,
     hypernet_weights,
-    load_mlp,
     message_pass,
-    mlp_forward,
     node_gain_network,
     power_iteration,
-    save_mlp,
     sign_equivariant_jvp,
     sign_equivariant_layer,
 )
@@ -63,6 +60,22 @@ def test_energy_dimension_mismatch(c4_filt):
     bad = FeatureBundle(order=1, channels=1, values={0: np.zeros((3, 1))})
     with pytest.raises(ContractError):
         dirichlet_energy(bad, lap)
+
+
+@pytest.mark.parametrize(
+    "order, values",
+    [
+        (1, {0: np.zeros(())}),
+        (1, {0: np.ones((1, 1, 1))}),
+        (1, {9: np.zeros((0, 1))}),
+        (2, {v: np.ones((1, 1)) for v in range(4)}),
+    ],
+    ids=["0d_array", "3d_array", "vertex_not_in_laplacian", "order_mismatch"],
+)
+def test_malformed_bundle_is_contract_error(order, values, c4_filt):
+    lap, _ = c4_laplacian(c4_filt)
+    with pytest.raises(ContractError):
+        dirichlet_energy(FeatureBundle(order=order, channels=1, values=values), lap)
 
 
 def test_diffuse_kernel_fixed_point(c4_filt):
@@ -224,15 +237,6 @@ def test_hypernet_input_validation(square_filt):
     stalk = compute_stalk(square_filt, 0, 1)
     with pytest.raises(ContractError):
         hypernet_weights(stalk, MLPParams.init([5, 1], seed=0))
-
-
-def test_mlp_save_load_roundtrip(tmp_path):
-    params = MLPParams.init([6, 16, 16, 1], seed=21)
-    path = tmp_path / "psi.bin"
-    save_mlp(params, path)
-    loaded = load_mlp(path)
-    x = np.arange(6, dtype=float)
-    assert np.array_equal(mlp_forward(params, x), mlp_forward(loaded, x))
 
 
 # ---------------------------------------------------------------------------

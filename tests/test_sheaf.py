@@ -100,6 +100,12 @@ def test_stalk_unknown_vertex(c4_filt):
         compute_stalk(c4_filt, 0, 1, rings=0)
 
 
+def test_stalk_order_zero_is_contract_error(c4_filt):
+    """A stalk holds orders >= 1 only, so an order-0 stalk would hold nothing."""
+    with pytest.raises(ContractError):
+        compute_stalk(c4_filt, 0, 0)
+
+
 def filtered_coboundary_block(filtration, k, keep, fld):
     """The relative block as stalks once built it: the whole coboundary
     block, columns and rows outside `keep` dropped in order."""

@@ -9,9 +9,18 @@ is built with max_dim 3 and run on both carriers: the diagram up to order
 2, every stalk cocycle (max_order 2), and, for orders 1 and 2 and the
 modes slice at t_plus, slice at the middle threshold and weighted, every
 block atom, every `entries` item and, on the exact carrier,
-`kernel_dim_exact`. Each item enters the hash as its `repr`, so a change
-of value, type, order or dict order changes the hash. A change meant to
-keep outputs identical prints the same line before and after it.
+`kernel_dim_exact`.
+
+The same hash then covers the CLI: `localhom.cli.main` runs `filtration`,
+`persistence`, `stalks`, `laplacian` (weighted and slice at t_plus) and
+`diffuse` on c4, the octahedron, the unit-square points, the first
+random-corpus graph and a kNN-6 cloud of 60 points, on both carriers at
+max orders 1 and 2, and every exit code and every file written (by path
+under the run's output directory) enters the hash.
+
+Each item enters the hash as its `repr`, so a change of value, type,
+order or dict order changes the hash. A change meant to keep outputs
+identical prints the same line before and after it.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -66,15 +76,77 @@ def items(graph, fld):
                 yield repr(lap.kernel_dim_exact())
 
 
+def cli_inputs(tmp: Path):
+    """(name, input flags, t_plus) of each CLI input, written under `tmp`."""
+    from localhom import build_flag_complex, golden
+    from localhom.formats import read_edge_csv, read_points_csv
+
+    def edges(name, graph):
+        path = tmp / f"{name}.csv"
+        path.write_text("".join(f"{u},{v},{w!r}\n" for u, v, w in graph.edges))
+        return name, ["--input", str(path)], read_edge_csv(path)
+
+    def points(name, coords, knn):
+        path = tmp / f"{name}.csv"
+        path.write_text("".join(",".join(map(repr, p)) + "\n" for p in coords))
+        flags = ["--input", str(path), "--format", "points"]
+        if knn is not None:
+            flags += ["--knn", str(knn)]
+        return name, flags, read_points_csv(path, "euclidean", knn)
+
+    cloud = np.random.default_rng(60).random((60, 2)).tolist()
+    for name, flags, graph in (
+        edges("c4", golden.c4()),
+        edges("octahedron", golden.octahedron()),
+        points("unit_square", golden.unit_square_points(), None),
+        edges("random_corpus_0", corpus("random_corpus.json", 1)[0]),
+        points("knn6_cloud_60", cloud, 6),
+    ):
+        yield name, flags, build_flag_complex(graph, 1).t_plus
+
+
+def cli_items(tmp: Path):
+    """repr of every exit code and output file of the CLI runs."""
+    from localhom.cli import main as cli_main
+
+    run = 0
+    for name, flags, t_plus in cli_inputs(tmp):
+        for field in ("exact", "float"):
+            for order in (1, 2):
+                common = [*flags, "--field", field, "--max-order", str(order)]
+                for command, extra in (
+                    ("filtration", []),
+                    ("persistence", []),
+                    ("stalks", []),
+                    ("laplacian", ["--mode", "weighted"]),
+                    ("laplacian", ["--mode", f"slice={t_plus!r}"]),
+                    ("diffuse", []),
+                ):
+                    run += 1
+                    outdir = tmp / f"run{run}"
+                    out = outdir / ("stalks" if command == "stalks" else "out.json")
+                    code = cli_main([command, *common, *extra, "--out", str(out)])
+                    yield repr((name, field, order, command, extra, code))
+                    for path in sorted(p for p in outdir.rglob("*") if p.is_file()):
+                        yield repr((path.relative_to(outdir).as_posix(), path.read_bytes()))
+
+
 def main() -> int:
     from localhom import Field
 
     digest = hashlib.sha256()
+
+    def add(item):
+        digest.update(item.encode())
+        digest.update(b"\n")
+
     for graph in graphs():
         for fld in (Field(), Field(kind="float")):
             for item in items(graph, fld):
-                digest.update(item.encode())
-                digest.update(b"\n")
+                add(item)
+    with tempfile.TemporaryDirectory() as tmp:
+        for item in cli_items(Path(tmp)):
+            add(item)
     print(digest.hexdigest())
     return 0
 
