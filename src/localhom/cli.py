@@ -28,89 +28,110 @@ EXIT_VERIFY = 4
 # stalks hold orders >= 1 only, so at order 0 these commands have nothing to compute
 STALK_COMMANDS = ("stalks", "laplacian", "diffuse")
 
+# dest -> add_argument keywords; the option is --<dest> unless "option" names
+# it. A default of None tells a flag that was given from one left out.
+FLAGS = {
+    "input": dict(help="input file (see --format)"),
+    "format": dict(choices=["edges", "points", "filtration"], default="edges",
+                   help="edge-list CSV, point-cloud CSV, or a filtration JSON dump"),
+    "metric": dict(choices=["euclidean", "manhattan"], help="points only (default euclidean)"),
+    "knn": dict(type=int, help="points only: keep each point's K nearest neighbours"),
+    "max_order": dict(type=int, default=1),
+    "max_dim": dict(type=int, help="clique-scan depth (default max-order + 1)"),
+    "out": dict(help="output path (directory for stalks)"),
+    "field": dict(choices=["exact", "float"], default="exact"),
+    "eps": dict(type=float, help="float field only: zero tolerance (default 1e-9)"),
+    "rings": dict(type=int, default=1, help="no effect"),
+    "threads": dict(type=int, default=0, help="ignored; stalks run serially"),
+    "mode": dict(default="weighted", help="weighted or slice=<t>"),
+    "slice": dict(option="--mode", help="slice=<t> (default: the slice at t_plus)"),
+    "alpha": dict(type=float),
+    "steps": dict(type=int, default=500),
+    "features": dict(help="feature JSON to diffuse"),
+    "seed": dict(type=int, help="random features only (default 0)"),
+    "channels": dict(type=int, help="random features only (default 1)"),
+}
+GRAPH_FLAGS = ("input", "format", "metric", "knn", "max_order", "max_dim", "out")
+FIELD_FLAGS = (*GRAPH_FLAGS, "field", "eps")
+STALK_FLAGS = (*FIELD_FLAGS, "rings", "threads")
+
+# flag -> (other flag, value, default): the flag is read only while the other
+# flag has that value; left out, it takes the default
+CONDITIONAL = {
+    "knn": ("format", "points", None),
+    "metric": ("format", "points", "euclidean"),
+    "eps": ("field", "float", 1e-9),
+    "seed": ("features", None, 0),
+    "channels": ("features", None, 1),
+}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="localhom",
-        description="Persistent local-homology sheaves of weighted graphs.",
-    )
+        prog="localhom", description="Persistent local-homology sheaves of weighted graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--input", help="input file (see --format)")
-        p.add_argument(
-            "--format",
-            choices=["edges", "points", "filtration"],
-            default="edges",
-            help="edge-list CSV, point-cloud CSV, or a filtration JSON dump",
-        )
-        p.add_argument("--metric", choices=["euclidean", "manhattan"], default="euclidean")
-        p.add_argument("--knn", type=int, default=None)
-        p.add_argument("--max-order", type=int, default=1)
-        p.add_argument("--max-dim", type=int, default=None)
-        p.add_argument("--rings", type=int, default=1)
-        p.add_argument("--field", choices=["exact", "float"], default="exact")
-        p.add_argument("--eps", type=float, default=1e-9)
-        p.add_argument("--mode", default="weighted")
-        p.add_argument("--threads", type=int, default=0, help="ignored; stalks run serially")
-        p.add_argument("--out", help="output path (directory for stalks)")
-        if name == "diffuse":
-            p.add_argument("--alpha", type=float, default=None)
-            p.add_argument("--steps", type=int, default=500)
-            p.add_argument("--features", help="feature JSON to diffuse")
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--channels", type=int, default=1)
+        for dest in flags:
+            spec = dict(FLAGS[dest])
+            p.add_argument(spec.pop("option", "--" + dest.replace("_", "-")), dest=dest, **spec)
     return parser
+
+
+def _slice_time(text: str) -> float:
+    """t of `--mode slice=<t>`."""
+    if not text.startswith("slice="):
+        raise ConfigError("--mode must be 'slice=<t>' (or 'weighted', for laplacian only)")
+    try:
+        t = float(text[len("slice="):])
+    except ValueError:
+        raise ConfigError(f"bad slice time in --mode {text!r}") from None
+    if not math.isfinite(t):
+        raise ConfigError(f"slice time in --mode {text!r} must be finite")
+    return t
 
 
 def check_flags(args) -> None:
     """Check every flag of `args` before any input is read.
 
-    Raises ConfigError naming the first bad flag. Afterwards `args.max_dim`
-    is set (default max_order + 1), `args.field` is the `Field` of --field
-    and --eps, and `args.mode` is ("weighted",) or ("slice", t).
+    Raises ConfigError naming the first bad flag. Afterwards CONDITIONAL flags left out
+    hold their defaults, `args.max_dim` is set (default max_order + 1), `args.field` is
+    the `Field` of --field and --eps, `args.mode` ("weighted",) or ("slice", t), and
+    `args.slice` t or None.
     """
     command = args.command
     if command != "verify" and args.input is None:
         raise ConfigError(f"--input is required for {command}")
     if command in ("persistence", *STALK_COMMANDS) and args.out is None:
         raise ConfigError(f"--out is required for {command}")
-    floors = {
-        "max_order": 1 if command in STALK_COMMANDS else 0,
-        "rings": 1,
-        "knn": 1,
-        "threads": 0,
-    }
-    if command == "diffuse":
-        floors.update(channels=1, steps=0, seed=0)
+    for flag in [f for f in CONDITIONAL if hasattr(args, f)]:
+        other, value, default = CONDITIONAL[flag]
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif getattr(args, other) != value:
+            when = f"--{other} {value}" if value else f"no --{other}"
+            raise ConfigError(f"--{flag} is read only with {when}")
+    floors = dict(max_order=1 if command in STALK_COMMANDS else 0, rings=1, knn=1, threads=0,
+                  channels=1, steps=0, seed=0)
     for name, least in floors.items():
-        value = getattr(args, name)
+        value = getattr(args, name, None)
         if value is not None and value < least:
             raise ConfigError(f"--{name.replace('_', '-')} must be >= {least} for {command}")
     if args.max_dim is None:
         args.max_dim = args.max_order + 1
     if args.max_dim < args.max_order + 1:
         raise ConfigError("--max-dim must be >= max_order + 1")
-    if not (0 < args.eps < 1):
-        raise ConfigError("--eps must lie in (0, 1)")
-    if command == "diffuse" and args.alpha is not None and not (
-        math.isfinite(args.alpha) and args.alpha > 0
-    ):
+    alpha = getattr(args, "alpha", None)
+    if alpha is not None and not (math.isfinite(alpha) and alpha > 0):
         raise ConfigError("--alpha must be finite and > 0")
-    if args.mode == "weighted":
-        mode = ("weighted",)
-    elif args.mode.startswith("slice="):
-        try:
-            t = float(args.mode[len("slice="):])
-        except ValueError:
-            raise ConfigError(f"bad slice time in --mode {args.mode!r}") from None
-        if not math.isfinite(t):
-            raise ConfigError(f"slice time in --mode {args.mode!r} must be finite")
-        mode = ("slice", t)
-    else:
-        raise ConfigError("--mode must be 'slice=<t>' or 'weighted'")
-    args.mode = mode
-    args.field = Field(kind=args.field, eps=args.eps)
+    if hasattr(args, "mode"):
+        args.mode = ("weighted",) if args.mode == "weighted" else ("slice", _slice_time(args.mode))
+    if getattr(args, "slice", None) is not None:
+        args.slice = _slice_time(args.slice)
+    if hasattr(args, "field"):
+        if not (0 < args.eps < 1):
+            raise ConfigError("--eps must lie in (0, 1)")
+        args.field = Field(kind=args.field, eps=args.eps)
 
 
 def load_filtration(args) -> Filtration:
@@ -122,19 +143,19 @@ def load_filtration(args) -> Filtration:
             graph = formats.read_points_csv(args.input, args.metric, args.knn)
             return build_flag_complex(graph, args.max_dim)
         return formats.read_filtration_json(args.input, max_dim=args.max_dim)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {args.input}: {exc}") from None
 
 
-def _write(path: str, text: str):
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
-def _out_base(args) -> str:
-    out = args.out
-    return out[: -len(".json")] if out.endswith(".json") else out
+def _write(path, text: str | None = None):
+    """Write `text` to the file `path`, or make the directory `path` if there is no text."""
+    target = Path(path)
+    try:
+        (target if text is None else target.parent).mkdir(parents=True, exist_ok=True)
+        if text is not None:
+            target.write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
 def _all_stalks(filt: Filtration, args):
@@ -162,7 +183,7 @@ def cmd_filtration(args) -> int:
 def cmd_persistence(args) -> int:
     filt = load_filtration(args)
     diagram = persistent_cohomology(filt, args.max_order, args.field)
-    base = _out_base(args)
+    base = args.out.removesuffix(".json")
     _write(base + ".json", formats.dumps(formats.diagram_to_obj(diagram)))
     _write(base + ".csv", formats.diagram_to_csv(diagram))
     return EXIT_OK
@@ -171,13 +192,9 @@ def cmd_persistence(args) -> int:
 def cmd_stalks(args) -> int:
     filt = load_filtration(args)
     stalks = _all_stalks(filt, args)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    for v in sorted(stalks):
-        _write(
-            str(outdir / f"stalk_{v:05d}.json"),
-            formats.dumps(formats.stalk_to_obj(stalks[v])),
-        )
+    _write(args.out)
+    for v, stalk in sorted(stalks.items()):
+        _write(Path(args.out, f"stalk_{v:05d}.json"), formats.dumps(formats.stalk_to_obj(stalk)))
     return EXIT_OK
 
 
@@ -185,7 +202,7 @@ def cmd_laplacian(args) -> int:
     filt = load_filtration(args)
     stalks = _all_stalks(filt, args)
     assembled = assemble_laplacian(filt, stalks, args.max_order, args.mode, args.field)
-    base = _out_base(args)
+    base = args.out.removesuffix(".json")
     _write(base + ".json", formats.dumps(formats.laplacian_to_obj(assembled)))
     if assembled.mode[0] == "slice":
         _write(base + ".mtx", formats.laplacian_to_matrixmarket(assembled))
@@ -195,19 +212,17 @@ def cmd_laplacian(args) -> int:
 def cmd_diffuse(args) -> int:
     filt = load_filtration(args)
     stalks = _all_stalks(filt, args)
-    mode = args.mode if args.mode[0] == "slice" else ("slice", filt.t_plus)
-    assembled = assemble_laplacian(filt, stalks, args.max_order, mode, args.field)
+    t = filt.t_plus if args.slice is None else args.slice
+    assembled = assemble_laplacian(filt, stalks, args.max_order, ("slice", t), args.field)
     if args.features:
         try:
             features = formats.read_features_json(args.features, assembled)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read {args.features}: {exc}") from None
     else:
-        features = FeatureBundle.random(
-            assembled, args.max_order, channels=args.channels, seed=args.seed
-        )
+        features = FeatureBundle.random(assembled, args.max_order, args.channels, args.seed)
     result, energies = diffuse(features, assembled, args.alpha, args.steps)
-    base = _out_base(args)
+    base = args.out.removesuffix(".json")
     _write(base + ".json", formats.dumps(formats.features_to_obj(result)))
     _write(base + ".csv", formats.energy_trace_csv(energies))
     return EXIT_OK
@@ -289,21 +304,25 @@ def cmd_verify(args) -> int:
     return EXIT_VERIFY if failed else EXIT_OK
 
 
+# command -> (function, the flags it reads); its parser offers no other flag
 COMMANDS = {
-    "filtration": cmd_filtration,
-    "persistence": cmd_persistence,
-    "stalks": cmd_stalks,
-    "laplacian": cmd_laplacian,
-    "diffuse": cmd_diffuse,
-    "verify": cmd_verify,
+    "filtration": (cmd_filtration, GRAPH_FLAGS),
+    "persistence": (cmd_persistence, FIELD_FLAGS),
+    "stalks": (cmd_stalks, STALK_FLAGS),
+    "laplacian": (cmd_laplacian, (*STALK_FLAGS, "mode")),
+    "diffuse": (cmd_diffuse, (*STALK_FLAGS, "slice", "alpha", "steps", "features", "seed",
+                              "channels")),
+    "verify": (cmd_verify, GRAPH_FLAGS),
 }
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, unread = _build_parser().parse_known_args(argv)
     try:
+        if unread:
+            raise ConfigError(f"{args.command} does not read {' '.join(unread)}")
         check_flags(args)
-        return COMMANDS[args.command](args)
+        return COMMANDS[args.command][0](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

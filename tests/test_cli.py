@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import tempfile
 from pathlib import Path
 
@@ -499,3 +500,112 @@ def test_verify_on_input_graph(c4_csv, tmp_path):
          "--out", str(tmp_path / "r.json")]
     )
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "command, out_of",
+    [("stalks", lambda tmp: tmp / "taken"), ("persistence", lambda tmp: tmp / "taken" / "x"),
+     ("filtration", lambda tmp: tmp)],
+    ids=["stalks_dir_is_a_file", "persistence_parent_is_a_file", "filtration_out_is_a_dir"],
+)
+def test_unwritable_out_is_config_error(command, out_of, c4_csv, tmp_path, capsys):
+    (tmp_path / "taken").write_text("")
+    out = str(out_of(tmp_path))
+    assert main([command, "--input", c4_csv, "--max-dim", "2", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "cannot write" in err and str(tmp_path) in err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--format", "edges"], ["--format", "points"], ["--format", "filtration"], None],
+    ids=["edges", "points", "filtration", "features"],
+)
+def test_non_utf8_input_is_config_error(flags, c4_csv, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff0,1,1.0\n")
+    if flags is None:
+        argv = ["diffuse", "--input", c4_csv, "--max-dim", "2", "--features", str(bad)]
+    else:
+        argv = ["persistence", "--input", str(bad), *flags]
+    assert main([*argv, "--out", str(tmp_path / "d")]) == 2
+    assert "bad.txt" in capsys.readouterr().err
+
+
+# flags each command reads, as README lists them; every other flag exits 2
+GRAPH_ROW = ["--input", "--format", "--metric", "--knn", "--max-order", "--max-dim", "--out"]
+ROWS = {
+    "filtration": GRAPH_ROW,
+    "verify": GRAPH_ROW,
+    "persistence": [*GRAPH_ROW, "--field", "--eps"],
+    "stalks": [*GRAPH_ROW, "--field", "--eps", "--rings", "--threads"],
+    "laplacian": [*GRAPH_ROW, "--field", "--eps", "--rings", "--threads", "--mode"],
+    "diffuse": [*GRAPH_ROW, "--field", "--eps", "--rings", "--threads", "--mode",
+                "--alpha", "--steps", "--features", "--seed", "--channels"],
+}
+# a valid value of each flag, with the flags it needs to be read
+VALID = {
+    "--format": ["--format", "edges"],
+    "--metric": ["--format", "points", "--metric", "manhattan"],
+    "--knn": ["--format", "points", "--knn", "2"],
+    "--max-order": ["--max-order", "1"],
+    "--max-dim": ["--max-dim", "2"],
+    "--field": ["--field", "float"],
+    "--eps": ["--field", "float", "--eps", "1e-6"],
+    "--rings": ["--rings", "1"],
+    "--threads": ["--threads", "2"],
+    "--mode": ["--mode", "slice=1.0"],
+    "--alpha": ["--alpha", "0.1"],
+    "--steps": ["--steps", "3"],
+    "--features": ["--features", None],
+    "--seed": ["--seed", "1"],
+    "--channels": ["--channels", "2"],
+}
+
+
+def _argv(command, flags, c4_csv, square_csv, tmp_path):
+    """`command` on c4 (or the unit square, for --format points) writing under tmp_path."""
+    features = write(tmp_path / "f.json", json.dumps(C4_FEATURES))
+    data = square_csv if "points" in flags else c4_csv
+    flags = [features if f is None else f for f in flags]
+    return [command, "--input", data, *flags, "--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize(
+    "command, flag", [(c, f) for c, row in ROWS.items() for f in row if f in VALID]
+)
+def test_each_command_reads_its_row(command, flag, c4_csv, square_csv, tmp_path):
+    assert main(_argv(command, VALID[flag], c4_csv, square_csv, tmp_path)) == 0
+
+
+@pytest.mark.parametrize("command", list(ROWS))
+def test_help_lists_the_row(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    listed = re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.MULTILINE)
+    assert sorted(listed) == sorted(ROWS[command])
+
+
+# each flag some command no longer accepts, alone with a valid value
+DROPPED = {"--field": ["--field", "float"], "--eps": ["--eps", "1e-6"], "--rings": ["--rings", "1"],
+           "--threads": ["--threads", "2"], "--mode": ["--mode", "slice=1.0"]}
+UNREAD = [(c, flags, f) for c, row in ROWS.items() for f, flags in DROPPED.items() if f not in row]
+CONDITIONAL = [
+    ("persistence", ["--knn", "6"], "--knn"),
+    ("persistence", ["--format", "filtration", "--knn", "6"], "--knn"),
+    ("filtration", ["--metric", "manhattan"], "--metric"),
+    ("verify", ["--format", "edges", "--metric", "euclidean"], "--metric"),
+    ("persistence", ["--eps", "1e-6"], "--eps"),
+    ("stalks", ["--field", "exact", "--eps", "1e-6"], "--eps"),
+    ("diffuse", ["--features", None, "--seed", "1"], "--seed"),
+    ("diffuse", ["--features", None, "--channels", "2"], "--channels"),
+    ("diffuse", ["--mode", "weighted"], "--mode"),
+]
+
+
+@pytest.mark.parametrize("command, flags, flag", UNREAD + CONDITIONAL)
+def test_unread_flag_is_config_error(command, flags, flag, c4_csv, square_csv, tmp_path, capsys):
+    """Each slot dropped from the flag table, and each flag outside the one
+    configuration that reads it, exits 2 naming the flag and writes nothing."""
+    assert main(_argv(command, flags, c4_csv, square_csv, tmp_path)) == 2
+    assert flag in capsys.readouterr().err
+    assert list(tmp_path.glob("out*")) == []

@@ -14,8 +14,8 @@ block atom, every `entries` item and, on the exact carrier,
 The same hash then covers the CLI: `localhom.cli.main` runs `filtration`,
 `persistence`, `stalks`, `laplacian` (weighted and slice at t_plus) and
 `diffuse` on c4, the octahedron, the unit-square points, the first
-random-corpus graph and a kNN-6 cloud of 60 points, on both carriers at
-max orders 1 and 2, and every exit code and every file written (by path
+random-corpus graph and a kNN-6 cloud of 60 points, on both carriers
+(`--field` goes to every command but `filtration`) at max orders 1 and 2, and every exit code and every file written (by path
 under the run's output directory) enters the hash.
 
 Each item enters the hash as its `repr`, so a change of value, type,
@@ -113,7 +113,7 @@ def cli_items(tmp: Path):
     for name, flags, t_plus in cli_inputs(tmp):
         for field in ("exact", "float"):
             for order in (1, 2):
-                common = [*flags, "--field", field, "--max-order", str(order)]
+                common = [*flags, "--max-order", str(order)]
                 for command, extra in (
                     ("filtration", []),
                     ("persistence", []),
@@ -125,7 +125,9 @@ def cli_items(tmp: Path):
                     run += 1
                     outdir = tmp / f"run{run}"
                     out = outdir / ("stalks" if command == "stalks" else "out.json")
-                    code = cli_main([command, *common, *extra, "--out", str(out)])
+                    # filtration reads no --field: its runs on both carriers match
+                    carrier = [] if command == "filtration" else ["--field", field]
+                    code = cli_main([command, *common, *carrier, *extra, "--out", str(out)])
                     yield repr((name, field, order, command, extra, code))
                     for path in sorted(p for p in outdir.rglob("*") if p.is_file()):
                         yield repr((path.relative_to(outdir).as_posix(), path.read_bytes()))
