@@ -32,11 +32,11 @@ STALK_COMMANDS = ("stalks", "laplacian", "diffuse")
 # it. A default of None tells a flag that was given from one left out.
 FLAGS = {
     "input": dict(help="input file (see --format)"),
-    "format": dict(choices=["edges", "points", "filtration"], default="edges",
-                   help="edge-list CSV, point-cloud CSV, or a filtration JSON dump"),
+    "format": dict(choices=["edges", "points", "filtration"],
+                   help="edge-list CSV, point-cloud CSV, or a filtration JSON dump (default edges)"),
     "metric": dict(choices=["euclidean", "manhattan"], help="points only (default euclidean)"),
     "knn": dict(type=int, help="points only: keep each point's K nearest neighbours"),
-    "max_order": dict(type=int, default=1),
+    "max_order": dict(type=int, help="(default 1)"),
     "max_dim": dict(type=int, help="clique-scan depth (default max-order + 1)"),
     "out": dict(help="output path (directory for stalks)"),
     "field": dict(choices=["exact", "float"], default="exact"),
@@ -56,8 +56,12 @@ FIELD_FLAGS = (*GRAPH_FLAGS, "field", "eps")
 STALK_FLAGS = (*FIELD_FLAGS, "rings", "threads")
 
 # flag -> (other flag, value, default): the flag is read only while the other
-# flag has that value; left out, it takes the default
+# flag has that value (GIVEN: any value); left out, it takes the default
+GIVEN = object()
 CONDITIONAL = {
+    "format": ("input", GIVEN, "edges"),
+    "max_order": ("input", GIVEN, 1),
+    "max_dim": ("input", GIVEN, None),
     "knn": ("format", "points", None),
     "metric": ("format", "points", "euclidean"),
     "eps": ("field", "float", 1e-9),
@@ -66,12 +70,19 @@ CONDITIONAL = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ConfigError instead of exiting."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="localhom", description="Persistent local-homology sheaves of weighted graphs.")
+    parser = _Parser(prog="localhom", allow_abbrev=False,
+                     description="Persistent local-homology sheaves of weighted graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, flags) in COMMANDS.items():
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         for dest in flags:
             spec = dict(FLAGS[dest])
             p.add_argument(spec.pop("option", "--" + dest.replace("_", "-")), dest=dest, **spec)
@@ -106,11 +117,12 @@ def check_flags(args) -> None:
         raise ConfigError(f"--out is required for {command}")
     for flag in [f for f in CONDITIONAL if hasattr(args, f)]:
         other, value, default = CONDITIONAL[flag]
+        given = getattr(args, other)
         if getattr(args, flag) is None:
             setattr(args, flag, default)
-        elif getattr(args, other) != value:
-            when = f"--{other} {value}" if value else f"no --{other}"
-            raise ConfigError(f"--{flag} is read only with {when}")
+        elif (given is None) if value is GIVEN else given != value:
+            when = {GIVEN: f"--{other}", None: f"no --{other}"}.get(value, f"--{other} {value}")
+            raise ConfigError(f"--{flag.replace('_', '-')} is read only with {when}")
     floors = dict(max_order=1 if command in STALK_COMMANDS else 0, rings=1, knn=1, threads=0,
                   channels=1, steps=0, seed=0)
     for name, least in floors.items():
@@ -317,8 +329,8 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args, unread = _build_parser().parse_known_args(argv)
     try:
+        args, unread = _build_parser().parse_known_args(argv)
         if unread:
             raise ConfigError(f"{args.command} does not read {' '.join(unread)}")
         check_flags(args)

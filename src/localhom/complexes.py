@@ -94,11 +94,10 @@ class Filtration:
     values: list[float]
     vertex_count: int
     max_dim: int
-    index: dict[Simplex, int] = field(repr=False, default_factory=dict)
+    index: dict[Simplex, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.index:
-            self.index = {s: i for i, s in enumerate(self.simplices)}
+        self.index = {s: i for i, s in enumerate(self.simplices)}
         self._by_dim: dict[int, list[int]] = {}
         # vertex -> ids of the simplices containing it, in filtration order;
         # a dict, so a filtration on a vertex subset indexes only the vertices
@@ -113,9 +112,6 @@ class Filtration:
             if len(s) >= 2:
                 for face, sign in facets(s):
                     self._cofacets[self.index[face]].append((j, sign))
-        # carrier kind -> simplex id -> coboundary column, filled on demand by
-        # `persistence.coboundary_block` so that each column is built once
-        self.column_cache: dict[str, dict[int, list]] = {}
         self._t_plus = max(self.values) if self.values else 0.0
 
     def __len__(self) -> int:

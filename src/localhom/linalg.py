@@ -139,7 +139,7 @@ def reduce(matrix: SparseColumnMatrix, skip_cols=frozenset()) -> Reduction:
     fld = matrix.field
     one = fld.one
     # columns are replaced, never edited in place, so the input's columns
-    # (shared with the coboundary column cache) stay intact
+    # (shared with a stalk's `columns` cache) stay intact
     rcols = list(matrix.cols)
     vcols: list[Column] = [[(j, one)] for j in range(matrix.col_count)]
     pivots: dict[int, int] = {}

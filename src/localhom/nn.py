@@ -213,26 +213,21 @@ def sign_equivariant_jvp(x: np.ndarray, dx: np.ndarray, rho: MLPParams) -> np.nd
     return dx * gate + x * dgate
 
 
-def hypernet_weights(stalk: LocalStalk, psi) -> np.ndarray:
+def hypernet_weights(stalk: LocalStalk, psi: MLPParams) -> np.ndarray:
     """Per-node weight matrix W[i,j] = Psi(k_i, s_i, t_i, k_j, s_j, t_j).
 
-    Psi is an MLPParams (6 inputs, 1 output) or any callable of the six
-    descriptor components. W depends only on the stalk's cocycle
-    descriptors, so nodes with identical descriptor lists share weights;
-    an empty stalk yields a 0x0 matrix.
+    Psi is an MLPParams with 6 inputs and 1 output. W depends only on the
+    stalk's cocycle descriptors, so nodes with identical descriptor lists
+    share weights; an empty stalk yields a 0x0 matrix.
     """
-    if isinstance(psi, MLPParams):
-        if psi.in_dim != 6 or psi.out_dim != 1:
-            raise ContractError("Psi must map 6 descriptor inputs to 1 output")
-        evaluate = lambda a, b: mlp_forward(psi, np.array(a + b, dtype=float)).item()
-    else:
-        evaluate = lambda a, b: float(psi(*a, *b))
+    if not isinstance(psi, MLPParams) or psi.in_dim != 6 or psi.out_dim != 1:
+        raise ContractError("Psi must be an MLPParams mapping 6 descriptor inputs to 1 output")
     desc = stalk.descriptors()
     n = len(desc)
     w = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
-            w[i, j] = evaluate(desc[i], desc[j])
+            w[i, j] = mlp_forward(psi, np.array(desc[i] + desc[j], dtype=float)).item()
     return w
 
 

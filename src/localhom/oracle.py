@@ -242,38 +242,6 @@ def relative_betti_dense(
     return _relative_betti(filtration, present, excluded, k)
 
 
-def hodge_laplacian_dense(filtration: Filtration, t: float, k: int) -> list[list[int]]:
-    """Dense integer Hodge Laplacian d_k^T d_k + d_{k+1} d_{k+1}^T of S_t."""
-    present = ids_at(filtration, t)
-    rows_k, n = _boundary_rows(filtration, present, k, set())
-    rows_k1, n1 = _boundary_rows(filtration, present, k + 1, set())
-    lap = [[0] * n for _ in range(n)]
-    for row in rows_k:  # d_k^T d_k: row of d_k contributes outer square
-        items = list(row.items())
-        for a, va in items:
-            for b, vb in items:
-                lap[a][b] += va * vb
-    # d_{k+1} d_{k+1}^T: columns of d_{k+1} are rows of its transpose
-    cols: list[dict[int, int]] = [dict() for _ in range(n1)]
-    for r, row in enumerate(rows_k1):
-        for c, v in row.items():
-            cols[c][r] = v
-    for col in cols:
-        items = list(col.items())
-        for a, va in items:
-            for b, vb in items:
-                lap[a][b] += va * vb
-    return lap
-
-
-def hodge_kernel_dim(filtration: Filtration, t: float, k: int) -> int:
-    lap = hodge_laplacian_dense(filtration, t, k)
-    rows = [
-        {c: v for c, v in enumerate(row) if v} for row in lap
-    ]
-    return len(lap) - rank_int_rows(rows)
-
-
 # ---------------------------------------------------------------------------
 # relative cohomology subspaces over designated open sets
 # ---------------------------------------------------------------------------

@@ -95,27 +95,19 @@ def coboundary_block(
     `keep` itself so the cost is that of the set, not of the filtration;
     an open set holds every coface of its members, so no row is dropped.
 
-    A simplex's column is built once per filtration and carrier kind, kept
-    in `filtration.column_cache` and shared by every block that holds it:
-    persistence, every stalk and every extended matrix. Nothing edits a
-    column in place. `Filtration.cofacets` runs by increasing id, so read
-    backwards it runs by increasing row and needs no sort.
+    `Filtration.cofacets` runs by increasing id, so read backwards it runs
+    by increasing row and needs no sort.
     """
     if keep is None:
         col_ids = filtration.ids_of_dim(k)[::-1]
     else:
         col_ids = sorted((i for i in keep if len(filtration.simplices[i]) == k + 1), reverse=True)
-    cache = filtration.column_cache.setdefault(fld.kind, {})
     top = row_of(filtration, 0)
     signs = {1: fld.coerce(1), -1: fld.coerce(-1)}  # shared, not one object per entry
-    cols = []
-    for sid in col_ids:
-        col = cache.get(sid)
-        if col is None:
-            col = cache[sid] = [
-                (top - 2 * c, signs[sign]) for c, sign in reversed(filtration.cofacets(sid))
-            ]
-        cols.append(col)
+    cols = [
+        [(top - 2 * c, signs[sign]) for c, sign in reversed(filtration.cofacets(sid))]
+        for sid in col_ids
+    ]
     return SparseColumnMatrix(2 * len(filtration), len(col_ids), cols, fld), col_ids
 
 

@@ -217,14 +217,12 @@ class LaplacianAtom:
 class SheafLaplacianBlock:
     """All atoms coupling the order-k stalks of an adjacent pair (u, v).
 
-    An atom's `v_a` and `v_b` index `stalk_u.order_cocycles(order)` and
-    `stalk_v.order_cocycles(order)`; the cocycles' lifespans and the
-    horizon stay on the stalks.
+    An atom's `v_a` and `v_b` index `stalk_u.order_cocycles(k)` and
+    `stalk_v.order_cocycles(k)`; the pair and the order are the keys it is
+    stored under, and the cocycles' lifespans and the horizon stay on the
+    stalks.
     """
 
-    u: int
-    v: int
-    order: int
     atoms: list[LaplacianAtom]
 
 
@@ -275,7 +273,7 @@ def sheaf_laplacian_block(
         if start >= end:
             continue
         atoms.append(LaplacianAtom(start=start, end=end, v_a=v_a, v_b=v_b))
-    return SheafLaplacianBlock(u=stalk_u.vertex, v=stalk_v.vertex, order=k, atoms=atoms)
+    return SheafLaplacianBlock(atoms=atoms)
 
 
 def _entry_weight(mode: tuple, atom: LaplacianAtom, out_iv, in_iv, horizon: float):

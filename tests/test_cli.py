@@ -609,3 +609,33 @@ def test_unread_flag_is_config_error(command, flags, flag, c4_csv, square_csv, t
     assert main(_argv(command, flags, c4_csv, square_csv, tmp_path)) == 2
     assert flag in capsys.readouterr().err
     assert list(tmp_path.glob("out*")) == []
+
+
+@pytest.mark.parametrize(
+    "command, flags, named",
+    [
+        ("persistence", ["--format", "bogus"], "--format"),
+        ("persistence", ["--max-order", "abc"], "--max-order"),
+        ("persistence", ["--max", "2"], "--max"),  # once an ambiguous abbreviation
+        ("persistence", ["--max-o", "2"], "--max-o"),  # once read as --max-order
+        (None, [], "command"),
+    ],
+)
+def test_parser_error_is_config_error(command, flags, named, c4_csv, square_csv, tmp_path, capsys):
+    """A value the parser refuses, a flag abbreviation and a missing command
+    each return 2 naming it, instead of exiting or being read as a full flag."""
+    argv = _argv(command, flags, c4_csv, square_csv, tmp_path) if command else []
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+    assert list(tmp_path.glob("out*")) == []
+
+
+@pytest.mark.parametrize("flag", ["--format", "--metric", "--knn", "--max-order", "--max-dim"])
+def test_verify_graph_flag_needs_input(flag, tmp_path, capsys):
+    """Without --input, verify runs the golden fixtures at their own depths,
+    so it reads no graph flag; each exits 2 naming the first flag given."""
+    out = tmp_path / "out.json"
+    assert main(["verify", *VALID[flag], "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert VALID[flag][0] in err and "--input" in err
+    assert not out.exists()

@@ -190,15 +190,21 @@ def test_hypernet_zero_psi(square_filt):
     assert np.array_equal(hypernet_weights(stalk, psi), np.zeros((1, 1)))
 
 
-def test_hypernet_closed_form_product():
-    """Psi = product of the two order inputs on descriptors (1,.,.),(2,.,.)."""
+class _FixedStalk:
+    def descriptors(self):
+        return [(1, 0.0, 1.0), (2, 0.0, 1.0)]
 
-    class FakeStalk:
-        def descriptors(self):
-            return [(1, 0.0, 1.0), (2, 0.0, 1.0)]
 
-    w = hypernet_weights(FakeStalk(), lambda k1, s1, t1, k2, s2, t2: k1 * k2)
-    assert np.array_equal(w, np.array([[1.0, 2.0], [2.0, 4.0]]))
+def test_hypernet_closed_form_sum():
+    """A one-layer Psi reading k_i + k_j on descriptors (1,.,.),(2,.,.)."""
+    psi = MLPParams(weights=[np.array([[1.0, 0.0, 0.0, 1.0, 0.0, 0.0]])], biases=[np.zeros(1)])
+    w = hypernet_weights(_FixedStalk(), psi)
+    assert np.array_equal(w, np.array([[2.0, 3.0], [3.0, 4.0]]))
+
+
+def test_hypernet_rejects_callable_psi():
+    with pytest.raises(ContractError):
+        hypernet_weights(_FixedStalk(), lambda k1, s1, t1, k2, s2, t2: k1 * k2)
 
 
 def test_hypernet_identical_descriptors_share_weights(c4_filt):

@@ -20,7 +20,7 @@ def closed_subset(filt, simplices):
 
 
 # ---------------------------------------------------------------------------
-# betti_dense / relative_betti_dense / hodge
+# betti_dense / relative_betti_dense
 # ---------------------------------------------------------------------------
 
 
@@ -56,22 +56,6 @@ def test_relative_betti_rejects_non_closed(c4_filt):
     sub = SimplexSubset(c4_filt, frozenset({c4_filt.id_of((0, 1))}))
     with pytest.raises(ContractError):
         oracle.relative_betti_dense(c4_filt, 1.0, sub, 0)
-
-
-def test_hodge_k0_is_graph_laplacian(c4_filt):
-    lap = oracle.hodge_laplacian_dense(c4_filt, 1.0, 0)
-    # degree 2 on the diagonal, -1 on cycle edges
-    assert [lap[i][i] for i in range(4)] == [2, 2, 2, 2]
-    assert lap[0][1] == lap[0][3] == -1 and lap[0][2] == 0
-    assert all(lap[i][j] == lap[j][i] for i in range(4) for j in range(4))
-
-
-def test_hodge_kernel_dims(c4_filt, oct_filt):
-    assert oracle.hodge_kernel_dim(c4_filt, 1.0, 1) == 1
-    assert oracle.hodge_kernel_dim(oct_filt, 1.0, 2) == 1
-    assert oracle.hodge_kernel_dim(c4_filt, 1.0, 1) == oracle.betti_dense(
-        c4_filt, 1.0, 1
-    )
 
 
 # ---------------------------------------------------------------------------
