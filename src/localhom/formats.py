@@ -252,8 +252,9 @@ def features_from_obj(obj, laplacian):
 
     The dump must carry the Laplacian's order and a list of channels,
     each mapping vertex ids of the Laplacian to {cocycle index: value}
-    with indices below that vertex's stalk dimension. A dump that breaks
-    this raises ConfigError.
+    with indices below that vertex's stalk dimension to a finite real (a
+    number or a decimal string; not a boolean). A dump that breaks this
+    raises ConfigError.
     """
     from .nn import FeatureBundle
 
@@ -287,11 +288,16 @@ def features_from_obj(obj, laplacian):
                         f"is not below the stalk dimension {dim}"
                     )
                 try:
-                    values[v][i, c] = _parse_float(val) if isinstance(val, str) else val
+                    x = _parse_float(val) if isinstance(val, str) else float(val)
+                    ok = math.isfinite(x) and not isinstance(val, bool)
                 except (TypeError, ValueError, OverflowError):
+                    ok = False
+                if not ok:
                     raise ConfigError(
-                        f"feature channel {c}, vertex {v}: value {val!r} is not a number"
-                    ) from None
+                        f"feature channel {c}, vertex {v}, index {i}: value {val!r} is not "
+                        "a number: a feature is a finite real, not a boolean"
+                    )
+                values[v][i, c] = x
     return FeatureBundle(order=order, channels=len(channels), values=values)
 
 

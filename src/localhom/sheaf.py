@@ -9,13 +9,15 @@ whose sum vanishes on st u ∪ st v modulo coboundaries of the union's
 lower simplices; each surviving reduced column is a rank-1 Laplacian atom
 v_A v_B^T tagged with the interval on which the identification persists.
 
-One rule, `_entry_weight`, weights every Laplacian entry: an atom adds
-coefficient products scaled by 1/0 (alive at the slice time t or not) in
-slice mode, or by the lifespan overlap share in weighted mode. The slice
-operator is delta^T delta of the restriction maps alive at t. The
-assembled operator is kept as sorted COO arrays of the cells that
-received a term and multiplies sparsely; nothing on the program's path
-builds it as a dense `dim x dim` array.
+The assembled operator is its atoms plus the cocycle lifespans: each
+block is reduced once, and every slice and the weighted operator are read
+from the same atoms. One rule, `_entry_weight`, weights every entry: an
+atom adds coefficient products scaled by 1/0 (alive at the slice time t or
+not) in slice mode, or by the lifespan overlap share in weighted mode. The
+slice operator is delta^T delta of the restriction maps alive at t. The
+entries are built on first read as sorted COO arrays of the cells that
+received a term, and multiply sparsely; nothing on the program's path
+builds a dense `dim x dim` array.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -219,8 +222,8 @@ class SheafLaplacianBlock:
 
     An atom's `v_a` and `v_b` index `stalk_u.order_cocycles(k)` and
     `stalk_v.order_cocycles(k)`; the pair and the order are the keys it is
-    stored under, and the cocycles' lifespans and the horizon stay on the
-    stalks.
+    stored under, and the cocycles' lifespans and the horizon are kept by
+    the `AssembledLaplacian` that holds the block.
     """
 
     atoms: list[LaplacianAtom]
@@ -299,30 +302,75 @@ def _entry_weight(mode: tuple, atom: LaplacianAtom, out_iv, in_iv, horizon: floa
 
 @dataclass
 class AssembledLaplacian:
-    """Block operator over the direct sum of all order-k stalks.
+    """Block operator over the direct sum of all order-k stalks, held as its atoms.
 
-    In slice mode this equals delta^T delta for the restriction maps alive
-    at the slice time, hence symmetric PSD; lifespan-weighted mode rescales
-    each entry by its overlap divided by the output cocycle's span.
+    `lifespans` maps each vertex to the (birth, death) of its order-k
+    cocycles in stalk order (math.inf if essential); `vertices`, `dims` and
+    `offsets` follow from it. `blocks` holds the atoms of each adjacent pair
+    with two nonempty stalks. `mode`, ("slice", t) or ("weighted",), is
+    checked on construction, so `dataclasses.replace(lap, mode=...)` is the
+    operator of another mode on the same atoms, reducing nothing; the copy
+    shares `blocks` and `lifespans`, which nothing mutates. In slice mode
+    the operator is delta^T delta of the restriction maps alive at t, hence
+    symmetric PSD; weighted mode scales each entry by its overlap share.
 
-    `entries` holds the cells that received a term as COO arrays
-    `(rows, cols, vals)` sorted by (row, col), each cell once. `vals` are
-    the sums in the carrier's scalars (an object array of Fractions on the
-    exact carrier), and a sum may cancel to zero. `laplacian @ x` multiplies
-    by their float image `float_vals`: each output row is summed from 0.0,
-    one term at a time, in ascending column order, whatever the BLAS build.
-    `dense` builds the `dim x dim` float image on each access; it is kept
-    for tests and small n, and the program never reads it.
+    `entries`, built from the atoms on first read, holds the cells that
+    received a term as COO arrays `(rows, cols, vals)` sorted by (row, col),
+    each cell once. `vals` are the sums in the carrier's scalars (an object
+    array of Fractions on the exact carrier), and a sum may cancel to zero.
+    `laplacian @ x` multiplies by their float image `float_vals`: each
+    output row is summed from 0.0, one term at a time, in ascending column
+    order, whatever the BLAS build. `dense` builds the `dim x dim` float
+    image on each access; it is kept for tests and small n, and the program
+    never reads it.
     """
 
     order: int
     mode: tuple
-    vertices: list[int]
-    dims: dict[int, int]
-    offsets: dict[int, int]
+    lifespans: dict[int, list[tuple[float, float]]]
     blocks: dict[tuple[int, int], SheafLaplacianBlock]
-    entries: tuple[np.ndarray, np.ndarray, np.ndarray]
+    horizon: float
     field_kind: str
+    vertices: list[int] = field(init=False, repr=False)
+    dims: dict[int, int] = field(init=False, repr=False)
+    offsets: dict[int, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        mode = self.mode
+        if isinstance(mode, tuple) and len(mode) == 2 and mode[0] == "slice":
+            self.mode = ("slice", _slice_time(mode[1]))
+        elif not (isinstance(mode, tuple) and mode == ("weighted",)):
+            raise ContractError(f"mode must be ('slice', t) or ('weighted',), not {mode!r}")
+        self.vertices = list(self.lifespans)
+        self.dims = {v: len(spans) for v, spans in self.lifespans.items()}
+        self.offsets = dict(zip(self.vertices, accumulate(self.dims.values(), initial=0)))
+
+    @cached_property
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each atom couples its u-side and v-side components pairwise, so one
+        pass fills the off-diagonal blocks, their transposes and both
+        diagonal blocks; every entry is scaled by `_entry_weight`."""
+        fld = Field(kind=self.field_kind)
+        zero = fld.coerce(0)
+        offsets, spans = self.offsets, self.lifespans
+        entries: dict[tuple[int, int], object] = {}
+        for (u, v), block in self.blocks.items():
+            for atom in block.atoms:
+                # (global index, coefficient, lifespan) of both sides; u != v,
+                # so each cell gets at most one term per atom
+                comps = [(offsets[u] + a, c, spans[u][a]) for a, c in atom.v_a.items()]
+                comps += [(offsets[v] + b, c, spans[v][b]) for b, c in atom.v_b.items()]
+                for i, ci, out_iv in comps:
+                    for j, cj, in_iv in comps:
+                        w = _entry_weight(self.mode, atom, out_iv, in_iv, self.horizon)
+                        if w:
+                            entries[i, j] = entries.get((i, j), zero) + ci * cj * fld.coerce(w)
+        cells = sorted(entries)
+        return (
+            np.array([i for i, _ in cells], dtype=np.intp),
+            np.array([j for _, j in cells], dtype=np.intp),
+            np.array([entries[c] for c in cells], dtype=float if fld.kind == FLOAT else object),
+        )
 
     @cached_property
     def dimension(self) -> int:
@@ -386,74 +434,24 @@ def assemble_laplacian(
     mode,
     fld: Field = Field(),
 ) -> AssembledLaplacian:
-    """Assemble the global operator from pairwise blocks.
+    """Reduce the block of every adjacent pair with two nonempty order-k
+    stalks, once; `mode` is ("slice", t) or ("weighted",).
 
-    mode is ("slice", t) or "weighted". Each atom of the (u, v) block
-    couples its u-side and v-side components pairwise, so one pass fills
-    the off-diagonal blocks, their transposes and both diagonal blocks; the
-    slice operator is exactly delta^T delta. Every entry is scaled by
-    `_entry_weight`, so an atom whose per-entry interval is empty
-    contributes nothing in either mode.
+    The mode and the stalks are checked before any block is reduced. The
+    entries are built from the atoms when first read; another mode on the
+    same atoms is `dataclasses.replace(lap, mode=...)`.
     """
-    if isinstance(mode, str):
-        mode = (mode,)
-    if tuple(mode[:1]) == ("weighted",) and len(mode) == 1:
-        mode_t = ("weighted",)
-    elif len(mode) == 2 and mode[0] == "slice":
-        mode_t = ("slice", _slice_time(mode[1]))
-    else:
-        raise ContractError("mode must be ('slice', t) or 'weighted'")
-
-    vertices = list(range(filtration.vertex_count))
-    for v in vertices:
+    lifespans = {}
+    for v in range(filtration.vertex_count):
         if v not in stalks:
             raise ContractError(f"missing stalk for vertex {v}")
-    # (birth, death) per order-k cocycle of each vertex
-    lifespans = {
-        v: [(c.birth, c.death_or(INF)) for c in stalks[v].order_cocycles(k)] for v in vertices
-    }
-    dims = {v: len(lifespans[v]) for v in vertices}
-    offsets = {}
-    total = 0
-    for v in vertices:
-        offsets[v] = total
-        total += dims[v]
-
-    zero = fld.coerce(0)
-    entries: dict[tuple[int, int], object] = {}
-
-    edge_pairs = [
-        filtration.simplices[i] for i in filtration.ids_of_dim(1)
-    ]
-    blocks: dict[tuple[int, int], SheafLaplacianBlock] = {}
-    for (u, v) in edge_pairs:
-        if dims[u] == 0 or dims[v] == 0:
-            continue
-        block = sheaf_laplacian_block(stalks[u], stalks[v], filtration, k, fld)
-        blocks[(u, v)] = block
-        for atom in block.atoms:
-            # (global index, coefficient, lifespan) of both sides; u != v, so
-            # each cell gets at most one term per atom
-            comps = [(offsets[u] + a, c, lifespans[u][a]) for a, c in atom.v_a.items()]
-            comps += [(offsets[v] + b, c, lifespans[v][b]) for b, c in atom.v_b.items()]
-            for i, ci, out_iv in comps:
-                for j, cj, in_iv in comps:
-                    w = _entry_weight(mode_t, atom, out_iv, in_iv, filtration.t_plus)
-                    if w:
-                        entries[i, j] = entries.get((i, j), zero) + ci * cj * fld.coerce(w)
-
-    cells = sorted(entries)
-    return AssembledLaplacian(
-        order=k,
-        mode=mode_t,
-        vertices=vertices,
-        dims=dims,
-        offsets=offsets,
-        blocks=blocks,
-        entries=(
-            np.array([i for i, _ in cells], dtype=np.intp),
-            np.array([j for _, j in cells], dtype=np.intp),
-            np.array([entries[c] for c in cells], dtype=float if fld.kind == FLOAT else object),
-        ),
-        field_kind=fld.kind,
+        lifespans[v] = [(c.birth, c.death_or(INF)) for c in stalks[v].order_cocycles(k)]
+    lap = AssembledLaplacian(
+        order=k, mode=mode, lifespans=lifespans, blocks={},
+        horizon=filtration.t_plus, field_kind=fld.kind,
     )
+    for sid in filtration.ids_of_dim(1):
+        u, v = filtration.simplices[sid]
+        if lifespans[u] and lifespans[v]:
+            lap.blocks[(u, v)] = sheaf_laplacian_block(stalks[u], stalks[v], filtration, k, fld)
+    return lap

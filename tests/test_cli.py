@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from localhom import sheaf
 from localhom.cli import main
 from localhom.complexes import build_flag_complex
 from localhom.formats import read_edge_csv
@@ -194,6 +195,13 @@ def test_features_missing_file_is_config_error(c4_csv, tmp_path, capsys):
         ({"order": 1, "channels": [{"4": {"0": 1.0}}]}, "vertex '4' is not in the Laplacian"),
         ({"order": 1, "channels": [{"0": {"0": "x"}}]}, "is not a number"),
         ({"order": 1, "channels": [{"0": {"0": 10**400}}]}, "is not a number"),
+        # not read as 1.0, and not handed on to the feature bundle (exit 3)
+        ({"order": 1, "channels": [{"0": {"0": True}}]},
+         "feature channel 0, vertex 0, index 0: value True"),
+        ({"order": 1, "channels": [{"0": {"0": "inf"}}]},
+         "feature channel 0, vertex 0, index 0: value 'inf'"),
+        ({"order": 1, "channels": [{"0": {"0": math.nan}}]},
+         "feature channel 0, vertex 0, index 0: value nan"),
     ],
 )
 def test_malformed_features_are_config_errors(obj, message, c4_csv, tmp_path, capsys):
@@ -396,6 +404,25 @@ def test_laplacian_weighted_mode(c4_csv, tmp_path):
     dump = json.loads(base.with_suffix(".json").read_text())
     assert len(dump["blocks"]) == 4
     assert not (tmp_path / "lapw.mtx").exists()  # slice export is slice-only
+
+
+def test_laplacian_weighted_builds_no_entry(tmp_path, monkeypatch):
+    """`laplacian --mode weighted` writes the block JSON from the atoms and
+    never builds the weighted entries."""
+    cloud = np.random.default_rng(7).random((40, 2)).tolist()
+    points = write(tmp_path / "pts.csv", "".join(f"{x!r},{y!r}\n" for x, y in cloud))
+    argv = ["laplacian", "--input", points, "--format", "points", "--knn", "6",
+            "--max-order", "1", "--max-dim", "2", "--mode", "weighted"]
+    assert main([*argv, "--out", str(tmp_path / "free")]) == 0
+
+    def refuse(*args):
+        raise AssertionError("weighted entry built")
+
+    monkeypatch.setattr(sheaf, "_entry_weight", refuse)
+    assert main([*argv, "--out", str(tmp_path / "patched")]) == 0
+    written = (tmp_path / "patched.json").read_text()
+    assert written == (tmp_path / "free.json").read_text()
+    assert any(block["atoms"] for block in json.loads(written)["blocks"])
 
 
 def test_laplacian_slice_writes_matrixmarket(c4_csv, tmp_path):

@@ -338,7 +338,7 @@ def test_gradient_matches_finite_differences_tie_free_square():
 
 def test_message_pass_empty_stalks(k3_filt):
     stalks = {v: compute_stalk(k3_filt, v, 2) for v in range(3)}
-    lap = assemble_laplacian(k3_filt, stalks, 1, "weighted")
+    lap = assemble_laplacian(k3_filt, stalks, 1, ("weighted",))
     feats = FeatureBundle(order=1, channels=1, values={v: np.zeros((0, 1)) for v in range(3)})
     out = message_pass(feats, lap)
     assert all(arr.shape == (0, 1) for arr in out.values.values())
@@ -346,7 +346,7 @@ def test_message_pass_empty_stalks(k3_filt):
 
 def test_message_pass_c4_matches_explicit_multiply(c4_filt):
     stalks = {v: compute_stalk(c4_filt, v, 1) for v in range(4)}
-    weighted = assemble_laplacian(c4_filt, stalks, 1, "weighted")
+    weighted = assemble_laplacian(c4_filt, stalks, 1, ("weighted",))
     feats = FeatureBundle(
         order=1, channels=1, values={v: np.ones((1, 1)) for v in range(4)}
     )
@@ -360,7 +360,7 @@ def test_message_pass_c4_matches_explicit_multiply(c4_filt):
 
 def test_message_pass_channel_independence(c4_filt):
     stalks = {v: compute_stalk(c4_filt, v, 1) for v in range(4)}
-    lap = assemble_laplacian(c4_filt, stalks, 1, "weighted")
+    lap = assemble_laplacian(c4_filt, stalks, 1, ("weighted",))
     single = FeatureBundle.random(lap, 1, channels=1, seed=5)
     double = FeatureBundle(
         order=1,

@@ -180,7 +180,7 @@ def test_stalk_alive_counts_match_relative_betti_oracle(corpus):
 def test_stalks_from_another_filtration_rejected(c4_filt, k4_filt):
     stalks = {v: compute_stalk(c4_filt, v, 1) for v in range(4)}
     with pytest.raises(ContractError):
-        assemble_laplacian(k4_filt, stalks, 1, "weighted")
+        assemble_laplacian(k4_filt, stalks, 1, ("weighted",))
 
 
 def test_extended_matrix_c4_shape(c4_filt):
@@ -544,7 +544,7 @@ def test_assembled_weighted_mode_square(square_filt):
     """Entry weight = overlap / output lifespan; full overlap here -> 1."""
     stalks = {v: compute_stalk(square_filt, v, 1) for v in range(4)}
     root2 = math.sqrt(2.0)
-    weighted = assemble_laplacian(square_filt, stalks, 1, "weighted")
+    weighted = assemble_laplacian(square_filt, stalks, 1, ("weighted",))
     sliced = assemble_laplacian(square_filt, stalks, 1, ("slice", 1.0))
     # every class and every atom spans exactly [1, sqrt2): ratios are all 1
     assert np.allclose(weighted.dense, sliced.dense)
@@ -557,7 +557,7 @@ def test_kernel_dim_exact_matches_oracle_kernel_basis(corpus):
         filt = build_flag_complex(graph, 3)
         stalks = {v: compute_stalk(filt, v, 2) for v in range(graph.vertex_count)}
         thresholds = filt.threshold_values()
-        modes = ["weighted", ("slice", filt.t_plus), ("slice", thresholds[len(thresholds) // 2])]
+        modes = [("weighted",), ("slice", filt.t_plus), ("slice", thresholds[len(thresholds) // 2])]
         for k in (1, 2):
             for mode in modes:
                 lap = assemble_laplacian(filt, stalks, k, mode)
@@ -584,6 +584,77 @@ def test_slice_time_must_be_finite_real(c4_filt, t):
         assemble_laplacian(c4_filt, stalks, 1, ("slice", t))
 
 
+@pytest.fixture
+def block_calls(monkeypatch):
+    """Counts `sheaf_laplacian_block` calls by (u, v) while the test runs."""
+    calls = {}
+
+    def counted(stalk_u, stalk_v, *args):
+        key = (stalk_u.vertex, stalk_v.vertex)
+        calls[key] = calls.get(key, 0) + 1
+        return sheaf_laplacian_block(stalk_u, stalk_v, *args)
+
+    monkeypatch.setattr(sheaf, "sheaf_laplacian_block", counted)
+    return calls
+
+
+def test_every_mode_reads_one_reduction(corpus, tie_free_corpus, block_calls):
+    """`replace(lap, mode=m)` reduces no block, and its entries equal a fresh
+    assembly in mode m: element for element on the exact carrier, bit for
+    bit on the float one, at every threshold and in weighted mode."""
+    checked = 0
+    for graph in corpus[:30] + tie_free_corpus[:30]:
+        filt = build_flag_complex(graph, 3)
+        modes = [("slice", t) for t in filt.threshold_values()] + [("weighted",)]
+        for fld in (Field(), Field(kind="float")):
+            stalks = {v: compute_stalk(filt, v, 2, fld=fld) for v in range(filt.vertex_count)}
+            for k in (1, 2):
+                block_calls.clear()
+                lap = assemble_laplacian(filt, stalks, k, modes[0], fld)
+                read = [replace(lap, mode=m).entries for m in modes]
+                assert block_calls == dict.fromkeys(lap.blocks, 1)
+                for m, (rows, cols, vals) in zip(modes, read):
+                    want = assemble_laplacian(filt, stalks, k, m, fld).entries
+                    assert np.array_equal(rows, want[0]) and np.array_equal(cols, want[1])
+                    assert vals.dtype == want[2].dtype
+                    if fld.kind == "exact":
+                        assert vals.tolist() == want[2].tolist(), (m, k)
+                    else:
+                        assert vals.tobytes() == want[2].tobytes(), (m, k)
+                    checked += bool(len(rows))
+    assert checked > 100
+
+
+@pytest.mark.parametrize(
+    "mode",
+    ["weighted", ["weighted"], ["slice", 1.0], ("weighted", 1.0), ("slice",), ("sliced", 1.0),
+     ("slice", math.nan)],
+    ids=["bare_str", "list", "slice_list", "weighted_with_t", "slice_without_t", "sliced",
+         "slice_nan"],
+)
+def test_bad_mode_raises_before_any_reduction(c4_filt, block_calls, mode):
+    stalks = {v: compute_stalk(c4_filt, v, 1) for v in range(4)}
+    with pytest.raises(ContractError, match=r"\('slice', t\) or \('weighted',\)|slice time"):
+        assemble_laplacian(c4_filt, stalks, 1, mode)
+    assert block_calls == {}
+
+
+def test_replace_checks_the_mode_and_reduces_nothing(c4_filt, block_calls):
+    stalks = {v: compute_stalk(c4_filt, v, 1) for v in range(4)}
+    lap = assemble_laplacian(c4_filt, stalks, 1, ("slice", 1.0))
+    assert sum(block_calls.values()) == len(lap.blocks) == 4
+    block_calls.clear()
+    with pytest.raises(ContractError, match="slice time"):
+        replace(lap, mode=("slice", math.nan))
+    with pytest.raises(ContractError, match=r"or \('weighted',\)"):
+        replace(lap, mode="weighted")
+    copy = replace(lap, mode=("slice", 1))
+    assert copy.mode == ("slice", 1.0) and type(copy.mode[1]) is float
+    assert copy.blocks is lap.blocks and copy.lifespans is lap.lifespans
+    assert np.array_equal(copy.dense, lap.dense)
+    assert block_calls == {}
+
+
 # ---------------------------------------------------------------------------
 # column caches
 # ---------------------------------------------------------------------------
@@ -595,7 +666,7 @@ def pipeline_reprs(filt, fld):
     laps = [
         assemble_laplacian(filt, stalks, k, mode, fld)
         for k in (1, 2)
-        for mode in (("slice", filt.t_plus), "weighted")
+        for mode in (("slice", filt.t_plus), ("weighted",))
     ]
     return (
         repr(persistence.persistent_cohomology(filt, 2, fld)),

@@ -44,7 +44,7 @@ def operators(corpus, tie_free_corpus):
         modes = {
             "slice t_plus": ("slice", filt.t_plus),
             "slice mid": ("slice", thresholds[len(thresholds) // 2]),
-            "weighted": "weighted",
+            "weighted": ("weighted",),
         }
         for fld in (Field(), Field(kind="float")):
             stalks = {v: compute_stalk(filt, v, 2, fld=fld) for v in range(filt.vertex_count)}
@@ -207,16 +207,15 @@ def test_matrixmarket_skips_cells_that_cancel_to_zero():
     lap = AssembledLaplacian(
         order=1,
         mode=("slice", 0.0),
-        vertices=[0, 1],
-        dims={0: 2, 1: 1},
-        offsets={0: 0, 1: 2},
+        lifespans={0: [(0.0, 1.0), (0.0, 1.0)], 1: [(0.0, 1.0)]},
         blocks={},
-        entries=(
-            np.array([0, 0, 1, 2, 2], dtype=np.intp),
-            np.array([0, 2, 1, 0, 2], dtype=np.intp),
-            np.array([1.5, 0.0, -0.0, -2.0, math.pi]),
-        ),
+        horizon=1.0,
         field_kind="float",
+    )
+    lap.entries = (
+        np.array([0, 0, 1, 2, 2], dtype=np.intp),
+        np.array([0, 2, 1, 0, 2], dtype=np.intp),
+        np.array([1.5, 0.0, -0.0, -2.0, math.pi]),
     )
     text = formats.laplacian_to_matrixmarket(lap)
     assert text == dense_matrixmarket(lap.dense)

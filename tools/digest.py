@@ -9,7 +9,9 @@ is built with max_dim 3 and run on both carriers: the diagram up to order
 2, every stalk cocycle (max_order 2), and, for orders 1 and 2 and the
 modes slice at t_plus, slice at the middle threshold and weighted, every
 block atom, every `entries` item and, on the exact carrier,
-`kernel_dim_exact`.
+`kernel_dim_exact`. Each order's blocks are reduced once, by the first
+mode's `assemble_laplacian`; the other modes are `dataclasses.replace`
+copies of that operator.
 
 The same hash then covers the CLI: `localhom.cli.main` runs `filtration`,
 `persistence`, `stalks`, `laplacian` (weighted and slice at t_plus) and
@@ -29,6 +31,7 @@ import hashlib
 import json
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -65,10 +68,11 @@ def items(graph, fld):
     for v in sorted(stalks):
         yield repr(stalks[v].cocycles)
     thresholds = filt.threshold_values()
-    modes = [("slice", filt.t_plus), ("slice", thresholds[len(thresholds) // 2]), "weighted"]
+    modes = [("slice", filt.t_plus), ("slice", thresholds[len(thresholds) // 2]), ("weighted",)]
     for k in (1, 2):
+        first = assemble_laplacian(filt, stalks, k, modes[0], fld)
         for mode in modes:
-            lap = assemble_laplacian(filt, stalks, k, mode, fld)
+            lap = replace(first, mode=mode)
             for edge, block in sorted(lap.blocks.items()):
                 yield repr((edge, block.atoms))
             yield repr(list(zip(*(a.tolist() for a in lap.entries))))
