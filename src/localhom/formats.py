@@ -1,54 +1,55 @@
-"""File formats: deterministic JSON/CSV serialization and ingestion.
+"""File formats: the one module that turns objects into bytes and input
+files into objects.
 
-Floats are rendered with repr(), the shortest representation that
-round-trips binary64 exactly (up to 17 significant digits); essential
-deaths serialize as the string "inf".
+`dumps` is `json.dumps` without NaN or infinities: floats are written
+with repr(), the shortest text that round-trips binary64 exactly. An
+essential death and an essential atom end are written as the string
+"inf" where their records are built; any other non-finite float is a
+ContractError. The readers turn a file that cannot be opened or is not
+text into a ConfigError naming the path.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from fractions import Fraction
 
 import numpy as np
 
 from .complexes import Filtration, WeightedGraph, facets, graph_from_points
-from .errors import ConfigError
+from .errors import ConfigError, ContractError
 from .persistence import Diagram, PersistentCocycle
 
 
-def _render(obj) -> str:
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, Fraction):
-        return _render(float(obj))
-    if isinstance(obj, float):
-        if math.isinf(obj):
-            return '"inf"'
-        return repr(obj)
-    if isinstance(obj, dict):
-        inner = ", ".join(f"{json.dumps(str(k))}: {_render(v)}" for k, v in obj.items())
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_render(v) for v in obj) + "]"
-    raise TypeError(f"cannot render {type(obj)!r}")
-
-
 def dumps(obj) -> str:
-    return _render(obj) + "\n"
+    """`obj` as one line of JSON; a NaN or an infinity in it is a ContractError."""
+    try:
+        return json.dumps(obj, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ContractError(f"cannot write JSON: {exc}") from None
 
 
-def _parse_float(text: str) -> float:
-    return math.inf if text == "inf" else float(text)
+def _lines(path):
+    """(line number, stripped line) of each line of `path` that is neither
+    blank nor a `#` comment, read lazily."""
+    try:
+        with open(path) as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                if line and not line.startswith("#"):
+                    yield lineno, line
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+
+
+def _load_json(path, what: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: invalid {what} JSON ({exc})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -60,35 +61,27 @@ def read_edge_csv(path) -> WeightedGraph:
     """CSV rows `u,v,w` with 0-based integer ids and decimal weights."""
     edges = []
     max_vertex = -1
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            if len(parts) != 3:
-                raise ConfigError(f"{path}:{lineno}: expected 'u,v,w', got {line!r}")
-            try:
-                u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
-            edges.append((u, v, w))
-            max_vertex = max(max_vertex, u, v)
+    for lineno, line in _lines(path):
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != 3:
+            raise ConfigError(f"{path}:{lineno}: expected 'u,v,w', got {line!r}")
+        try:
+            u, v, w = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+        edges.append((u, v, w))
+        max_vertex = max(max_vertex, u, v)
     return WeightedGraph(vertex_count=max_vertex + 1, edges=tuple(edges))
 
 
 def read_points_csv(path, metric: str, knn: int | None) -> WeightedGraph:
     """CSV rows of d coordinates, expanded to a complete weighted graph."""
     points = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                points.append([float(p) for p in line.split(",")])
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in _lines(path):
+        try:
+            points.append([float(p) for p in line.split(",")])
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     if not points:
         raise ConfigError(f"{path}: no points found")
     return graph_from_points(points, metric=metric, knn=knn)
@@ -162,13 +155,7 @@ def read_filtration_json(path, max_dim: int | None = None) -> Filtration:
     the clique-scan cap via max_dim (the deepest simplex present is used
     otherwise).
     """
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid filtration JSON ({exc})") from None
-    filt = filtration_from_obj(obj, max_dim=max_dim)
-    return filt
+    return filtration_from_obj(_load_json(path, "filtration"), max_dim=max_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +167,7 @@ def cocycle_to_obj(c: PersistentCocycle) -> dict:
     return {
         "k": c.order,
         "birth": c.birth,
-        "death": c.death,
+        "death": "inf" if c.essential else c.death,
         "birth_index": c.birth_index,
         "death_index": c.death_index,
         "representative": [
@@ -222,7 +209,7 @@ def laplacian_to_obj(assembled) -> dict:
         for atom in block.atoms:
             atoms.append(
                 {
-                    "interval": [atom.start, atom.end],
+                    "interval": [atom.start, "inf" if atom.end == math.inf else atom.end],
                     "vA": [float(atom.v_a.get(i, 0.0)) for i in range(assembled.dims[u])],
                     "vB": [float(atom.v_b.get(i, 0.0)) for i in range(assembled.dims[v])],
                 }
@@ -288,7 +275,7 @@ def features_from_obj(obj, laplacian):
                         f"is not below the stalk dimension {dim}"
                     )
                 try:
-                    x = _parse_float(val) if isinstance(val, str) else float(val)
+                    x = float(val)
                     ok = math.isfinite(x) and not isinstance(val, bool)
                 except (TypeError, ValueError, OverflowError):
                     ok = False
@@ -303,12 +290,7 @@ def features_from_obj(obj, laplacian):
 
 def read_features_json(path, laplacian):
     """Re-ingest a `features_to_obj` dump for `laplacian`."""
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid feature JSON ({exc})") from None
-    return features_from_obj(obj, laplacian)
+    return features_from_obj(_load_json(path, "feature"), laplacian)
 
 
 def energy_trace_csv(energies) -> str:

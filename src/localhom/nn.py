@@ -30,6 +30,7 @@ class FeatureBundle:
     values: dict[int, np.ndarray]
 
     def __post_init__(self):
+        checked = {}
         for v, arr in self.values.items():
             arr = np.asarray(arr, dtype=float)
             if arr.ndim not in (1, 2):
@@ -40,7 +41,8 @@ class FeatureBundle:
                 raise ContractError(f"vertex {v}: expected {self.channels} channels")
             if not np.all(np.isfinite(arr)):
                 raise ContractError(f"vertex {v}: non-finite feature entries")
-            self.values[v] = arr
+            checked[v] = arr
+        self.values = checked
 
     def stacked(self, laplacian: AssembledLaplacian) -> np.ndarray:
         """Concatenate vertex vectors in the Laplacian's layout.

@@ -417,9 +417,9 @@ class AssembledLaplacian:
 
 
 def _slice_time(t) -> float:
-    """`t` as a float; anything but a finite real is a ContractError."""
+    """`t` as a float; anything but a finite real (a bool is not one) is a ContractError."""
     try:
-        finite = isinstance(t, numbers.Real) and math.isfinite(t)
+        finite = isinstance(t, numbers.Real) and not isinstance(t, bool) and math.isfinite(t)
     except OverflowError:  # an int too large for a float
         finite = False
     if not finite:

@@ -14,7 +14,14 @@ from hypothesis import given, settings, strategies as st
 from localhom import sheaf
 from localhom.cli import main
 from localhom.complexes import build_flag_complex
-from localhom.formats import read_edge_csv
+from localhom.errors import ConfigError, ContractError
+from localhom.formats import (
+    dumps,
+    read_edge_csv,
+    read_features_json,
+    read_filtration_json,
+    read_points_csv,
+)
 from localhom.sheaf import assemble_laplacian, compute_stalk
 
 
@@ -529,6 +536,14 @@ def test_verify_on_input_graph(c4_csv, tmp_path):
     assert code == 0
 
 
+def test_verify_on_graph_without_vertices(tmp_path):
+    empty = write(tmp_path / "empty.csv", "# no edges\n")
+    out = tmp_path / "r.json"
+    assert main(["verify", "--input", empty, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report and all(entry["status"] == "pass" for entry in report)
+
+
 @pytest.mark.parametrize(
     "command, out_of",
     [("stalks", lambda tmp: tmp / "taken"), ("persistence", lambda tmp: tmp / "taken" / "x"),
@@ -556,6 +571,44 @@ def test_non_utf8_input_is_config_error(flags, c4_csv, tmp_path, capsys):
         argv = ["persistence", "--input", str(bad), *flags]
     assert main([*argv, "--out", str(tmp_path / "d")]) == 2
     assert "bad.txt" in capsys.readouterr().err
+
+
+# the feature file fails before the Laplacian is read, so none is given
+READERS = {
+    "edges": read_edge_csv,
+    "points": lambda path: read_points_csv(path, "euclidean", None),
+    "filtration": read_filtration_json,
+    "features": lambda path: read_features_json(path, None),
+}
+
+
+@pytest.mark.parametrize("reader", list(READERS))
+@pytest.mark.parametrize("content", [None, b"\xff0,1,1.0\n"], ids=["missing", "not_utf8"])
+def test_reader_raises_config_error_naming_the_path(reader, content, tmp_path):
+    path = tmp_path / "in.txt"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(ConfigError, match=f"cannot read {re.escape(str(path))}: "):
+        READERS[reader](str(path))
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf], ids=["nan", "-inf", "inf"])
+def test_dumps_rejects_non_finite_floats(bad):
+    with pytest.raises(ContractError):
+        dumps({"x": [1.0, bad]})
+
+
+def test_dumps_writes_numpy_floats_as_floats():
+    assert dumps({"x": np.float64(0.5), "y": [np.float64(-2.0)]}) == '{"x": 0.5, "y": [-2.0]}\n'
+
+
+def test_non_finite_output_is_contract_error_and_writes_nothing(c4_csv, tmp_path, monkeypatch,
+                                                               capsys):
+    monkeypatch.setattr("localhom.formats.diagram_to_obj", lambda diagram: [{"birth": math.nan}])
+    out = tmp_path / "out"
+    assert main(["persistence", "--input", c4_csv, "--out", str(out / "d.json")]) == 3
+    assert "contract error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # flags each command reads, as README lists them; every other flag exits 2

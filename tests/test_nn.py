@@ -78,6 +78,13 @@ def test_malformed_bundle_is_contract_error(order, values, c4_filt):
         dirichlet_energy(FeatureBundle(order=order, channels=1, values=values), lap)
 
 
+def test_bundle_leaves_the_callers_values_alone():
+    values = {0: [1.0, 2.0]}
+    bundle = FeatureBundle(order=1, channels=1, values=values)
+    assert bundle.values[0].shape == (2, 1)
+    assert type(values[0]) is list and values[0] == [1.0, 2.0]
+
+
 def test_diffuse_kernel_fixed_point(c4_filt):
     lap, _ = c4_laplacian(c4_filt)
     w, vecs = np.linalg.eigh(lap.dense)

@@ -628,9 +628,9 @@ def test_every_mode_reads_one_reduction(corpus, tie_free_corpus, block_calls):
 @pytest.mark.parametrize(
     "mode",
     ["weighted", ["weighted"], ["slice", 1.0], ("weighted", 1.0), ("slice",), ("sliced", 1.0),
-     ("slice", math.nan)],
+     ("slice", math.nan), ("slice", True), ("slice", False)],
     ids=["bare_str", "list", "slice_list", "weighted_with_t", "slice_without_t", "sliced",
-         "slice_nan"],
+         "slice_nan", "slice_true", "slice_false"],
 )
 def test_bad_mode_raises_before_any_reduction(c4_filt, block_calls, mode):
     stalks = {v: compute_stalk(c4_filt, v, 1) for v in range(4)}

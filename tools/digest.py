@@ -17,8 +17,13 @@ The same hash then covers the CLI: `localhom.cli.main` runs `filtration`,
 `persistence`, `stalks`, `laplacian` (weighted and slice at t_plus) and
 `diffuse` on c4, the octahedron, the unit-square points, the first
 random-corpus graph and a kNN-6 cloud of 60 points, on both carriers
-(`--field` goes to every command but `filtration`) at max orders 1 and 2, and every exit code and every file written (by path
-under the run's output directory) enters the hash.
+(`--field` goes to every command but `filtration`) at max orders 1 and 2.
+Each filtration dump is read back by `persistence --format filtration`,
+and each `diffuse` output by `diffuse --features`. `verify` runs once on
+the golden fixtures and, at max orders 1 and 2, on every input but the
+60-point cloud (VERIFY_SKIP). Every exit code, everything written to
+stdout and every file written (by path under the run's output directory)
+enters the hash.
 
 Each item enters the hash as its `repr`, so a change of value, type,
 order or dict order changes the hash. A change meant to keep outputs
@@ -28,9 +33,12 @@ identical prints the same line before and after it.
 from __future__ import annotations
 
 import hashlib
+import io
+import itertools
 import json
 import sys
 import tempfile
+from contextlib import redirect_stdout
 from dataclasses import replace
 from pathlib import Path
 
@@ -38,6 +46,9 @@ import numpy as np
 
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 CLOUD_SIZES = (30, 60, 120, 200)
+# CLI inputs that `verify` skips: its dense oracle took 50 s at max order 1 on the
+# 60-point cloud (2-core Xeon host), against under 3 s for every other CLI run together
+VERIFY_SKIP = ("knn6_cloud_60",)
 
 
 def corpus(name: str, count: int):
@@ -110,11 +121,31 @@ def cli_inputs(tmp: Path):
 
 
 def cli_items(tmp: Path):
-    """repr of every exit code and output file of the CLI runs."""
+    """repr of every exit code, stdout and output file of the CLI runs."""
     from localhom.cli import main as cli_main
 
-    run = 0
+    runs = itertools.count(1)
+
+    def run(label, argv, out_name="out.json"):
+        """(--out path, items) of one run, written under a fresh directory."""
+        outdir = tmp / f"run{next(runs)}"
+        out = outdir / out_name
+        stdout = io.StringIO()
+        with redirect_stdout(stdout):
+            code = cli_main([*argv, "--out", str(out)])
+        items = [repr((*label, code)), repr(stdout.getvalue())]
+        items += [
+            repr((path.relative_to(outdir).as_posix(), path.read_bytes()))
+            for path in sorted(p for p in outdir.rglob("*") if p.is_file())
+        ]
+        return out, items
+
+    yield from run(("verify",), ["verify"])[1]
     for name, flags, t_plus in cli_inputs(tmp):
+        if name not in VERIFY_SKIP:
+            for order in (1, 2):
+                label = (name, order, "verify")
+                yield from run(label, ["verify", *flags, "--max-order", str(order)])[1]
         for field in ("exact", "float"):
             for order in (1, 2):
                 common = [*flags, "--max-order", str(order)]
@@ -126,15 +157,23 @@ def cli_items(tmp: Path):
                     ("laplacian", ["--mode", f"slice={t_plus!r}"]),
                     ("diffuse", []),
                 ):
-                    run += 1
-                    outdir = tmp / f"run{run}"
-                    out = outdir / ("stalks" if command == "stalks" else "out.json")
                     # filtration reads no --field: its runs on both carriers match
                     carrier = [] if command == "filtration" else ["--field", field]
-                    code = cli_main([command, *common, *carrier, *extra, "--out", str(out)])
-                    yield repr((name, field, order, command, extra, code))
-                    for path in sorted(p for p in outdir.rglob("*") if p.is_file()):
-                        yield repr((path.relative_to(outdir).as_posix(), path.read_bytes()))
+                    out, items = run(
+                        (name, field, order, command, extra),
+                        [command, *common, *carrier, *extra],
+                        "stalks" if command == "stalks" else "out.json",
+                    )
+                    yield from items
+                    # read back what was written: the dump, and the diffused features
+                    if command == "filtration":
+                        again = ["persistence", "--input", str(out), "--format", "filtration",
+                                 "--max-order", str(order), "--field", field]
+                    elif command == "diffuse":
+                        again = [command, *common, *carrier, "--features", str(out)]
+                    else:
+                        continue
+                    yield from run((name, field, order, *again[:1], "reread"), again)[1]
 
 
 def main() -> int:
