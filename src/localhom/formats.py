@@ -106,12 +106,21 @@ def filtration_from_obj(obj, max_dim: int | None = None) -> Filtration:
     vertex ids, no simplex twice, finite values nondecreasing in index
     order, every facet recorded earlier (so all faces are present and
     valued no higher) and a record for every vertex id below the largest.
-    A record that breaks this raises ConfigError naming its index.
+    An index is a JSON integer and a value a JSON number, neither a
+    boolean. A record that breaks this raises ConfigError naming its index.
     """
     try:
+        for r in obj:
+            index, value = r["index"], r["value"]
+            if type(index) is not int:
+                raise ConfigError(f"filtration record {index!r}: index is not an integer")
+            if type(value) not in (int, float):
+                raise ConfigError(f"filtration record {index}: value {value!r} is not a number")
         records = sorted(obj, key=lambda r: r["index"])
         simplices = [tuple(r["vertices"]) for r in records]
         values = [float(r["value"]) for r in records]
+    except ConfigError:
+        raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(
             f"filtration dump must list records with vertices, value and index ({exc!r})"

@@ -4,6 +4,12 @@ Everything here recomputes boundary matrices from simplex tuples and
 eliminates them with its own exact integer/rational routines; none of the
 sparse reduction machinery of the fast path is used. Tests and the CLI
 `verify` command treat these answers as ground truth.
+
+One builder, `_boundary_rows`, makes every incidence matrix. On a closed
+pair it is the boundary map of the quotient chain complex. On an open set
+U of S_t it drops the faces outside U, so its rows are the coboundary of
+U's cochains: the cochain complex of the pair (S_t, S_t \\ U), whose
+cohomology is the paper's local cohomology when U is a vertex star.
 """
 
 from __future__ import annotations
@@ -190,12 +196,17 @@ def _check_closed(filtration: Filtration, ids: set[int]) -> None:
 
 def _boundary_rows(
     filtration: Filtration, member: set[int], k: int, excluded: set[int]
-) -> tuple[list[dict[int, int]], int]:
-    """Rows of the k-th quotient boundary map, one row per (k-1)-simplex.
+) -> tuple[list[dict[int, int]], list[int]]:
+    """Rows of the k-th boundary map on member - excluded, one row per
+    (k-1)-simplex, and the ids of its columns (the k-simplices).
 
-    member is a closed simplex id set (the ambient complex); excluded is a
-    closed-within-member subset whose chains are collapsed. Returns
-    (rows over k-simplex column positions, number of columns).
+    Faces outside member - excluded are dropped. With member closed and
+    excluded closed within it, this is the boundary map of the quotient
+    chain complex C(member)/C(excluded). Row r is also the coboundary of
+    the r-th (k-1)-simplex, so with member an open set U of S_t and
+    nothing excluded, the rows are the coboundary map of the cochain
+    complex of U: the cochains of (S_t, S_t \\ U). Returns (rows over
+    column positions, column ids).
     """
     cols = [i for i in filtration.ids_of_dim(k) if i in member and i not in excluded]
     rows_ids = [
@@ -213,18 +224,18 @@ def _boundary_rows(
             r = rpos.get(filtration.id_of(face))
             if r is not None:
                 rows[r][cpos[sid]] = -1 if j % 2 else 1
-    return rows, len(cols)
+    return rows, cols
 
 
 def _relative_betti(
     filtration: Filtration, member: set[int], excluded: set[int], k: int
 ) -> int:
     """dim H_k of the quotient chain complex C(member)/C(excluded)."""
-    rows_k, ncols_k = _boundary_rows(filtration, member, k, excluded)
+    rows_k, cols_k = _boundary_rows(filtration, member, k, excluded)
     rows_k1, _ = _boundary_rows(filtration, member, k + 1, excluded)
     rank_k = rank_int_rows(rows_k)
     rank_k1 = rank_int_rows(rows_k1)
-    return ncols_k - rank_k - rank_k1
+    return len(cols_k) - rank_k - rank_k1
 
 
 def betti_dense(filtration: Filtration, t: float, k: int) -> int:
@@ -247,42 +258,39 @@ def relative_betti_dense(
 # ---------------------------------------------------------------------------
 
 
+def _open_cochains(
+    filtration: Filtration, present: set[int], open_ids: set[int], k: int
+):
+    """(cocycle constraints, coboundary rows, columns) of the k-cochains of
+    (S, S \\ U), S the complex on `present` and U = open_ids & present.
+
+    Vectors live over the k-simplices of U. A cocycle x has (delta x)(s) = 0
+    for each (k+1)-simplex s of U: that constraint is column s of
+    `_boundary_rows` on U in degree k + 1. The coboundary space is spanned
+    by the nonempty rows of `_boundary_rows` on U in degree k.
+    """
+    u = open_ids & present
+    cob, cols = _boundary_rows(filtration, u, k, set())
+    rows, cofaces = _boundary_rows(filtration, u, k + 1, set())
+    constraints: list[dict[int, int]] = [{} for _ in cofaces]
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            constraints[c][r] = v
+    return constraints, [v for v in cob if v], cols
+
+
 def _open_cohomology_spaces(
     filtration: Filtration, present: set[int], open_ids: set[int], k: int
 ):
     """(cocycle kernel basis, coboundary rows, columns) of H^k(S, S \\ U).
 
-    Vectors live over the k-simplices of U inside `present`; cocycle rows
-    are the coboundary constraints from U's (k+1)-simplices and the
-    coboundary space is spanned by delta of U's (k-1)-simplices.
+    The relative cochains of (S, S \\ U) are the cochains on U's simplices,
+    and their coboundary is `_boundary_rows` on the open set U, which drops
+    the faces outside U; `_open_cochains` reads the cocycle constraints and
+    the coboundaries from it.
     """
-    u = open_ids & present
-    cols = [i for i in filtration.ids_of_dim(k) if i in u]
-    cpos = {sid: c for c, sid in enumerate(cols)}
-    constraints: list[dict[int, int]] = []
-    for sid in (i for i in filtration.ids_of_dim(k + 1) if i in u):
-        s = filtration.simplices[sid]
-        row = {}
-        for j in range(len(s)):
-            face = s[:j] + s[j + 1 :]
-            c = cpos.get(filtration.id_of(face))
-            if c is not None:
-                row[c] = -1 if j % 2 else 1
-        constraints.append(row)
-    cob: list[dict[int, int]] = []
-    for sid in (i for i in filtration.ids_of_dim(k - 1) if i in u):
-        s = filtration.simplices[sid]
-        vec: dict[int, int] = {}
-        for cof in (i for i in filtration.ids_of_dim(k) if i in u):
-            tau = filtration.simplices[cof]
-            if set(s) <= set(tau):
-                missing = next(x for x in tau if x not in s)
-                sign = (-1) ** tau.index(missing)
-                vec[cpos[cof]] = sign
-        if vec:
-            cob.append(vec)
-    kernel = kernel_basis(constraints, len(cols))
-    return kernel, cob, cols
+    constraints, cob, cols = _open_cochains(filtration, present, open_ids, k)
+    return kernel_basis(constraints, len(cols)), cob, cols
 
 
 def _embed(vec: dict[int, int], src_cols: list[int], dst_pos: dict[int, int], offset=0):
@@ -376,45 +384,47 @@ def _restrict_vec(vec: dict[int, int], keep_pos: dict[int, int]) -> dict[int, in
     return {keep_pos[c]: v for c, v in vec.items() if c in keep_pos}
 
 
+def _theorem_spaces(filtration: Filtration, present: set[int], open_ids: set[int], k: int):
+    """(relative cocycle basis, absolute constraints, absolute coboundary
+    rows, absolute columns) in degree k on `present`; the relative basis is
+    written over the absolute columns, and the absolute cochains are those
+    of `present` as an open set of itself."""
+    rel, _, cols_u = _open_cohomology_spaces(filtration, present, open_ids, k)
+    constraints, cob, cols = _open_cochains(filtration, present, present, k)
+    pos = {c: i for i, c in enumerate(cols)}
+    return [_embed(v, cols_u, pos) for v in rel], constraints, cob, cols
+
+
+def _theorem_steps(filtration: Filtration, open_set: SimplexSubset, k: int, dims):
+    """(step m, spaces before m, spaces after m) for each step m whose
+    simplex has a dimension in dims, every space recomputed densely."""
+    open_ids = set(open_set.ids)
+    for m, s in enumerate(filtration.simplices):  # filtration order is the id order
+        if len(s) - 1 in dims:
+            yield (
+                m,
+                _theorem_spaces(filtration, set(range(m)), open_ids, k),
+                _theorem_spaces(filtration, set(range(m + 1)), open_ids, k),
+            )
+
+
 def check_theorem_dies_earlier(
-    filtration: Filtration,
-    open_set: SimplexSubset,
-    k: int,
-    trials: int | None = None,
+    filtration: Filtration, open_set: SimplexSubset, k: int
 ) -> TheoremReport:
     """When a (k+1)-simplex kills an absolute class that is the image of a
     relative class, the relative class dies at the same step.
 
     Walks the filtration one simplex at a time with dense recomputation of
-    every space; `trials` caps the number of hypothesis-firing steps."""
-    open_ids = set(open_set.ids)
-    steps_checked = 0
-    fired = 0
-    for m in range(len(filtration)):
-        sid = m  # filtration order is the id order
-        if len(filtration.simplices[sid]) != k + 2:
-            continue
-        before = set(range(m))
-        after = set(range(m + 1))
+    every space. dim H^k of the whole complex is a count of ranks (columns
+    minus the ranks of the constraints and the coboundaries), so its
+    cocycle basis is computed only where the hypothesis fires."""
+    steps_checked = fired = 0
+    for m, before, after in _theorem_steps(filtration, open_set, k, (k + 1,)):
         steps_checked += 1
-
-        def spaces(present):
-            n_rel, _, cols_u = _open_cohomology_spaces(
-                filtration, present, open_ids, k
-            )
-            # absolute cocycles and coboundaries over all k-simplices
-            n_abs, b_abs, cols_all = _open_cohomology_spaces(
-                filtration, present, set(range(len(filtration))), k
-            )
-            pos_all = {c: i for i, c in enumerate(cols_all)}
-            n_rel_glob = [_embed(v, cols_u, pos_all) for v in n_rel]
-            return n_rel_glob, n_abs, b_abs, cols_all
-
-        rel_t, abs_t, b_t, cols_t = spaces(before)
-        rel_t1, abs_t1, b_t1, cols_t1 = spaces(after)
+        (rel_t, c_t, b_t, cols_t), (rel_t1, c_t1, b_t1, cols_t1) = before, after
         # a (k+1)-simplex changes no k-simplices: coordinates agree
-        d_abs_t = rank_int_rows(abs_t + b_t) - rank_int_rows(b_t)
-        d_abs_t1 = rank_int_rows(abs_t1 + b_t1) - rank_int_rows(b_t1)
+        d_abs_t = len(cols_t) - rank_int_rows(c_t) - rank_int_rows(b_t)
+        d_abs_t1 = len(cols_t1) - rank_int_rows(c_t1) - rank_int_rows(b_t1)
         if d_abs_t1 >= d_abs_t:
             continue
         d_im_t = rank_int_rows(rel_t + b_t) - rank_int_rows(b_t)
@@ -427,73 +437,38 @@ def check_theorem_dies_earlier(
         d_rel_t1 = rank_int_rows(rel_t1)
         rel_dies = d_rel_t1 < d_rel_t
         # surviving relative classes must map to surviving absolute classes
-        maps_into = in_span(abs_t1 + b_t1, rel_t1)
+        maps_into = in_span(kernel_basis(c_t1, len(cols_t1)) + b_t1, rel_t1)
         if not (rel_dies and maps_into):
             return TheoremReport(
-                passed=False,
-                steps_checked=steps_checked,
-                hypotheses_fired=fired,
-                counterexample={"step": m, "simplex": filtration.simplices[m]},
+                False, steps_checked, fired, {"step": m, "simplex": filtration.simplices[m]}
             )
-        if trials is not None and fired >= trials:
-            break
     return TheoremReport(True, steps_checked, fired)
 
 
 def check_theorem_appears_earlier(
-    filtration: Filtration,
-    open_set: SimplexSubset,
-    k: int,
-    trials: int | None = None,
+    filtration: Filtration, open_set: SimplexSubset, k: int
 ) -> TheoremReport:
     """A persisting class in the image of a relative class at the later
     step comes from a relative class at the earlier step as well.
 
     Checked as: restricting the later step's relative cocycles to the
     earlier complex lands in span(relative cocycles + coboundaries)."""
-    open_ids = set(open_set.ids)
-    steps_checked = 0
-    fired = 0
-    for m in range(len(filtration)):
-        dim = len(filtration.simplices[m]) - 1
-        if dim not in (k, k + 1):
-            continue
-        before = set(range(m))
-        after = set(range(m + 1))
+    steps_checked = fired = 0
+    for m, (rel_t, _, b_t, cols_t), (rel_t1, _, _, cols_t1) in _theorem_steps(
+        filtration, open_set, k, (k, k + 1)
+    ):
         steps_checked += 1
-
-        def rel_and_boundaries(present):
-            n_rel, _, cols_u = _open_cohomology_spaces(
-                filtration, present, open_ids, k
-            )
-            n_abs, b_abs, cols_all = _open_cohomology_spaces(
-                filtration, present, set(range(len(filtration))), k
-            )
-            pos_all = {c: i for i, c in enumerate(cols_all)}
-            return (
-                [_embed(v, cols_u, pos_all) for v in n_rel],
-                b_abs,
-                cols_all,
-                pos_all,
-            )
-
-        rel_t, b_t, cols_t, pos_t = rel_and_boundaries(before)
-        rel_t1, _, cols_t1, _ = rel_and_boundaries(after)
         if not rel_t1:
             continue
         fired += 1
+        pos_t = {c: i for i, c in enumerate(cols_t)}
         keep = {i1: pos_t[c] for i1, c in enumerate(cols_t1) if c in pos_t}
         restricted = [_restrict_vec(v, keep) for v in rel_t1]
         restricted = [v for v in restricted if v]
         if not in_span(rel_t + b_t, restricted):
             return TheoremReport(
-                passed=False,
-                steps_checked=steps_checked,
-                hypotheses_fired=fired,
-                counterexample={"step": m, "simplex": filtration.simplices[m]},
+                False, steps_checked, fired, {"step": m, "simplex": filtration.simplices[m]}
             )
-        if trials is not None and fired >= trials:
-            break
     return TheoremReport(True, steps_checked, fired)
 
 

@@ -238,10 +238,21 @@ def dump(*records):
         (dump(([0], 10**400)), "must list records"),
         ([{"vertices": [0], "index": 0}], "'value'"),
         ({"vertices": [0]}, "must list records"),
+        # not read as a number, and not sorted as text
+        (dump(([0], True)), "filtration record 0: value True is not a number"),
+        (dump(([0], "0.5")), "filtration record 0: value '0.5' is not a number"),
+        ([{"vertices": [0], "value": 0.0, "index": True}], "filtration record True: index"),
+        ([{"vertices": [0], "value": 0.0, "index": 1.5}], "filtration record 1.5: index"),
+        (
+            [{"vertices": [0], "value": 0.0, "index": "9"},
+             {"vertices": [1], "value": 0.0, "index": "10"}],
+            "filtration record '9': index",
+        ),
     ],
     ids=["missing_face", "triangle_below_edges", "vertices_out_of_order", "duplicate",
          "unsorted_vertices", "vertex_gap", "huge_vertex_id", "huge_value", "missing_key",
-         "not_a_list"],
+         "not_a_list", "bool_value", "string_value", "bool_index", "float_index",
+         "string_index"],
 )
 def test_malformed_filtration_dump_is_config_error(obj, message, tmp_path, capsys):
     path = write(tmp_path / "filt.json", json.dumps(obj))

@@ -59,6 +59,31 @@ def test_relative_betti_rejects_non_closed(c4_filt):
 
 
 # ---------------------------------------------------------------------------
+# relative cohomology of an open set
+# ---------------------------------------------------------------------------
+
+
+def test_open_cohomology_matches_relative_homology(corpus):
+    """dim H^k(S_t, S_t \\ U) from the open set's cochains equals dim H_k of
+    the pair with the closed complement, over Q, for vertex stars and the
+    whole complex at every threshold."""
+    for graph in corpus[:25]:
+        filt = build_flag_complex(graph, 3)
+        everything = frozenset(range(len(filt)))
+        opens = [star_of_vertices(filt, [v]).ids for v in range(min(3, graph.vertex_count))]
+        for u in opens + [everything]:
+            complement = SimplexSubset(filt, everything - u)
+            for t in filt.threshold_values():
+                present = oracle.ids_at(filt, t)
+                for k in range(3):
+                    kernel, cob, _ = oracle._open_cohomology_spaces(filt, present, set(u), k)
+                    dim = oracle.rank_int_rows(kernel + cob) - oracle.rank_int_rows(cob)
+                    assert dim == oracle.relative_betti_dense(filt, t, complement, k), (
+                        graph, sorted(u), t, k
+                    )
+
+
+# ---------------------------------------------------------------------------
 # Mayer-Vietoris
 # ---------------------------------------------------------------------------
 
@@ -155,10 +180,47 @@ def test_theorems_on_corpus_sample(corpus):
             assert r2.passed, (gi, k, r2.counterexample)
 
 
-def test_theorem_trials_cap(square_filt):
+@pytest.mark.parametrize(
+    "fixture, expected",
+    [
+        # per order k: (passed, steps_checked, hypotheses_fired) of dies-earlier,
+        # then of appears-earlier, on the star of vertex 0
+        ("c4_filt", [((True, 4, 1), (True, 8, 4)), ((True, 0, 0), (True, 4, 4))]),
+        ("square_filt", [((True, 6, 1), (True, 10, 4)), ((True, 4, 2), (True, 10, 10))]),
+        (
+            "oct_filt",
+            [
+                ((True, 12, 1), (True, 18, 6)),
+                ((True, 8, 3), (True, 20, 20)),
+                ((True, 0, 0), (True, 8, 8)),
+            ],
+        ),
+    ],
+)
+def test_theorem_reports_exact_counts(fixture, expected, request):
+    filt = request.getfixturevalue(fixture)
+    star0 = star_of_vertices(filt, [0])
+    for k, cells in enumerate(expected):
+        got = [
+            (r.passed, r.steps_checked, r.hypotheses_fired)
+            for r in (
+                oracle.check_theorem_dies_earlier(filt, star0, k),
+                oracle.check_theorem_appears_earlier(filt, star0, k),
+            )
+        ]
+        assert got == list(cells), (fixture, k)
+
+
+def test_theorem_failure_reports_first_fired_step(square_filt, monkeypatch):
+    """A check that fails stops at the first step where its hypothesis fires."""
+    monkeypatch.setattr(oracle, "in_span", lambda span_rows, candidates: False)
     star0 = star_of_vertices(square_filt, [0])
-    report = oracle.check_theorem_dies_earlier(square_filt, star0, 1, trials=1)
-    assert report.passed and report.hypotheses_fired <= 1
+    assert oracle.check_theorem_dies_earlier(square_filt, star0, 1) == oracle.TheoremReport(
+        False, 1, 1, {"step": 10, "simplex": (0, 1, 2)}
+    )
+    assert oracle.check_theorem_appears_earlier(square_filt, star0, 1) == oracle.TheoremReport(
+        False, 1, 1, {"step": 4, "simplex": (0, 1)}
+    )
 
 
 # ---------------------------------------------------------------------------

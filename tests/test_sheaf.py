@@ -394,6 +394,33 @@ def test_laplacian_at_time_before_births_is_zero(c4_filt):
     assert np.all(edge_block_at(c4_filt, stalks, 0, 1, 1, 0.0) == 0.0)
 
 
+def empty_interval_graph():
+    """An 8-vertex graph whose order-2 blocks (2, 4) and (2, 7) each reduce a
+    column valid on the empty interval [w, w), w the weight of edge (4, 7)."""
+    edges = (
+        (0, 1, 0.7076761524222557), (0, 2, 0.35535135729996914), (0, 3, 0.6964198076411567),
+        (0, 4, 0.47253834981224785), (0, 5, 0.25618183594271204), (1, 2, 0.4042940811668897),
+        (1, 3, 0.4188272384269869), (1, 4, 0.8412340954622506), (1, 5, 0.7077582566508612),
+        (1, 6, 0.954394476089788), (1, 7, 0.24608679063361372), (2, 4, 0.5124960121124476),
+        (2, 6, 0.46284975937048245), (2, 7, 0.7809871494563421), (3, 4, 0.29586380747431196),
+        (3, 5, 0.9783414907096316), (3, 6, 0.5128800541969205), (3, 7, 0.14819563433497784),
+        (4, 5, 0.702606734224737), (4, 6, 0.6859658309578894), (4, 7, 0.7987736171349602),
+        (5, 6, 0.7211350402919544), (5, 7, 0.4837937739605416),
+    )
+    return WeightedGraph(8, edges)
+
+
+@pytest.mark.parametrize("kind", ["exact", "float"])
+def test_block_skips_empty_interval_columns(kind):
+    """A reduced column whose start is not before its end yields no atom."""
+    fld = Field(kind=kind)
+    filt = build_flag_complex(empty_interval_graph(), 3)
+    stalks = {v: compute_stalk(filt, v, 2, fld=fld) for v in (2, 4, 7)}
+    for u, v in ((2, 4), (2, 7)):
+        blk = sheaf_laplacian_block(stalks[u], stalks[v], filt, 2, fld)
+        assert all(a.start < a.end for a in blk.atoms), (kind, u, v)
+
+
 def test_atom_end_never_exceeds_involved_deaths(corpus):
     """Every atom's validity ends no later than any involved cocycle's death."""
     for gi, graph in enumerate(corpus[:20]):

@@ -13,6 +13,12 @@ block atom, every `entries` item and, on the exact carrier,
 mode's `assemble_laplacian`; the other modes are `dataclasses.replace`
 copies of that operator.
 
+The hash then covers the dense oracle on the first 20 graphs of each
+corpus, built with max_dim 3: for the star of vertex `gi % n` (gi the
+graph's position in its corpus), both theorem reports and
+`excision_check` at k = 0 and 1, and `check_mayer_vietoris(...).positions`
+for the stars of the first edge's ends at k = 0, 1 and 2.
+
 The same hash then covers the CLI: `localhom.cli.main` runs `filtration`,
 `persistence`, `stalks`, `laplacian` (weighted and slice at t_plus) and
 `diffuse` on c4, the octahedron, the unit-square points, the first
@@ -46,8 +52,9 @@ import numpy as np
 
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 CLOUD_SIZES = (30, 60, 120, 200)
-# CLI inputs that `verify` skips: its dense oracle took 50 s at max order 1 on the
-# 60-point cloud (2-core Xeon host), against under 3 s for every other CLI run together
+# CLI inputs that `verify` skips: its dense oracle takes 6-7 s at max order 1 and
+# 9.5 s at max order 2 on the 60-point cloud (shared 2-core host), against about 3 s
+# for this whole digest
 VERIFY_SKIP = ("knn6_cloud_60",)
 
 
@@ -89,6 +96,25 @@ def items(graph, fld):
             yield repr(list(zip(*(a.tolist() for a in lap.entries))))
             if fld.kind == "exact":
                 yield repr(lap.kernel_dim_exact())
+
+
+def oracle_items(gi, graph):
+    """repr of the oracle's theorem reports, excision and Mayer-Vietoris
+    answers on one corpus graph."""
+    from localhom import build_flag_complex, oracle, star_of_vertices
+
+    filt = build_flag_complex(graph, 3)
+    v = gi % graph.vertex_count
+    star = star_of_vertices(filt, [v])
+    for k in (0, 1):
+        yield repr(oracle.check_theorem_dies_earlier(filt, star, k))
+        yield repr(oracle.check_theorem_appears_earlier(filt, star, k))
+        yield repr(oracle.excision_check(filt, v, k))
+    edges = filt.ids_of_dim(1)
+    if edges:
+        a, b = (star_of_vertices(filt, [u]) for u in filt.simplices[edges[0]])
+        for k in (0, 1, 2):
+            yield repr(oracle.check_mayer_vietoris(filt, a, b, k).positions)
 
 
 def cli_inputs(tmp: Path):
@@ -188,6 +214,10 @@ def main() -> int:
     for graph in graphs():
         for fld in (Field(), Field(kind="float")):
             for item in items(graph, fld):
+                add(item)
+    for name in ("random_corpus.json", "tie_free_corpus.json"):
+        for gi, graph in enumerate(corpus(name, 20)):
+            for item in oracle_items(gi, graph):
                 add(item)
     with tempfile.TemporaryDirectory() as tmp:
         for item in cli_items(Path(tmp)):
