@@ -248,32 +248,40 @@ def _verify_fixture(name: str, filt: Filtration, max_order: int, checks: list):
             entry["counterexample"] = counterexample
         checks.append(entry)
 
-    # fast-path Betti vs dense oracle at every threshold
-    ok, ce = True, None
-    for t in filt.threshold_values():
-        for k in range(max_order + 1):
-            fast = betti_at(diagram, t, k)
-            dense = oracle.betti_dense(filt, t, k)
+    def compare(check, cases):
+        """Record `check` over (where, fast, dense) cases; the last mismatch is the
+        counterexample."""
+        ce = None
+        for where, fast, dense in cases:
             if fast != dense:
-                ok, ce = False, {"t": t, "k": k, "fast": fast, "dense": dense}
-    record("betti_fast_vs_dense", ok, ce)
+                ce = {**where, "fast": fast, "dense": dense}
+        record(check, ce is None, ce)
 
-    # excision at every vertex
-    ok, ce = True, None
-    for v in range(filt.vertex_count):
-        for k in range(max_order + 1):
-            if not oracle.excision_check(filt, v, k):
-                ok, ce = False, {"vertex": v, "k": k}
-    record("excision", ok, ce)
+    # fast-path Betti vs dense oracle at every threshold
+    compare("betti_fast_vs_dense", (
+        ({"t": t, "k": k}, betti_at(diagram, t, k), oracle.betti_dense(filt, t, k))
+        for t in filt.threshold_values()
+        for k in range(max_order + 1)
+    ))
 
-    # theorems on one vertex star, if there is a vertex
+    # alive stalk cocycles vs dense local homology; stalks hold orders >= 1 only
+    if max_order >= 1:
+        stalks = [compute_stalk(filt, v, max_order) for v in range(filt.vertex_count)]
+        compare("stalks_fast_vs_dense", (
+            ({"vertex": v, "t": t, "k": k},
+             sum(c.alive_at(t) for c in stalks[v].order_cocycles(k)),
+             oracle.local_betti(filt, v, t, k))
+            for v in range(filt.vertex_count)
+            for k in range(1, max_order + 1)
+            for t in filt.threshold_values()
+        ))
+
+    # the dies-earlier theorem on one vertex star, if there is a vertex
     if filt.vertex_count:
         star0 = star_of_vertices(filt, [0])
         for k in range(min(max_order, 1) + 1):
             rep = oracle.check_theorem_dies_earlier(filt, star0, k)
             record(f"theorem_dies_earlier_k{k}", rep.passed, rep.counterexample)
-            rep = oracle.check_theorem_appears_earlier(filt, star0, k)
-            record(f"theorem_appears_earlier_k{k}", rep.passed, rep.counterexample)
 
     # Mayer-Vietoris exactness on the first adjacent pair
     edges = filt.ids_of_dim(1)

@@ -5,11 +5,13 @@ eliminates them with its own exact integer/rational routines; none of the
 sparse reduction machinery of the fast path is used. Tests and the CLI
 `verify` command treat these answers as ground truth.
 
-One builder, `_boundary_rows`, makes every incidence matrix. On a closed
-pair it is the boundary map of the quotient chain complex. On an open set
-U of S_t it drops the faces outside U, so its rows are the coboundary of
-U's cochains: the cochain complex of the pair (S_t, S_t \\ U), whose
-cohomology is the paper's local cohomology when U is a vertex star.
+One builder, `_boundary_rows`, makes every incidence matrix from one id
+set, reading only the simplices of that set and dropping the faces outside
+it. On member - excluded, for a closed pair, it is the boundary map of the
+quotient chain complex. On an open set U of S_t its rows are the
+coboundary of U's cochains: the cochain complex of the pair
+(S_t, S_t \\ U), whose cohomology is the paper's local cohomology when U
+is a vertex star; `local_betti` is its homology on st v ∩ S_t.
 """
 
 from __future__ import annotations
@@ -195,23 +197,22 @@ def _check_closed(filtration: Filtration, ids: set[int]) -> None:
 
 
 def _boundary_rows(
-    filtration: Filtration, member: set[int], k: int, excluded: set[int]
+    filtration: Filtration, ids: set[int], k: int
 ) -> tuple[list[dict[int, int]], list[int]]:
-    """Rows of the k-th boundary map on member - excluded, one row per
-    (k-1)-simplex, and the ids of its columns (the k-simplices).
+    """Rows of the k-th boundary map on the id set `ids`, one row per
+    (k-1)-simplex of `ids`, and the ids of its columns (the k-simplices of
+    `ids`), both in filtration order.
 
-    Faces outside member - excluded are dropped. With member closed and
-    excluded closed within it, this is the boundary map of the quotient
-    chain complex C(member)/C(excluded). Row r is also the coboundary of
-    the r-th (k-1)-simplex, so with member an open set U of S_t and
-    nothing excluded, the rows are the coboundary map of the cochain
-    complex of U: the cochains of (S_t, S_t \\ U). Returns (rows over
-    column positions, column ids).
+    Faces outside `ids` are dropped. With ids = member - excluded, member
+    closed and excluded closed within it, this is the boundary map of the
+    quotient chain complex C(member)/C(excluded). Row r is also the
+    coboundary of the r-th (k-1)-simplex, so with `ids` an open set U of
+    S_t the rows are the coboundary map of the cochain complex of U: the
+    cochains of (S_t, S_t \\ U). Returns (rows over column positions,
+    column ids).
     """
-    cols = [i for i in filtration.ids_of_dim(k) if i in member and i not in excluded]
-    rows_ids = [
-        i for i in filtration.ids_of_dim(k - 1) if i in member and i not in excluded
-    ]
+    cols = sorted(i for i in ids if len(filtration.simplices[i]) == k + 1)
+    rows_ids = sorted(i for i in ids if len(filtration.simplices[i]) == k)
     cpos = {sid: c for c, sid in enumerate(cols)}
     rpos = {sid: r for r, sid in enumerate(rows_ids)}
     rows: list[dict[int, int]] = [dict() for _ in rows_ids]
@@ -227,20 +228,17 @@ def _boundary_rows(
     return rows, cols
 
 
-def _relative_betti(
-    filtration: Filtration, member: set[int], excluded: set[int], k: int
-) -> int:
-    """dim H_k of the quotient chain complex C(member)/C(excluded)."""
-    rows_k, cols_k = _boundary_rows(filtration, member, k, excluded)
-    rows_k1, _ = _boundary_rows(filtration, member, k + 1, excluded)
-    rank_k = rank_int_rows(rows_k)
-    rank_k1 = rank_int_rows(rows_k1)
-    return len(cols_k) - rank_k - rank_k1
+def _relative_betti(filtration: Filtration, ids: set[int], k: int) -> int:
+    """dim H_k of the chains on `ids` under `_boundary_rows`: with
+    ids = member - excluded, of the quotient C(member)/C(excluded)."""
+    rows_k, cols_k = _boundary_rows(filtration, ids, k)
+    rows_k1, _ = _boundary_rows(filtration, ids, k + 1)
+    return len(cols_k) - rank_int_rows(rows_k) - rank_int_rows(rows_k1)
 
 
 def betti_dense(filtration: Filtration, t: float, k: int) -> int:
     """dim H_k(S_t) by exact dense elimination of the boundary maps."""
-    return _relative_betti(filtration, ids_at(filtration, t), set(), k)
+    return _relative_betti(filtration, ids_at(filtration, t), k)
 
 
 def relative_betti_dense(
@@ -250,7 +248,22 @@ def relative_betti_dense(
     present = ids_at(filtration, t)
     excluded = set(closed_subset.ids) & present
     _check_closed(filtration, excluded)
-    return _relative_betti(filtration, present, excluded, k)
+    return _relative_betti(filtration, present - excluded, k)
+
+
+def local_betti(filtration: Filtration, vertex: int, t: float, k: int) -> int:
+    """dim H_k(S_t, S_t \\ st v), the local homology of S_t at `vertex`.
+
+    The quotient keeps the chains of st v ∩ S_t, the simplices of S_t that
+    contain the vertex, found by a scan of every simplex.
+    """
+    filtration.id_of((vertex,))  # an unknown vertex is an UnknownSimplexError
+    star = {
+        i
+        for i, (s, value) in enumerate(zip(filtration.simplices, filtration.values))
+        if value <= t and vertex in s
+    }
+    return _relative_betti(filtration, star, k)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +283,8 @@ def _open_cochains(
     by the nonempty rows of `_boundary_rows` on U in degree k.
     """
     u = open_ids & present
-    cob, cols = _boundary_rows(filtration, u, k, set())
-    rows, cofaces = _boundary_rows(filtration, u, k + 1, set())
+    cob, cols = _boundary_rows(filtration, u, k)
+    rows, cofaces = _boundary_rows(filtration, u, k + 1)
     constraints: list[dict[int, int]] = [{} for _ in cofaces]
     for r, row in enumerate(rows):
         for c, v in row.items():
@@ -336,7 +349,6 @@ def check_mayer_vietoris(
     pos_a = {sid: i for i, sid in enumerate(cols_a)}
     pos_b = {sid: i for i, sid in enumerate(cols_b)}
     pos_d = {sid: i for i, sid in enumerate(cols_d)}
-    dim_ab = len(cols_a) + len(cols_b)
 
     # H^k(A) + H^k(B) boundary space inside the product coordinates
     b_prod = [_embed(v, cols_a, pos_a) for v in b_a]
@@ -368,7 +380,7 @@ def check_mayer_vietoris(
 
 
 # ---------------------------------------------------------------------------
-# step-by-step verification of the two persistence theorems
+# step-by-step verification of the dies-earlier persistence theorem
 # ---------------------------------------------------------------------------
 
 
@@ -378,10 +390,6 @@ class TheoremReport:
     steps_checked: int
     hypotheses_fired: int
     counterexample: dict | None = None
-
-
-def _restrict_vec(vec: dict[int, int], keep_pos: dict[int, int]) -> dict[int, int]:
-    return {keep_pos[c]: v for c, v in vec.items() if c in keep_pos}
 
 
 def _theorem_spaces(filtration: Filtration, present: set[int], open_ids: set[int], k: int):
@@ -395,12 +403,12 @@ def _theorem_spaces(filtration: Filtration, present: set[int], open_ids: set[int
     return [_embed(v, cols_u, pos) for v in rel], constraints, cob, cols
 
 
-def _theorem_steps(filtration: Filtration, open_set: SimplexSubset, k: int, dims):
-    """(step m, spaces before m, spaces after m) for each step m whose
-    simplex has a dimension in dims, every space recomputed densely."""
+def _theorem_steps(filtration: Filtration, open_set: SimplexSubset, k: int):
+    """(step m, spaces before m, spaces after m) for each step m that adds
+    a (k+1)-simplex, every space recomputed densely."""
     open_ids = set(open_set.ids)
     for m, s in enumerate(filtration.simplices):  # filtration order is the id order
-        if len(s) - 1 in dims:
+        if len(s) == k + 2:
             yield (
                 m,
                 _theorem_spaces(filtration, set(range(m)), open_ids, k),
@@ -419,7 +427,7 @@ def check_theorem_dies_earlier(
     minus the ranks of the constraints and the coboundaries), so its
     cocycle basis is computed only where the hypothesis fires."""
     steps_checked = fired = 0
-    for m, before, after in _theorem_steps(filtration, open_set, k, (k + 1,)):
+    for m, before, after in _theorem_steps(filtration, open_set, k):
         steps_checked += 1
         (rel_t, c_t, b_t, cols_t), (rel_t1, c_t1, b_t1, cols_t1) = before, after
         # a (k+1)-simplex changes no k-simplices: coordinates agree
@@ -443,66 +451,6 @@ def check_theorem_dies_earlier(
                 False, steps_checked, fired, {"step": m, "simplex": filtration.simplices[m]}
             )
     return TheoremReport(True, steps_checked, fired)
-
-
-def check_theorem_appears_earlier(
-    filtration: Filtration, open_set: SimplexSubset, k: int
-) -> TheoremReport:
-    """A persisting class in the image of a relative class at the later
-    step comes from a relative class at the earlier step as well.
-
-    Checked as: restricting the later step's relative cocycles to the
-    earlier complex lands in span(relative cocycles + coboundaries)."""
-    steps_checked = fired = 0
-    for m, (rel_t, _, b_t, cols_t), (rel_t1, _, _, cols_t1) in _theorem_steps(
-        filtration, open_set, k, (k, k + 1)
-    ):
-        steps_checked += 1
-        if not rel_t1:
-            continue
-        fired += 1
-        pos_t = {c: i for i, c in enumerate(cols_t)}
-        keep = {i1: pos_t[c] for i1, c in enumerate(cols_t1) if c in pos_t}
-        restricted = [_restrict_vec(v, keep) for v in rel_t1]
-        restricted = [v for v in restricted if v]
-        if not in_span(rel_t + b_t, restricted):
-            return TheoremReport(
-                False, steps_checked, fired, {"step": m, "simplex": filtration.simplices[m]}
-            )
-    return TheoremReport(True, steps_checked, fired)
-
-
-# ---------------------------------------------------------------------------
-# excision
-# ---------------------------------------------------------------------------
-
-
-def closed_star_ids(filtration: Filtration, vertex: int) -> set[int]:
-    """cl st v: simplices whose union with v is still a simplex."""
-    out = set()
-    for i, s in enumerate(filtration.simplices):
-        merged = tuple(sorted(set(s) | {vertex}))
-        if merged in filtration.index:
-            out.add(i)
-    return out
-
-
-def excision_check(filtration: Filtration, vertex: int, k: int) -> bool:
-    """H_k(S_t, S_t \\ st v) == H_k(cl st v, frontier st v) at every threshold."""
-    star_ids = {
-        i for i, s in enumerate(filtration.simplices) if vertex in s
-    }
-    clstar = closed_star_ids(filtration, vertex)
-    frontier_ids = clstar - star_ids
-    for t in filtration.threshold_values():
-        present = ids_at(filtration, t)
-        left = _relative_betti(filtration, present, present - star_ids, k)
-        right = _relative_betti(
-            filtration, clstar & present, frontier_ids & present, k
-        )
-        if left != right:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

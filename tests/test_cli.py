@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: commands, formats, exit codes, determinism."""
 
+import dataclasses
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from localhom import sheaf
+from localhom import cli, sheaf
 from localhom.cli import main
 from localhom.complexes import build_flag_complex
 from localhom.errors import ConfigError, ContractError
@@ -536,7 +537,10 @@ def test_verify_golden_corpus(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report and all(entry["status"] == "pass" for entry in report)
     checks = {entry["check"] for entry in report}
-    assert "betti_fast_vs_dense" in checks and "excision" in checks
+    assert "betti_fast_vs_dense" in checks
+    stalk_fixtures = [e["fixture"] for e in report if e["check"] == "stalks_fast_vs_dense"]
+    assert stalk_fixtures == ["c4", "two_c4", "octahedron", "k4", "k3"]
+    assert not any(c == "excision" or c.startswith("theorem_appears") for c in checks)
 
 
 def test_verify_on_input_graph(c4_csv, tmp_path):
@@ -545,6 +549,32 @@ def test_verify_on_input_graph(c4_csv, tmp_path):
          "--out", str(tmp_path / "r.json")]
     )
     assert code == 0
+
+
+def test_verify_catches_a_dropped_stalk_cocycle(c4_csv, tmp_path, monkeypatch):
+    """A stalk that lost a cocycle disagrees with the dense local Betti number."""
+    real = cli.compute_stalk
+
+    def drop_first(filt, v, max_order, **kwargs):
+        stalk = real(filt, v, max_order, **kwargs)
+        return dataclasses.replace(stalk, cocycles=stalk.cocycles[1:])
+
+    monkeypatch.setattr(cli, "compute_stalk", drop_first)
+    out = tmp_path / "r.json"
+    assert main(["verify", "--input", c4_csv, "--out", str(out)]) == 4
+    (entry,) = [e for e in json.loads(out.read_text()) if e["check"] == "stalks_fast_vs_dense"]
+    assert entry["status"] == "fail"
+    assert set(entry["counterexample"]) == {"vertex", "t", "k", "fast", "dense"}
+    assert entry["counterexample"]["fast"] < entry["counterexample"]["dense"]
+
+
+def test_verify_at_order_zero_has_no_stalk_check(c4_csv, tmp_path):
+    """Stalks hold orders >= 1, so at max order 0 there is no stalk to check."""
+    out = tmp_path / "r.json"
+    assert main(["verify", "--input", c4_csv, "--max-order", "0", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report and all(entry["status"] == "pass" for entry in report)
+    assert "stalks_fast_vs_dense" not in {entry["check"] for entry in report}
 
 
 def test_verify_on_graph_without_vertices(tmp_path):

@@ -143,17 +143,16 @@ def test_mv_union_of_stars_opens(corpus):
 
 
 # ---------------------------------------------------------------------------
-# the two theorems
+# the dies-earlier theorem
 # ---------------------------------------------------------------------------
 
 
 def test_theorems_vacuous_on_single_vertex():
     filt = build_flag_complex(WeightedGraph(1, ()), 1)
     whole = star_of_vertices(filt, [0])
-    r1 = oracle.check_theorem_dies_earlier(filt, whole, 0)
-    r2 = oracle.check_theorem_appears_earlier(filt, whole, 1)
-    assert r1.passed and r1.hypotheses_fired == 0
-    assert r2.passed and r2.hypotheses_fired == 0
+    for k in (0, 1):
+        report = oracle.check_theorem_dies_earlier(filt, whole, k)
+        assert report.passed and report.hypotheses_fired == 0
 
 
 def test_theorem_dies_earlier_fires_on_unit_square(square_filt):
@@ -163,52 +162,31 @@ def test_theorem_dies_earlier_fires_on_unit_square(square_filt):
     assert report.hypotheses_fired >= 1  # the square cycle dies at sqrt(2)
 
 
-def test_theorem_appears_earlier_on_c4(c4_filt):
-    star0 = star_of_vertices(c4_filt, [0])
-    report = oracle.check_theorem_appears_earlier(c4_filt, star0, 1)
-    assert report.passed
-
-
 def test_theorems_on_corpus_sample(corpus):
     for gi, graph in enumerate(corpus[:25]):
         filt = build_flag_complex(graph, 3)
         s = star_of_vertices(filt, [gi % graph.vertex_count])
         for k in (0, 1):
-            r1 = oracle.check_theorem_dies_earlier(filt, s, k)
-            assert r1.passed, (gi, k, r1.counterexample)
-            r2 = oracle.check_theorem_appears_earlier(filt, s, k)
-            assert r2.passed, (gi, k, r2.counterexample)
+            report = oracle.check_theorem_dies_earlier(filt, s, k)
+            assert report.passed, (gi, k, report.counterexample)
 
 
 @pytest.mark.parametrize(
     "fixture, expected",
     [
-        # per order k: (passed, steps_checked, hypotheses_fired) of dies-earlier,
-        # then of appears-earlier, on the star of vertex 0
-        ("c4_filt", [((True, 4, 1), (True, 8, 4)), ((True, 0, 0), (True, 4, 4))]),
-        ("square_filt", [((True, 6, 1), (True, 10, 4)), ((True, 4, 2), (True, 10, 10))]),
-        (
-            "oct_filt",
-            [
-                ((True, 12, 1), (True, 18, 6)),
-                ((True, 8, 3), (True, 20, 20)),
-                ((True, 0, 0), (True, 8, 8)),
-            ],
-        ),
+        # per order k: (passed, steps_checked, hypotheses_fired) of dies-earlier
+        # on the star of vertex 0
+        ("c4_filt", [(True, 4, 1), (True, 0, 0)]),
+        ("square_filt", [(True, 6, 1), (True, 4, 2)]),
+        ("oct_filt", [(True, 12, 1), (True, 8, 3), (True, 0, 0)]),
     ],
 )
 def test_theorem_reports_exact_counts(fixture, expected, request):
     filt = request.getfixturevalue(fixture)
     star0 = star_of_vertices(filt, [0])
     for k, cells in enumerate(expected):
-        got = [
-            (r.passed, r.steps_checked, r.hypotheses_fired)
-            for r in (
-                oracle.check_theorem_dies_earlier(filt, star0, k),
-                oracle.check_theorem_appears_earlier(filt, star0, k),
-            )
-        ]
-        assert got == list(cells), (fixture, k)
+        r = oracle.check_theorem_dies_earlier(filt, star0, k)
+        assert (r.passed, r.steps_checked, r.hypotheses_fired) == cells, (fixture, k)
 
 
 def test_theorem_failure_reports_first_fired_step(square_filt, monkeypatch):
@@ -218,9 +196,6 @@ def test_theorem_failure_reports_first_fired_step(square_filt, monkeypatch):
     assert oracle.check_theorem_dies_earlier(square_filt, star0, 1) == oracle.TheoremReport(
         False, 1, 1, {"step": 10, "simplex": (0, 1, 2)}
     )
-    assert oracle.check_theorem_appears_earlier(square_filt, star0, 1) == oracle.TheoremReport(
-        False, 1, 1, {"step": 4, "simplex": (0, 1)}
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -228,25 +203,37 @@ def test_theorem_failure_reports_first_fired_step(square_filt, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
+def excision_holds(filt, v, k):
+    """At every threshold, H_k(S_t, S_t \\ st v) from `local_betti` equals
+    H_k(cl st v, frontier) on the closed-star truncation, whose frontier
+    `relative_betti_dense` checks to be closed."""
+    trunc, _, open_img = oracle.truncate_neighborhood(filt, [v], 1)
+    frontier = SimplexSubset(trunc, frozenset(range(len(trunc))) - open_img.ids)
+    return all(
+        oracle.local_betti(filt, v, t, k) == oracle.relative_betti_dense(trunc, t, frontier, k)
+        for t in filt.threshold_values()
+    )
+
+
 def test_excision_octahedron(oct_filt):
     for v in range(6):
-        assert oracle.excision_check(oct_filt, v, 2)
+        assert excision_holds(oct_filt, v, 2)
 
 
 def test_excision_k3_all_orders(k3_filt):
     for v in range(3):
         for k in range(3):
-            assert oracle.excision_check(k3_filt, v, k)
+            assert excision_holds(k3_filt, v, k)
 
 
 def test_excision_isolated_vertex():
     graph = WeightedGraph(3, ((0, 1, 1.0),))  # vertex 2 isolated
     filt = build_flag_complex(graph, 2)
-    assert oracle.excision_check(filt, 2, 0)
-    # both sides equal 1: the isolated vertex is its own relative class
-    star2 = {i for i, s in enumerate(filt.simplices) if 2 in s}
-    present = oracle.ids_at(filt, 1.0)
-    assert oracle._relative_betti(filt, present, present - star2, 0) == 1
+    assert excision_holds(filt, 2, 0)
+    # the isolated vertex is its own relative class
+    assert oracle.local_betti(filt, 2, 1.0, 0) == 1
+    with pytest.raises(ContractError):
+        oracle.local_betti(filt, 3, 1.0, 0)
 
 
 def test_excision_on_corpus(corpus):
@@ -254,4 +241,4 @@ def test_excision_on_corpus(corpus):
         filt = build_flag_complex(graph, 2)
         v = gi % graph.vertex_count
         for k in (0, 1):
-            assert oracle.excision_check(filt, v, k), (gi, v, k)
+            assert excision_holds(filt, v, k), (gi, v, k)

@@ -178,14 +178,14 @@ def test_single_simplex_step_changes_one_class(corpus):
             k = len(filt.simplices[m]) - 1
             before = set(range(m))
             after = set(range(m + 1))
-            delta_k = oracle._relative_betti(filt, after, set(), k) - (
-                oracle._relative_betti(filt, before, set(), k)
+            delta_k = oracle._relative_betti(filt, after, k) - (
+                oracle._relative_betti(filt, before, k)
             )
             if k == 0:
                 assert delta_k == 1
                 continue
-            delta_km1 = oracle._relative_betti(filt, after, set(), k - 1) - (
-                oracle._relative_betti(filt, before, set(), k - 1)
+            delta_km1 = oracle._relative_betti(filt, after, k - 1) - (
+                oracle._relative_betti(filt, before, k - 1)
             )
             assert (delta_k, delta_km1) in {(1, 0), (0, -1)}, (graph, m)
 

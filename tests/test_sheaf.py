@@ -156,8 +156,9 @@ def test_stalk_equals_truncated_reference(oct_filt, corpus, monkeypatch):
 
 def test_stalk_alive_counts_match_relative_betti_oracle(corpus):
     """At every threshold, a stalk's alive order-k classes count
-    H^k(S_t, S_t minus st v), the dense relative Betti number against the
-    closed complement of the open star."""
+    H^k(S_t, S_t minus st v): the dense relative Betti number against the
+    closed complement of the open star, and the dense local Betti number on
+    the star's chains."""
     for gi, graph in enumerate(corpus[:25]):
         filt = build_flag_complex(graph, 3)
         v = gi % graph.vertex_count
@@ -169,7 +170,8 @@ def test_stalk_alive_counts_match_relative_betti_oracle(corpus):
             for k in (1, 2):
                 alive = sum(1 for c in stalk.cocycles if c.order == k and c.alive_at(t))
                 dense = oracle.relative_betti_dense(filt, t, rest, k)
-                assert alive == dense, (gi, v, t, k)
+                local = oracle.local_betti(filt, v, t, k)
+                assert alive == dense == local, (gi, v, t, k)
 
 
 # ---------------------------------------------------------------------------

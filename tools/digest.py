@@ -15,9 +15,10 @@ copies of that operator.
 
 The hash then covers the dense oracle on the first 20 graphs of each
 corpus, built with max_dim 3: for the star of vertex `gi % n` (gi the
-graph's position in its corpus), both theorem reports and
-`excision_check` at k = 0 and 1, and `check_mayer_vietoris(...).positions`
-for the stars of the first edge's ends at k = 0, 1 and 2.
+graph's position in its corpus), the dies-earlier theorem report at k = 0
+and 1 and `local_betti` at k = 0, 1 and 2 and every threshold, and
+`check_mayer_vietoris(...).positions` for the stars of the first edge's
+ends at k = 0, 1 and 2.
 
 The same hash then covers the CLI: `localhom.cli.main` runs `filtration`,
 `persistence`, `stalks`, `laplacian` (weighted and slice at t_plus) and
@@ -52,9 +53,9 @@ import numpy as np
 
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 CLOUD_SIZES = (30, 60, 120, 200)
-# CLI inputs that `verify` skips: its dense oracle takes 6-7 s at max order 1 and
-# 9.5 s at max order 2 on the 60-point cloud (shared 2-core host), against about 3 s
-# for this whole digest
+# CLI inputs that `verify` skips: it takes 5-6 s at max order 1 and 7.5-8.5 s at
+# max order 2 on the 60-point cloud (shared 2-core host), against about 4 s for this
+# whole digest
 VERIFY_SKIP = ("knn6_cloud_60",)
 
 
@@ -99,8 +100,8 @@ def items(graph, fld):
 
 
 def oracle_items(gi, graph):
-    """repr of the oracle's theorem reports, excision and Mayer-Vietoris
-    answers on one corpus graph."""
+    """repr of the oracle's theorem reports, local Betti numbers and
+    Mayer-Vietoris answers on one corpus graph."""
     from localhom import build_flag_complex, oracle, star_of_vertices
 
     filt = build_flag_complex(graph, 3)
@@ -108,8 +109,8 @@ def oracle_items(gi, graph):
     star = star_of_vertices(filt, [v])
     for k in (0, 1):
         yield repr(oracle.check_theorem_dies_earlier(filt, star, k))
-        yield repr(oracle.check_theorem_appears_earlier(filt, star, k))
-        yield repr(oracle.excision_check(filt, v, k))
+    for k in (0, 1, 2):
+        yield repr([oracle.local_betti(filt, v, t, k) for t in filt.threshold_values()])
     edges = filt.ids_of_dim(1)
     if edges:
         a, b = (star_of_vertices(filt, [u]) for u in filt.simplices[edges[0]])
