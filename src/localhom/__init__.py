@@ -43,11 +43,9 @@ from .persistence import (
 )
 from .sheaf import (
     AssembledLaplacian,
-    ExtendedCoboundaryMatrix,
     LocalStalk,
     SheafLaplacianBlock,
     assemble_laplacian,
-    build_extended_matrix,
     compute_stalk,
     sheaf_laplacian_block,
 )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import formats, golden, oracle
@@ -265,16 +266,29 @@ def _verify_fixture(name: str, filt: Filtration, max_order: int, checks: list):
     ))
 
     # alive stalk cocycles vs dense local homology; stalks hold orders >= 1 only
-    if max_order >= 1:
-        stalks = [compute_stalk(filt, v, max_order) for v in range(filt.vertex_count)]
+    orders = range(1, max_order + 1)
+    if orders:
+        thresholds = filt.threshold_values()
+        stalks = {v: compute_stalk(filt, v, max_order) for v in range(filt.vertex_count)}
+        local = {v: oracle.local_bettis(filt, v, thresholds, orders) for v in stalks}
         compare("stalks_fast_vs_dense", (
             ({"vertex": v, "t": t, "k": k},
              sum(c.alive_at(t) for c in stalks[v].order_cocycles(k)),
-             oracle.local_betti(filt, v, t, k))
-            for v in range(filt.vertex_count)
-            for k in range(1, max_order + 1)
-            for t in filt.threshold_values()
+             local[v][t, k])
+            for v in stalks
+            for k in orders
+            for t in thresholds
         ))
+
+        # the slice kernel on the cocycles alive at t vs the dense global sections
+        cases = []
+        for k in orders:
+            lap = assemble_laplacian(filt, stalks, k, ("slice", filt.t_plus), fld)
+            for t in thresholds:
+                dead = sum(not b <= t < d for spans in lap.lifespans.values() for b, d in spans)
+                live = replace(lap, mode=("slice", t)).kernel_dim_exact() - dead
+                cases.append(({"t": t, "k": k}, live, oracle.global_sections_dim(filt, t, k)))
+        compare("sheaf_kernel_vs_global_sections", cases)
 
     # the dies-earlier theorem on one vertex star, if there is a vertex
     if filt.vertex_count:

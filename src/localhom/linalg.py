@@ -138,8 +138,7 @@ def reduce(matrix: SparseColumnMatrix, skip_cols=frozenset()) -> Reduction:
     """
     fld = matrix.field
     one = fld.one
-    # columns are replaced, never edited in place, so the input's columns
-    # (shared with a stalk's `columns` cache) stay intact
+    # columns are replaced, never edited in place, so the input's columns stay intact
     rcols = list(matrix.cols)
     vcols: list[Column] = [[(j, one)] for j in range(matrix.col_count)]
     pivots: dict[int, int] = {}

@@ -252,18 +252,23 @@ def relative_betti_dense(
 
 
 def local_betti(filtration: Filtration, vertex: int, t: float, k: int) -> int:
-    """dim H_k(S_t, S_t \\ st v), the local homology of S_t at `vertex`.
+    """dim H_k(S_t, S_t \\ st v), the local homology of S_t at `vertex`."""
+    return local_bettis(filtration, vertex, [t], [k])[t, k]
+
+
+def local_bettis(filtration: Filtration, vertex: int, times, orders) -> dict:
+    """{(t, k): `local_betti`} for each time t in `times` and k in `orders`.
 
     The quotient keeps the chains of st v ∩ S_t, the simplices of S_t that
-    contain the vertex, found by a scan of every simplex.
+    contain the vertex; st v is found once, by a scan of every simplex.
     """
     filtration.id_of((vertex,))  # an unknown vertex is an UnknownSimplexError
-    star = {
-        i
-        for i, (s, value) in enumerate(zip(filtration.simplices, filtration.values))
-        if value <= t and vertex in s
+    star = [i for i, s in enumerate(filtration.simplices) if vertex in s]
+    return {
+        (t, k): _relative_betti(filtration, {i for i in star if filtration.values[i] <= t}, k)
+        for t in times
+        for k in orders
     }
-    return _relative_betti(filtration, star, k)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +313,42 @@ def _open_cohomology_spaces(
 
 def _embed(vec: dict[int, int], src_cols: list[int], dst_pos: dict[int, int], offset=0):
     return {dst_pos[src_cols[c]] + offset: v for c, v in vec.items()}
+
+
+def global_sections_dim(filtration: Filtration, t: float, k: int) -> int:
+    """dim of the global sections of the cosheaf σ ↦ H^k_c(st σ) on S_t.
+
+    That is the cokernel of ⊕_e H^k(S_t, S_t \\ st e) -> ⊕_v H^k(S_t,
+    S_t \\ st v), each edge class ξ of e = uv mapped to (ext_u ξ, -ext_v ξ)
+    by extension by zero: the E²_{0,k} term of the Mayer-Vietoris spectral
+    sequence of the cover by vertex stars (Curry 2014; Hansen & Ghrist
+    2019). The slice Laplacian's kernel on the cocycles alive at t counts
+    it; it is not β_k in general. With Z and B the vertex cocycles and
+    coboundaries and R the edge rows, all in the vertex stalks' joint
+    coordinates, it is rank(Z+B) - rank(B) minus rank(R+B) - rank(B); as
+    B and R lie in Z, that is dim Z - rank(R+B), and dim Z needs no basis.
+    """
+    present = ids_at(filtration, t)
+    stars: dict[int, set[int]] = {}
+    for i in present:
+        for v in filtration.simplices[i]:
+            stars.setdefault(v, set()).add(i)
+    dim_z, b, place = 0, [], {}
+    for v, star in sorted(stars.items()):
+        constraints, b_v, cols_v = _open_cochains(filtration, present, star, k)
+        dim_z += len(cols_v) - rank_int_rows(constraints)
+        offset = len(place)
+        place.update({(v, sid): offset + i for i, sid in enumerate(cols_v)})
+        b += [{offset + c: x for c, x in row.items()} for row in b_v]
+    r = []
+    for eid in sorted(i for i in present if len(filtration.simplices[i]) == 2):
+        u, v = filtration.simplices[eid]
+        n_e, _, cols_e = _open_cohomology_spaces(filtration, present, stars[u] & stars[v], k)
+        for x in n_e:
+            row = {place[u, cols_e[c]]: val for c, val in x.items()}
+            row.update({place[v, cols_e[c]]: -val for c, val in x.items()})
+            r.append(row)
+    return dim_z - rank_int_rows(b + r)
 
 
 @dataclass

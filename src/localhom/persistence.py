@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .complexes import Filtration, SimplexSubset, is_open_set
 from .errors import ContractError
-from .linalg import Field, SparseColumnMatrix, reduce as column_reduce
+from .linalg import Column, Field, SparseColumnMatrix, reduce as column_reduce
 
 INF = math.inf
 
@@ -68,18 +68,14 @@ def betti_at(diagram: Diagram, t: float, k: int) -> int:
 
 
 def row_of(filtration: Filtration, sid: int) -> int:
-    """Row of simplex `sid` in every coboundary matrix of `filtration`.
-
-    Rows run by decreasing filtration index, two per simplex: the second
-    (`row_of + 1`) is the B copy of a simplex shared by both stars of an
-    extended matrix, so it sorts right after the A copy.
-    """
-    return 2 * (len(filtration.simplices) - 1 - sid)
+    """Row of simplex `sid` in every coboundary matrix of `filtration`:
+    one row per simplex, by decreasing filtration index."""
+    return len(filtration.simplices) - 1 - sid
 
 
 def sid_of(filtration: Filtration, row: int) -> int:
-    """Simplex id of a `row_of` row (either copy)."""
-    return len(filtration.simplices) - 1 - row // 2
+    """Simplex id of a `row_of` row."""
+    return len(filtration.simplices) - 1 - row
 
 
 def coboundary_block(
@@ -105,10 +101,10 @@ def coboundary_block(
     top = row_of(filtration, 0)
     signs = {1: fld.coerce(1), -1: fld.coerce(-1)}  # shared, not one object per entry
     cols = [
-        [(top - 2 * c, signs[sign]) for c, sign in reversed(filtration.cofacets(sid))]
+        [(top - c, signs[sign]) for c, sign in reversed(filtration.cofacets(sid))]
         for sid in col_ids
     ]
-    return SparseColumnMatrix(2 * len(filtration), len(col_ids), cols, fld), col_ids
+    return SparseColumnMatrix(len(filtration), len(col_ids), cols, fld), col_ids
 
 
 def _diagram_from_reductions(
@@ -116,7 +112,11 @@ def _diagram_from_reductions(
     keep: frozenset[int] | None,
     max_order: int,
     fld: Field,
-) -> Diagram:
+) -> tuple[Diagram, dict[int, list[Column]]]:
+    """The diagram up to `max_order`, and for each k in 1..max_order the
+    nonzero reduced order-(k-1) coboundary columns: each column's lowest
+    row is the k-simplex it kills, so with the order-k representatives they
+    own every k-simplex's row once."""
     if max_order < 0:
         raise ContractError("max_order must be nonnegative")
     if max_order + 1 > filtration.max_dim:
@@ -125,6 +125,7 @@ def _diagram_from_reductions(
             f"{filtration.max_dim}; order {max_order} needs max_dim >= {max_order + 1}"
         )
     classes: list[PersistentCocycle] = []
+    coboundaries: dict[int, list[Column]] = {}
     destroyers: set[int] = set()
     for k in range(max_order + 1):
         matrix, col_ids = coboundary_block(filtration, k, keep, fld)
@@ -132,6 +133,8 @@ def _diagram_from_reductions(
         skip = frozenset(j for j, sid in enumerate(col_ids) if sid in destroyers)
         red = column_reduce(matrix, skip_cols=skip)
         pivot_of_col = {j: low for low, j in red.pivots.items()}
+        if k < max_order:
+            coboundaries[k + 1] = [col for col in red.R.cols if col]
         next_destroyers = set()
         for j, sid in enumerate(col_ids):
             if sid in destroyers:
@@ -159,7 +162,7 @@ def _diagram_from_reductions(
                 )
         destroyers = next_destroyers
     classes.sort(key=lambda c: (c.order, c.birth, c.birth_index))
-    return Diagram(classes=classes)
+    return Diagram(classes=classes), coboundaries
 
 
 def persistent_cohomology(
@@ -168,7 +171,7 @@ def persistent_cohomology(
     fld: Field = Field(),
 ) -> Diagram:
     """Diagram of the absolute persistent cohomology up to max_order."""
-    return _diagram_from_reductions(filtration, None, max_order, fld)
+    return _diagram_from_reductions(filtration, None, max_order, fld)[0]
 
 
 def persistent_relative_cohomology(
@@ -187,4 +190,4 @@ def persistent_relative_cohomology(
         raise ContractError("open_set belongs to a different filtration")
     if not is_open_set(filtration, open_set.ids):
         raise ContractError("subset is not open (not a union of stars)")
-    return _diagram_from_reductions(filtration, open_set.ids, max_order, fld)
+    return _diagram_from_reductions(filtration, open_set.ids, max_order, fld)[0]

@@ -4,10 +4,9 @@ A vertex's stalk is the persistent relative cohomology of (S_t, S_t \\ st v),
 computed on the full filtration: the open star is closed under coboundary,
 so its relative coboundary never leaves the star and the work per node is
 the size of its star (excision, used directly). For an adjacent pair (u, v)
-an extended coboundary matrix is reduced to find pairs of stalk cocycles
-whose sum vanishes on st u ∪ st v modulo coboundaries of the union's
-lower simplices; each surviving reduced column is a rank-1 Laplacian atom
-v_A v_B^T tagged with the interval on which the identification persists.
+the relative persistence of the edge's own star st e = st u ∩ st v is
+reduced, and each of its bars, written in both stalks, is a rank-1
+Laplacian atom v_A v_B^T tagged with the bar's interval.
 
 The assembled operator is its atoms plus the cocycle lifespans: each
 block is reduced once, and every slice and the weighted operator are read
@@ -31,16 +30,9 @@ from itertools import accumulate
 import numpy as np
 
 from .complexes import Filtration, SimplexSubset, star_of_vertices
-from .errors import ContractError
-from .linalg import FLOAT, Column, Field, SparseColumnMatrix, rank, reduce as column_reduce
-from .persistence import (
-    INF,
-    PersistentCocycle,
-    coboundary_block,
-    persistent_relative_cohomology,
-    row_of,
-    sid_of,
-)
+from .errors import ContractError, IllConditionedError
+from .linalg import FLOAT, Column, Field, SparseColumnMatrix, axpy, rank
+from .persistence import INF, PersistentCocycle, _diagram_from_reductions, row_of, sid_of
 
 
 @dataclass
@@ -48,13 +40,14 @@ class LocalStalk:
     """Persistent relative cocycles of one vertex's open star.
 
     Representatives and indices are simplex ids of the full filtration, so
-    stalks from different vertices can meet inside one extended matrix;
+    an edge's classes can be written in the stalks of both its ends;
     `star` is the open set the cohomology is relative to. Degree-0 classes
     only flag isolated components and carry no sheaf structure at the
     orders the Laplacian couples, so stalks keep orders 1..max_order, and
     `order_cocycles` groups them by order once, when the stalk is made.
-    `field_kind` is the carrier the cocycles were computed on. `columns`
-    caches the stalk's B_AB columns for `build_extended_matrix`.
+    `field_kind` is the carrier the cocycles were computed on.
+    `coboundaries[k]`, for k in 1..max_order, holds the star's nonzero
+    reduced order-(k-1) coboundary columns, in `persistence.row_of` rows.
     """
 
     vertex: int
@@ -63,10 +56,8 @@ class LocalStalk:
     horizon: float
     field_kind: str
     max_order: int
+    coboundaries: dict[int, list[Column]] = field(repr=False, compare=False)
     _by_order: dict[int, list[PersistentCocycle]] = field(init=False, repr=False, compare=False)
-    columns: dict[tuple[int, Field], tuple[list[Column], list[Column]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         self._by_order = {k: [] for k in range(1, self.max_order + 1)}
@@ -114,7 +105,7 @@ def compute_stalk(
     if rings < 1:
         raise ContractError("rings must be >= 1")
     open_star = star_of_vertices(filtration, [vertex])
-    diagram = persistent_relative_cohomology(filtration, open_star, max_order, fld)
+    diagram, coboundaries = _diagram_from_reductions(filtration, open_star.ids, max_order, fld)
     return LocalStalk(
         vertex=vertex,
         cocycles=[c for c in diagram.classes if c.order >= 1],
@@ -122,87 +113,7 @@ def compute_stalk(
         horizon=filtration.t_plus,
         field_kind=fld.kind,
         max_order=max_order,
-    )
-
-
-@dataclass
-class ExtendedCoboundaryMatrix:
-    """Block matrix [B_D | B_AB] whose reduction couples two stalks.
-
-    Rows are `persistence.row_of` rows, by decreasing filtration index. The
-    even row of a simplex holds it as a k-simplex of D' = st u ∪ st v
-    (carrying representatives and coboundary corrections) or as a
-    (k+1)-simplex of st u (carrying A-side coboundaries); B-side
-    coboundaries over (k+1)-simplices of st v shift to the odd row after
-    it, so a (k+1)-simplex of the intersection takes two rows, A then B.
-    B_D is the order-(k-1) coboundary block of D'. The B_AB columns sort
-    by decreasing birth with ties broken by (owner vertex, position);
-    `col_meta` gives (side, position) for each of them.
-    """
-
-    matrix: SparseColumnMatrix
-    col_meta: list[tuple[str, int]]
-    n_d_cols: int
-
-
-def _stalk_columns(
-    stalk: LocalStalk, filtration: Filtration, k: int, fld: Field
-) -> tuple[list[Column], list[Column]]:
-    """The stalk's order-k B_AB columns as side A and as side B, by position.
-
-    Built and pruned once per (k, fld), since pruning depends on eps. The
-    B copy differs from the A copy only in its coboundary entries, each
-    one row down; that row is free and no row passes another, so the
-    pruned A column gives the B column without a second sort or prune.
-    """
-    cached = stalk.columns.get((k, fld))
-    if cached is None:
-        a_cols, b_cols = [], []
-        for c in stalk.order_cocycles(k):
-            cob_rows = {row_of(filtration, sid) for sid in c.coboundary}
-            col = [(row_of(filtration, sid), fld.coerce(x)) for sid, x in c.representative.items()]
-            col += [(row_of(filtration, sid), fld.coerce(x)) for sid, x in c.coboundary.items()]
-            # representative and coboundary are read from a reduction, so the
-            # column is pruned: that is where ill-conditioning is flagged
-            a_col = fld.prune(sorted(col))
-            a_cols.append(a_col)
-            b_cols.append([(r + 1, x) if r in cob_rows else (r, x) for r, x in a_col])
-        cached = stalk.columns[(k, fld)] = (a_cols, b_cols)
-    return cached
-
-
-def build_extended_matrix(
-    stalk_u: LocalStalk,
-    stalk_v: LocalStalk,
-    filtration: Filtration,
-    k: int,
-    fld: Field = Field(),
-) -> ExtendedCoboundaryMatrix:
-    u, v = stalk_u.vertex, stalk_v.vertex
-    if (min(u, v), max(u, v)) not in filtration.index:
-        raise ContractError(f"vertices {u} and {v} are not adjacent (empty intersection)")
-
-    if stalk_u.star.filtration is not filtration or stalk_v.star.filtration is not filtration:
-        raise ContractError("stalks were computed on a different filtration")
-    if {stalk_u.field_kind, stalk_v.field_kind} != {fld.kind}:
-        raise ContractError(f"stalks were computed on another carrier than {fld.kind}")
-    d_ids = stalk_u.star.ids | stalk_v.star.ids
-    d_matrix, d_cols = coboundary_block(filtration, k - 1, d_ids, fld)
-
-    ab_cols = [("A", u, pos, c) for pos, c in enumerate(stalk_u.order_cocycles(k))]
-    ab_cols += [("B", v, pos, c) for pos, c in enumerate(stalk_v.order_cocycles(k))]
-    ab_cols.sort(key=lambda item: (-item[3].birth, item[1], item[2]))
-
-    side_cols = {
-        "A": _stalk_columns(stalk_u, filtration, k, fld)[0],
-        "B": _stalk_columns(stalk_v, filtration, k, fld)[1],
-    }
-    cols = d_matrix.cols
-    cols += [side_cols[side][pos] for side, _, pos, _ in ab_cols]
-    return ExtendedCoboundaryMatrix(
-        matrix=SparseColumnMatrix(d_matrix.row_count, len(cols), cols, fld),
-        col_meta=[(side, pos) for side, _, pos, _ in ab_cols],
-        n_d_cols=len(d_cols),
+        coboundaries=coboundaries,
     )
 
 
@@ -229,6 +140,49 @@ class SheafLaplacianBlock:
     atoms: list[LaplacianAtom]
 
 
+def _column(filtration: Filtration, cochain: dict[int, object]) -> Column:
+    return sorted((row_of(filtration, sid), x) for sid, x in cochain.items())
+
+
+def _coordinates(
+    stalk: LocalStalk, filtration: Filtration, k: int, xi: PersistentCocycle, fld: Field
+) -> dict[int, object]:
+    """The class of `xi`'s representative in the stalk, by order-k position.
+
+    A triangular solve from the lowest row up, against the stalk's
+    representatives (each one's lowest row is its birth simplex, with
+    coefficient 1 up to sign) and its reduced order-(k-1) coboundary
+    columns (lowest row: the simplex each one kills), whose coefficients
+    are dropped. It stops at the first row valued at or after xi's death:
+    only zero-length classes own the rows past it, and before it no such
+    class gets a nonzero coefficient, since the representative is a
+    cocycle on S_t for every t < death. For the same reason a class dying
+    before xi gets coefficient 0, and every class reached is born no
+    earlier than xi.
+    """
+    cocycles = stalk.order_cocycles(k)
+    if not cocycles:
+        return {}
+    births = {row_of(filtration, c.birth_index): pos for pos, c in enumerate(cocycles)}
+    kills = {col[-1][0]: col for col in stalk.coboundaries[k]}
+    coords: dict[int, object] = {}
+    z = _column(filtration, xi.representative)
+    while z and filtration.values[sid_of(filtration, z[-1][0])] < xi.death:
+        row, x = z[-1]
+        pos = births.get(row)
+        col = kills.get(row) if pos is None else _column(filtration, cocycles[pos].representative)
+        if col is None:
+            raise IllConditionedError(
+                f"row {row} has no owner among vertex {stalk.vertex}'s order-{k} classes "
+                "and coboundaries"
+            )
+        coeff = x / col[-1][1]
+        if pos is not None:
+            coords[pos] = coeff
+        z = fld.prune(axpy(z[:-1], col[:-1], -coeff))
+    return coords
+
+
 def sheaf_laplacian_block(
     stalk_u: LocalStalk,
     stalk_v: LocalStalk,
@@ -236,46 +190,31 @@ def sheaf_laplacian_block(
     k: int,
     fld: Field = Field(),
 ) -> SheafLaplacianBlock:
-    """Reduce the extended matrix and read off interval-tagged atoms.
+    """The relations on the edge e = uv, one atom per order-k bar of st e.
 
-    Every reduced B_AB column with both stalk parts nonzero and a nonempty
-    validity interval yields one atom. The interval ends at the pivot's
-    filtration value (never later than any involved cocycle's death) and
-    starts at the later of the two combined cocycles' births, each the
-    earliest birth among the cocycles it combines. That is the lowest
-    value in the combined cochain's support: `linalg.reduce` keeps V unit
-    upper-triangular, so a stalk cocycle's representative holds its birth
-    simplex with coefficient 1 and its other support simplices have larger
-    filtration ids. No other cocycle of the stalk touches the birth
-    simplex of the earliest-born one, so that entry survives the sum and
-    every other support simplex comes later (de Silva, Morozov &
-    Vejdemo-Johansson, "Dualities in persistent (co)homology", 2011). The
-    column's B_D components are coboundary corrections and are discarded.
+    st u ∩ st v = st e, so by Mayer-Vietoris for compact supports the
+    relations between the two stalks are im(H^k_c(st e) -> H^k_c(st u) ⊕
+    H^k_c(st v)), each map an extension by zero (Bott & Tu 1982, §2). A
+    bar xi of the relative persistence of st e gives the atom on
+    [xi.birth, xi.death) whose `v_a` is xi's class in u's stalk and whose
+    `v_b` is minus its class in v's; at any t, the atoms alive restricted
+    to the cocycles alive span that image. A bar zero in both stalks gives
+    no atom.
     """
-    ext = build_extended_matrix(stalk_u, stalk_v, filtration, k, fld)
-    red = column_reduce(ext.matrix)
-    cocycles_u, cocycles_v = stalk_u.order_cocycles(k), stalk_v.order_cocycles(k)
+    u, v = stalk_u.vertex, stalk_v.vertex
+    if (min(u, v), max(u, v)) not in filtration.index:
+        raise ContractError(f"vertices {u} and {v} are not adjacent (empty intersection)")
+    if stalk_u.star.filtration is not filtration or stalk_v.star.filtration is not filtration:
+        raise ContractError("stalks were computed on a different filtration")
+    if {stalk_u.field_kind, stalk_v.field_kind} != {fld.kind}:
+        raise ContractError(f"stalks were computed on another carrier than {fld.kind}")
+    edge_star = stalk_u.star.ids & stalk_v.star.ids
     atoms: list[LaplacianAtom] = []
-    for j in range(ext.n_d_cols, ext.matrix.col_count):
-        v_a: dict[int, object] = {}
-        v_b: dict[int, object] = {}
-        for col_idx, coeff in red.V.cols[j]:
-            if col_idx >= ext.n_d_cols:
-                side, pos = ext.col_meta[col_idx - ext.n_d_cols]
-                (v_a if side == "A" else v_b)[pos] = coeff
-        if not v_a or not v_b:
-            continue
-        rcol = red.R.cols[j]
-        if rcol:
-            end = filtration.values[sid_of(filtration, rcol[-1][0])]
-        else:
-            end = INF
-        start = max(
-            min(cocycles_u[a].birth for a in v_a), min(cocycles_v[b].birth for b in v_b)
-        )
-        if start >= end:
-            continue
-        atoms.append(LaplacianAtom(start=start, end=end, v_a=v_a, v_b=v_b))
+    for xi in _diagram_from_reductions(filtration, edge_star, k, fld)[0].of_order(k):
+        v_a = _coordinates(stalk_u, filtration, k, xi, fld)
+        v_b = {b: -x for b, x in _coordinates(stalk_v, filtration, k, xi, fld).items()}
+        if v_a or v_b:
+            atoms.append(LaplacianAtom(start=xi.birth, end=xi.death, v_a=v_a, v_b=v_b))
     return SheafLaplacianBlock(atoms=atoms)
 
 
@@ -285,12 +224,14 @@ def _entry_weight(mode: tuple, atom: LaplacianAtom, out_iv, in_iv, horizon: floa
     The single rule behind every Laplacian entry. Slice mode ("slice", t):
     1 when t lies in the atom's interval and in both cocycle lifespans,
     else 0. Weighted mode: the overlap of atom and both lifespans divided by
-    the output lifespan, with essential deaths capped at the horizon t+. A
-    class born exactly at the horizon has zero nominal span; it is alive
-    only at the final instant, so its weight degenerates to 1 when atom and
-    partner are still alive there and to 0 otherwise.
+    the output lifespan, with essential deaths capped at the horizon t+.
+    Every class an atom reaches is born no earlier than the atom starts, so
+    only its end bounds the overlap. A class born exactly at the horizon
+    has zero nominal span; it is alive only at the final instant, so its
+    weight degenerates to 1 when atom and partner are still alive there and
+    to 0 otherwise.
     """
-    lo = max(atom.start, out_iv[0], in_iv[0])
+    lo = max(out_iv[0], in_iv[0])
     hi = min(atom.end, out_iv[1], in_iv[1])
     if mode[0] == "slice":
         return 1 if lo <= mode[1] < hi else 0
@@ -307,7 +248,7 @@ class AssembledLaplacian:
     `lifespans` maps each vertex to the (birth, death) of its order-k
     cocycles in stalk order (math.inf if essential); `vertices`, `dims` and
     `offsets` follow from it. `blocks` holds the atoms of each adjacent pair
-    with two nonempty stalks. `mode`, ("slice", t) or ("weighted",), is
+    with a nonempty stalk. `mode`, ("slice", t) or ("weighted",), is
     checked on construction, so `dataclasses.replace(lap, mode=...)` is the
     operator of another mode on the same atoms, reducing nothing; the copy
     shares `blocks` and `lifespans`, which nothing mutates. In slice mode
@@ -434,8 +375,8 @@ def assemble_laplacian(
     mode,
     fld: Field = Field(),
 ) -> AssembledLaplacian:
-    """Reduce the block of every adjacent pair with two nonempty order-k
-    stalks, once; `mode` is ("slice", t) or ("weighted",).
+    """Reduce the block of every adjacent pair with a nonempty order-k
+    stalk, once; `mode` is ("slice", t) or ("weighted",).
 
     The mode and the stalks are checked before any block is reduced. The
     entries are built from the atoms when first read; another mode on the
@@ -452,6 +393,6 @@ def assemble_laplacian(
     )
     for sid in filtration.ids_of_dim(1):
         u, v = filtration.simplices[sid]
-        if lifespans[u] and lifespans[v]:
+        if lifespans[u] or lifespans[v]:
             lap.blocks[(u, v)] = sheaf_laplacian_block(stalks[u], stalks[v], filtration, k, fld)
     return lap

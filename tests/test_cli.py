@@ -538,8 +538,9 @@ def test_verify_golden_corpus(tmp_path, capsys):
     assert report and all(entry["status"] == "pass" for entry in report)
     checks = {entry["check"] for entry in report}
     assert "betti_fast_vs_dense" in checks
-    stalk_fixtures = [e["fixture"] for e in report if e["check"] == "stalks_fast_vs_dense"]
-    assert stalk_fixtures == ["c4", "two_c4", "octahedron", "k4", "k3"]
+    for check in ("stalks_fast_vs_dense", "sheaf_kernel_vs_global_sections"):
+        fixtures = [e["fixture"] for e in report if e["check"] == check]
+        assert fixtures == ["c4", "two_c4", "octahedron", "k4", "k3"], check
     assert not any(c == "excision" or c.startswith("theorem_appears") for c in checks)
 
 
@@ -566,6 +567,23 @@ def test_verify_catches_a_dropped_stalk_cocycle(c4_csv, tmp_path, monkeypatch):
     assert entry["status"] == "fail"
     assert set(entry["counterexample"]) == {"vertex", "t", "k", "fast", "dense"}
     assert entry["counterexample"]["fast"] < entry["counterexample"]["dense"]
+
+
+def test_verify_catches_a_dropped_atom(c4_csv, tmp_path, monkeypatch):
+    """Blocks that each lost an atom leave the slice kernel larger than the
+    dense count of global sections."""
+    real = sheaf.sheaf_laplacian_block
+
+    def drop_first(*args):
+        return sheaf.SheafLaplacianBlock(atoms=real(*args).atoms[1:])
+
+    monkeypatch.setattr(sheaf, "sheaf_laplacian_block", drop_first)
+    out = tmp_path / "r.json"
+    assert main(["verify", "--input", c4_csv, "--out", str(out)]) == 4
+    failed = [e for e in json.loads(out.read_text()) if e["status"] == "fail"]
+    assert [e["check"] for e in failed] == ["sheaf_kernel_vs_global_sections"]
+    assert set(failed[0]["counterexample"]) == {"t", "k", "fast", "dense"}
+    assert failed[0]["counterexample"]["fast"] > failed[0]["counterexample"]["dense"]
 
 
 def test_verify_at_order_zero_has_no_stalk_check(c4_csv, tmp_path):

@@ -1,4 +1,4 @@
-"""Stalks, extended coboundary matrices, Laplacian atoms and assembly."""
+"""Stalks, Laplacian blocks from the edge star, atoms and assembly."""
 
 import math
 import random
@@ -16,20 +16,9 @@ from localhom.complexes import (
     star_of_vertices,
 )
 from localhom.errors import ContractError, IllConditionedError
-from localhom.linalg import Field, SparseColumnMatrix, reduce
-from localhom.persistence import (
-    coboundary_block,
-    persistent_relative_cohomology,
-    row_of,
-    sid_of,
-)
-from localhom.sheaf import (
-    ExtendedCoboundaryMatrix,
-    assemble_laplacian,
-    build_extended_matrix,
-    compute_stalk,
-    sheaf_laplacian_block,
-)
+from localhom.linalg import Field, SparseColumnMatrix, rank
+from localhom.persistence import coboundary_block, persistent_relative_cohomology, sid_of
+from localhom.sheaf import assemble_laplacian, compute_stalk, sheaf_laplacian_block
 
 INF = math.inf
 
@@ -47,12 +36,50 @@ def edge_block_at(filt, stalks, u, v, k, t):
     return lap.dense[rows, cols]
 
 
-def rows_of_dim(ext, filt, d):
-    """Rows of the extended matrix holding an entry on a d-simplex."""
-    return {
-        r for col in ext.matrix.cols for r, _ in col
-        if len(filt.simplices[sid_of(filt, r)]) == d + 1
-    }
+def alive(span, t):
+    return span[0] <= t < span[1]
+
+
+def live_kernel(lap, t):
+    """dim ker of the slice operator at t on the cocycles alive at t."""
+    dead = sum(not alive(span, t) for spans in lap.lifespans.values() for span in spans)
+    return replace(lap, mode=("slice", t)).kernel_dim_exact() - dead
+
+
+def live_atom_rank(lap, u, v, t):
+    """Exact rank of the (u, v) atoms alive at t, on the cocycles alive at t."""
+    atoms = lap.blocks[u, v].atoms if (u, v) in lap.blocks else []
+    entries = []
+    for i, atom in enumerate(atoms):
+        if atom.start <= t < atom.end:
+            entries += [(a, i, x) for a, x in atom.v_a.items() if alive(lap.lifespans[u][a], t)]
+            entries += [
+                (lap.dims[u] + b, i, x)
+                for b, x in atom.v_b.items()
+                if alive(lap.lifespans[v][b], t)
+            ]
+    n = lap.dims[u] + lap.dims[v]
+    return rank(SparseColumnMatrix.from_entries(n, len(atoms), entries, Field()))
+
+
+def edge_image_rank(filt, t, k, u, v):
+    """Dense rank of the image of H^k(S_t, S_t - st e), e = uv, in
+    H^k(S_t, S_t - st u) ⊕ H^k(S_t, S_t - st v), by extension by zero."""
+    present = oracle.ids_at(filt, t)
+    star = lambda *ends: {i for i in present if set(ends) <= set(filt.simplices[i])}
+    _, b_u, cols_u = oracle._open_cohomology_spaces(filt, present, star(u), k)
+    _, b_v, cols_v = oracle._open_cohomology_spaces(filt, present, star(v), k)
+    n_e, _, cols_e = oracle._open_cohomology_spaces(filt, present, star(u, v), k)
+    pos_u = {sid: i for i, sid in enumerate(cols_u)}
+    pos_v = {sid: i for i, sid in enumerate(cols_v)}
+    b = [oracle._embed(x, cols_u, pos_u) for x in b_u]
+    b += [oracle._embed(x, cols_v, pos_v, len(cols_u)) for x in b_v]
+    rows = []
+    for x in n_e:
+        row = oracle._embed(x, cols_e, pos_u)
+        row.update({c: -y for c, y in oracle._embed(x, cols_e, pos_v, len(cols_u)).items()})
+        rows.append(row)
+    return oracle.rank_int_rows(rows + b) - oracle.rank_int_rows(b)
 
 
 def disjoint_lifespan_graph():
@@ -175,7 +202,7 @@ def test_stalk_alive_counts_match_relative_betti_oracle(corpus):
 
 
 # ---------------------------------------------------------------------------
-# extended coboundary matrix
+# blocks from the edge star
 # ---------------------------------------------------------------------------
 
 
@@ -185,161 +212,12 @@ def test_stalks_from_another_filtration_rejected(c4_filt, k4_filt):
         assemble_laplacian(k4_filt, stalks, 1, ("weighted",))
 
 
-def test_extended_matrix_c4_shape(c4_filt):
-    s0 = compute_stalk(c4_filt, 0, 1)
-    s1 = compute_stalk(c4_filt, 1, 1)
-    ext = build_extended_matrix(s0, s1, c4_filt, 1)
-    # D' = st0 + st1 has 3 edges, each on the even row of its id, and no
-    # triangles; one B_D column per vertex of D'
-    edges = [c4_filt.id_of(e) for e in ((0, 1), (1, 2), (0, 3))]
-    assert rows_of_dim(ext, c4_filt, 1) == {row_of(c4_filt, sid) for sid in edges}
-    assert rows_of_dim(ext, c4_filt, 2) == set()
-    assert ext.n_d_cols == 2
-    assert ext.matrix.col_count - ext.n_d_cols == 2  # one per stalk cocycle
-
-
-def test_extended_matrix_shared_simplices_appear_in_both_groups():
-    """A coboundaries land on the even row of their simplex and B
-    coboundaries on the odd row after it, so a triangle of both stars
-    takes two rows. On the 4-cycle 0-2-1-3 whose diagonal 01 enters late,
-    the 1-classes of vertices 0 and 1 both have coboundary on the shared
-    triangle (0, 1, 3)."""
-    cycle = ((0, 2, 1.0), (1, 2, 1.0), (1, 3, 1.0), (0, 3, 1.0), (0, 1, 2.0))
-    filt = build_flag_complex(WeightedGraph(4, cycle), 2)
-    stalks = {"A": compute_stalk(filt, 0, 1), "B": compute_stalk(filt, 1, 1)}
-    ext = build_extended_matrix(stalks["A"], stalks["B"], filt, 1)
-    assert [side for side, _ in ext.col_meta] == ["A", "B"]
-    for (side, pos), col in zip(ext.col_meta, ext.matrix.cols[ext.n_d_cols:]):
-        c = stalks[side].order_cocycles(1)[pos]
-        shift = 1 if side == "B" else 0
-        expected = {row_of(filt, sid) for sid in c.representative}
-        expected |= {row_of(filt, sid) + shift for sid in c.coboundary}
-        assert [r for r, _ in col] == sorted(expected)
-    tri = row_of(filt, filt.id_of((0, 1, 3)))
-    assert rows_of_dim(ext, filt, 2) == {tri, tri + 1}
-
-
 def test_extended_matrix_rejects_non_adjacent(two_c4_filt):
+    """A block couples the two ends of an edge only."""
     s0 = compute_stalk(two_c4_filt, 0, 1)
     s4 = compute_stalk(two_c4_filt, 4, 1)
-    with pytest.raises(ContractError):
-        build_extended_matrix(s0, s4, two_c4_filt, 1)
-
-
-def test_extended_matrix_empty_stalks_no_ab_columns(k3_filt):
-    s0 = compute_stalk(k3_filt, 0, 2)
-    s1 = compute_stalk(k3_filt, 1, 2)
-    ext = build_extended_matrix(s0, s1, k3_filt, 1)
-    assert ext.matrix.col_count == ext.n_d_cols
-
-
-def test_extended_matrix_octahedron_top_order(oct_filt):
-    s0 = compute_stalk(oct_filt, 0, 2)
-    s1 = compute_stalk(oct_filt, 1, 2)
-    ext = build_extended_matrix(s0, s1, oct_filt, 2)
-    assert ext.matrix.col_count - ext.n_d_cols == 2
-    blk = sheaf_laplacian_block(s0, s1, oct_filt, 2)
-    assert len(blk.atoms) == 1  # reduction pairs the two columns
-    # oracle: the pair's intersection carries one relative 2-class
-    inter = star_of_vertices(oct_filt, [0]).ids & star_of_vertices(oct_filt, [1]).ids
-    comp = SimplexSubset(oct_filt, frozenset(range(len(oct_filt))) - inter)
-    assert oracle.relative_betti_dense(oct_filt, 1.0, comp, 2) == 1
-
-
-class TaggedRows:
-    """The builders as first written: every block keeps an explicit row
-    list sorted by decreasing filtration index (A before B), maps rows
-    through a position dict and sends its entries through `from_entries`.
-    `sid_of` reads the row list of the block built last, which is the one
-    the reduction that follows reads."""
-
-    def __init__(self):
-        self.row_sids = []
-
-    def sid_of(self, filtration, row):
-        return self.row_sids[row]
-
-    def coboundary_block(self, filtration, k, keep, fld):
-        def ids_desc(d):
-            if keep is None:
-                return filtration.ids_of_dim(d)[::-1]
-            return sorted((i for i in keep if len(filtration.simplices[i]) == d + 1), reverse=True)
-
-        col_ids, row_ids = ids_desc(k), ids_desc(k + 1)
-        row_pos = {sid: r for r, sid in enumerate(row_ids)}
-        entries = [
-            (row_pos[coface], j, sign)
-            for j, sid in enumerate(col_ids)
-            for coface, sign in filtration.cofacets(sid)
-            if coface in row_pos
-        ]
-        self.row_sids = row_ids
-        return SparseColumnMatrix.from_entries(len(row_ids), len(col_ids), entries, fld), col_ids
-
-    def build_extended_matrix(self, stalk_u, stalk_v, filtration, k, fld=Field()):
-        u, v = stalk_u.vertex, stalk_v.vertex
-        a_ids, b_ids = stalk_u.star.ids, stalk_v.star.ids
-        d_ids = a_ids | b_ids
-        dim = lambda sid: len(filtration.simplices[sid]) - 1
-        rows = [("k", sid) for sid in d_ids if dim(sid) == k]
-        rows += [("A", sid) for sid in a_ids if dim(sid) == k + 1]
-        rows += [("B", sid) for sid in b_ids if dim(sid) == k + 1]
-        rows.sort(key=lambda gr: (-gr[1], "kAB".index(gr[0])))
-        row_pos = {gr: i for i, gr in enumerate(rows)}
-        d_cols = sorted((sid for sid in d_ids if dim(sid) == k - 1), reverse=True)
-        ab_cols = [("A", u, pos, c) for pos, c in enumerate(stalk_u.order_cocycles(k))]
-        ab_cols += [("B", v, pos, c) for pos, c in enumerate(stalk_v.order_cocycles(k))]
-        ab_cols.sort(key=lambda item: (-item[3].birth, item[1], item[2]))
-        entries = [
-            (row_pos[("k", coface)], j, sign)
-            for j, sid in enumerate(d_cols)
-            for coface, sign in filtration.cofacets(sid)
-            if ("k", coface) in row_pos
-        ]
-        for jj, (side, _, _, c) in enumerate(ab_cols):
-            j = len(d_cols) + jj
-            entries += [(row_pos[("k", sid)], j, x) for sid, x in c.representative.items()]
-            entries += [(row_pos[(side, sid)], j, x) for sid, x in c.coboundary.items()]
-        self.row_sids = [sid for _, sid in rows]
-        matrix = SparseColumnMatrix.from_entries(
-            len(rows), len(d_cols) + len(ab_cols), entries, fld
-        )
-        return ExtendedCoboundaryMatrix(
-            matrix=matrix,
-            col_meta=[(side, pos) for side, _, pos, _ in ab_cols],
-            n_d_cols=len(d_cols),
-        )
-
-
-def test_row_order_matches_tagged_row_builders(corpus, monkeypatch):
-    """Stalk cocycles and Laplacian atoms from the `row_of` layout equal
-    those of the tagged-row builders, every field in every dict order,
-    on both carriers at orders 1 and 2."""
-    rng = random.Random(61)
-    cloud = graph_from_points([(rng.random(), rng.random()) for _ in range(60)], knn=6)
-    tagged = TaggedRows()
-    for fld in (Field(), Field(kind="float")):
-        for gi, graph in enumerate(corpus[:40] + [cloud]):
-            filt = build_flag_complex(graph, 3)
-            stalks = {v: compute_stalk(filt, v, 2, fld=fld) for v in range(filt.vertex_count)}
-            blocks = {}
-            for eid in filt.ids_of_dim(1):
-                u, v = filt.simplices[eid]
-                for k in (1, 2):
-                    blocks[u, v, k] = sheaf_laplacian_block(stalks[u], stalks[v], filt, k, fld)
-            with monkeypatch.context() as m:
-                m.setattr(persistence, "coboundary_block", tagged.coboundary_block)
-                m.setattr(persistence, "sid_of", tagged.sid_of)
-                m.setattr(sheaf, "build_extended_matrix", tagged.build_extended_matrix)
-                m.setattr(sheaf, "sid_of", tagged.sid_of)
-                for v, stalk in stalks.items():
-                    # repr shows every field, dict item order included
-                    assert repr(compute_stalk(filt, v, 2, fld=fld).cocycles) == repr(
-                        stalk.cocycles
-                    ), (fld.kind, gi, v)
-                for (u, v, k), blk in blocks.items():
-                    ref = sheaf_laplacian_block(stalks[u], stalks[v], filt, k, fld)
-                    assert repr(ref.atoms) == repr(blk.atoms), (fld.kind, gi, u, v, k)
+    with pytest.raises(ContractError, match="not adjacent"):
+        sheaf_laplacian_block(s0, s4, two_c4_filt, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -360,13 +238,18 @@ def test_block_c4_single_essential_atom(c4_filt):
 
 
 def test_block_disjoint_lifespans_zero_atoms():
+    """u's classes die before v's is born, so no atom couples a live u class
+    with a live v class; the one-sided atoms still are relations, and the
+    block and the kernel agree with the dense oracle at every threshold."""
     filt = build_flag_complex(disjoint_lifespan_graph(), 2)
-    su = compute_stalk(filt, 1, 1)
-    sv = compute_stalk(filt, 3, 1)
-    assert stalk_pairs(su) == [(1, 1.0, 1.5), (1, 1.0, 1.6)]
-    assert stalk_pairs(sv) == [(1, 3.0, INF)]
-    blk = sheaf_laplacian_block(su, sv, filt, 1)
-    assert blk.atoms == []
+    stalks = {v: compute_stalk(filt, v, 1) for v in range(filt.vertex_count)}
+    assert stalk_pairs(stalks[1]) == [(1, 1.0, 1.5), (1, 1.0, 1.6)]
+    assert stalk_pairs(stalks[3]) == [(1, 3.0, INF)]
+    lap = assemble_laplacian(filt, stalks, 1, ("slice", filt.t_plus))
+    for t in filt.threshold_values():
+        assert live_atom_rank(lap, 1, 3, t) == edge_image_rank(filt, t, 1, 1, 3), t
+        assert live_kernel(lap, t) == oracle.global_sections_dim(filt, t, 1), t
+        assert not edge_block_at(filt, stalks, 1, 3, 1, t).any(), t
 
 
 def test_block_finite_interval_on_unit_square(square_filt):
@@ -414,7 +297,8 @@ def empty_interval_graph():
 
 @pytest.mark.parametrize("kind", ["exact", "float"])
 def test_block_skips_empty_interval_columns(kind):
-    """A reduced column whose start is not before its end yields no atom."""
+    """Every atom's interval is nonempty, also where a reduction meets a
+    zero-length pair."""
     fld = Field(kind=kind)
     filt = build_flag_complex(empty_interval_graph(), 3)
     stalks = {v: compute_stalk(filt, v, 2, fld=fld) for v in (2, 4, 7)}
@@ -439,48 +323,12 @@ def test_atom_end_never_exceeds_involved_deaths(corpus):
                     assert atom.end <= min(deaths), (gi, u, v, k)
 
 
-def combined_support_min(stalk, k, coeffs, filt, fld):
-    """The start rule as first written: the lowest filtration value in the
-    pruned support of the combined cochain, None if it cancels."""
-    acc = {}
-    cocycles = stalk.order_cocycles(k)
-    for pos, c in coeffs.items():
-        for sid, val in cocycles[pos].representative.items():
-            acc[sid] = acc.get(sid, 0) + c * val
-    support = fld.prune(sorted(acc.items()))
-    if not support:
-        return None
-    return min(filt.values[sid] for sid, _ in support)
-
-
-def support_min_atoms(stalk_u, stalk_v, filt, k, fld):
-    """`sheaf_laplacian_block`'s atoms under the support-minimum start rule."""
-    ext = build_extended_matrix(stalk_u, stalk_v, filt, k, fld)
-    red = reduce(ext.matrix)
-    atoms = []
-    for j in range(ext.n_d_cols, ext.matrix.col_count):
-        parts = {"A": {}, "B": {}}
-        for col_idx, coeff in red.V.cols[j]:
-            if col_idx >= ext.n_d_cols:
-                side, pos = ext.col_meta[col_idx - ext.n_d_cols]
-                parts[side][pos] = coeff
-        if not parts["A"] or not parts["B"]:
-            continue
-        rcol = red.R.cols[j]
-        end = filt.values[sid_of(filt, rcol[-1][0])] if rcol else INF
-        s_a = combined_support_min(stalk_u, k, parts["A"], filt, fld)
-        s_b = combined_support_min(stalk_v, k, parts["B"], filt, fld)
-        if s_a is None or s_b is None or max(s_a, s_b) >= end:
-            continue
-        atoms.append(sheaf.LaplacianAtom(max(s_a, s_b), end, parts["A"], parts["B"]))
-    return atoms
-
-
 def test_atom_start_is_support_minimum(corpus, tie_free_corpus):
-    """An atom starts at the later of the two earliest births it combines;
-    that equals the lowest value in the pruned support of each combined
-    cochain, so the atoms are those of the support-minimum rule, every
-    field, on the corpora and kNN-6 clouds, both carriers, orders 1 and 2."""
+    """An atom starts at its edge class's birth, the lowest value in the
+    support of its representative, so no class it reaches is born earlier
+    (both carriers, corpora and kNN-6 clouds, orders 1 and 2). On the exact
+    carrier the atoms alive at t span the image of the edge star's
+    cohomology in the two stalks, by the dense oracle, at every threshold."""
     clouds = []
     for n in (60, 200):
         rng = random.Random(n)
@@ -489,12 +337,68 @@ def test_atom_start_is_support_minimum(corpus, tie_free_corpus):
         for gi, graph in enumerate(corpus[:40] + tie_free_corpus[:20] + clouds):
             filt = build_flag_complex(graph, 3)
             stalks = {v: compute_stalk(filt, v, 2, fld=fld) for v in range(filt.vertex_count)}
-            for eid in filt.ids_of_dim(1):
-                u, v = filt.simplices[eid]
-                for k in (1, 2):
-                    got = sheaf_laplacian_block(stalks[u], stalks[v], filt, k, fld).atoms
-                    ref = support_min_atoms(stalks[u], stalks[v], filt, k, fld)
-                    assert repr(got) == repr(ref), (fld.kind, gi, u, v, k)
+            for k in (1, 2):
+                lap = assemble_laplacian(filt, stalks, k, ("slice", filt.t_plus), fld)
+                for (u, v), blk in lap.blocks.items():
+                    for atom in blk.atoms:
+                        births = [lap.lifespans[u][a][0] for a in atom.v_a]
+                        births += [lap.lifespans[v][b][0] for b in atom.v_b]
+                        assert atom.start <= min(births), (fld.kind, gi, u, v, k)
+                    if fld.kind == "exact" and gi < 60:
+                        for t in filt.threshold_values():
+                            assert live_atom_rank(lap, u, v, t) == edge_image_rank(
+                                filt, t, k, u, v
+                            ), (gi, u, v, k, t)
+
+
+def bowtie_graph():
+    """Two unit triangles sharing vertex 0."""
+    edges = ((0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4))
+    return WeightedGraph(5, tuple((u, v, 1.0) for u, v in edges))
+
+
+def test_slice_kernel_counts_global_sections(corpus, tie_free_corpus):
+    """On the cocycles alive at t, the slice kernel is the dense count of
+    global sections of σ ↦ H^k_c(st σ), at every threshold, orders 1 and 2,
+    on both corpora and the bowtie."""
+    checked = 0
+    for gi, graph in enumerate(corpus + tie_free_corpus + [bowtie_graph()]):
+        filt = build_flag_complex(graph, 3)
+        stalks = {v: compute_stalk(filt, v, 2) for v in range(filt.vertex_count)}
+        for k in (1, 2):
+            lap = assemble_laplacian(filt, stalks, k, ("slice", filt.t_plus))
+            for t in filt.threshold_values():
+                assert live_kernel(lap, t) == oracle.global_sections_dim(filt, t, k), (gi, k, t)
+                checked += 1
+    assert checked > 4000
+
+
+def test_bowtie_kernel_is_a_global_section_not_a_cycle():
+    """The pinch vertex's local 1-class is a global section but not a
+    cycle: the kernel is 1 while beta_1 is 0."""
+    filt = build_flag_complex(bowtie_graph(), 2)
+    stalks = {v: compute_stalk(filt, v, 1) for v in range(5)}
+    lap = assemble_laplacian(filt, stalks, 1, ("slice", 1.0))
+    assert live_kernel(lap, 1.0) == lap.kernel_dim_exact() == 1
+    assert oracle.global_sections_dim(filt, 1.0, 1) == 1
+    assert oracle.betti_dense(filt, 1.0, 1) == 0
+
+
+def test_carriers_give_the_same_atoms(corpus, tie_free_corpus):
+    """Exact and float stalks give every block the same atoms' intervals and
+    supports, orders 1 and 2, on both corpora."""
+    for gi, graph in enumerate(corpus + tie_free_corpus):
+        filt = build_flag_complex(graph, 3)
+        shapes = []
+        for fld in (Field(), Field(kind="float")):
+            stalks = {v: compute_stalk(filt, v, 2, fld=fld) for v in range(filt.vertex_count)}
+            laps = [assemble_laplacian(filt, stalks, k, ("weighted",), fld) for k in (1, 2)]
+            shapes.append([
+                (k, edge, [(a.start, a.end, sorted(a.v_a), sorted(a.v_b)) for a in blk.atoms])
+                for k, lap in zip((1, 2), laps)
+                for edge, blk in lap.blocks.items()
+            ])
+        assert shapes[0] == shapes[1], gi
 
 
 def test_block_sign_flip_equivariance(square_filt):
@@ -685,7 +589,7 @@ def test_replace_checks_the_mode_and_reduces_nothing(c4_filt, block_calls):
 
 
 # ---------------------------------------------------------------------------
-# column caches
+# carriers, conditioning and caches
 # ---------------------------------------------------------------------------
 
 
@@ -717,48 +621,34 @@ def test_cached_columns_match_fresh_filtration(corpus):
             assert pipeline_reprs(shared, fld) == pipeline_reprs(build_flag_complex(graph, 3), fld)
 
 
-def test_stalk_columns_are_cached_per_eps(square_filt):
-    """One stalk pruned into blocks at two eps values gives, at each, the
-    block a fresh stalk gives: the B_AB columns are keyed by the field."""
-    stalks = {v: compute_stalk(square_filt, v, 1, fld=Field(kind="float")) for v in range(4)}
-    c = stalks[0].cocycles[0]
-    first = min(c.representative)
-    # one entry at a quarter of the others: eps=0.3 prunes it, 1e-9 keeps it
-    rep = {i: x / 4 if i == first else x for i, x in c.representative.items()}
-    scaled = lambda: replace(stalks[0], cocycles=[replace(c, representative=rep)])
-    shared = scaled()
-    mats = {}
-    for eps in (1e-9, 0.3, 1e-9):
-        fld = Field(kind="float", eps=eps)
-        got = build_extended_matrix(shared, stalks[1], square_filt, 1, fld).matrix.cols
-        assert got == build_extended_matrix(scaled(), stalks[1], square_filt, 1, fld).matrix.cols
-        mats[eps] = got
-    assert mats[1e-9] != mats[0.3]
-
-
 def test_ill_conditioned_column_raises_every_time(square_filt):
-    """A B_AB column past 1/eps raises on each build: a failed column is
-    never cached as if it had been pruned."""
+    """A coboundary column past 1/eps raises on each block that solves
+    against it: no failed solve is kept as if it had been pruned."""
     fld = Field(kind="float", eps=1e-9)
     stalks = {v: compute_stalk(square_filt, v, 1, fld=fld) for v in range(4)}
-    s0 = stalks[0]
-    huge = replace(
-        s0.cocycles[0], representative={i: 1e12 * x for i, x in s0.cocycles[0].representative.items()}
-    )
-    stalks[0] = replace(s0, cocycles=[huge])
+    scaled = lambda col, s: [(r, s * x) for r, x in col[:-1]] + col[-1:]
+    col = stalks[0].coboundaries[1][0]
+    stalks[0] = replace(stalks[0], coboundaries={1: [scaled(col, 1e12)]})
     for _ in range(2):
         with pytest.raises(IllConditionedError):
-            build_extended_matrix(stalks[0], stalks[1], square_filt, 1, fld)
+            sheaf_laplacian_block(stalks[0], stalks[1], square_filt, 1, fld)
         with pytest.raises(IllConditionedError):
             assemble_laplacian(square_filt, stalks, 1, ("slice", 1.2), fld)
-    # the same stalk is fine on the exact carrier, and its partner still builds
+    # the same column is fine on the exact carrier, and the partner still builds
     e0, e1 = (compute_stalk(square_filt, v, 1) for v in (0, 1))
-    exact_huge = replace(
-        e0.cocycles[0],
-        representative={i: 10**12 * x for i, x in e0.cocycles[0].representative.items()},
-    )
-    build_extended_matrix(replace(e0, cocycles=[exact_huge]), e1, square_filt, 1, Field())
-    build_extended_matrix(stalks[1], stalks[2], square_filt, 1, fld)
+    huge = {1: [scaled(e0.coboundaries[1][0], 10**12)]}
+    sheaf_laplacian_block(replace(e0, coboundaries=huge), e1, square_filt, 1, Field())
+    sheaf_laplacian_block(stalks[1], stalks[2], square_filt, 1, fld)
+
+
+def test_unowned_row_raises(c4_filt):
+    """A solve that reaches a row no class or coboundary of the stalk owns
+    is an error, not a wrong atom: here vertex 0 lost the coboundary that
+    owns its first edge."""
+    for fld in (Field(), Field(kind="float")):
+        s0, s1 = (compute_stalk(c4_filt, v, 1, fld=fld) for v in (0, 1))
+        with pytest.raises(IllConditionedError, match="no owner"):
+            sheaf_laplacian_block(replace(s0, coboundaries={1: []}), s1, c4_filt, 1, fld)
 
 
 def test_mixed_carriers_rejected(square_filt):
@@ -768,7 +658,7 @@ def test_mixed_carriers_rejected(square_filt):
     for stalk_fld, fld in ((Field(kind="float"), Field()), (Field(), Field(kind="float"))):
         stalks = {v: compute_stalk(square_filt, v, 1, fld=stalk_fld) for v in range(4)}
         with pytest.raises(ContractError, match="carrier"):
-            build_extended_matrix(stalks[0], stalks[1], square_filt, 1, fld)
+            sheaf_laplacian_block(stalks[0], stalks[1], square_filt, 1, fld)
         with pytest.raises(ContractError, match="carrier"):
             assemble_laplacian(square_filt, stalks, 1, ("slice", 1.2), fld)
 

@@ -16,9 +16,10 @@ copies of that operator.
 The hash then covers the dense oracle on the first 20 graphs of each
 corpus, built with max_dim 3: for the star of vertex `gi % n` (gi the
 graph's position in its corpus), the dies-earlier theorem report at k = 0
-and 1 and `local_betti` at k = 0, 1 and 2 and every threshold, and
+and 1 and `local_betti` at k = 0, 1 and 2 and every threshold,
 `check_mayer_vietoris(...).positions` for the stars of the first edge's
-ends at k = 0, 1 and 2.
+ends at k = 0, 1 and 2, and `global_sections_dim` at k = 1 and 2 and every
+threshold.
 
 The same hash then covers the CLI: `localhom.cli.main` runs `filtration`,
 `persistence`, `stalks`, `laplacian` (weighted and slice at t_plus) and
@@ -53,8 +54,8 @@ import numpy as np
 
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 CLOUD_SIZES = (30, 60, 120, 200)
-# CLI inputs that `verify` skips: it takes 5-6 s at max order 1 and 7.5-8.5 s at
-# max order 2 on the 60-point cloud (shared 2-core host), against about 4 s for this
+# CLI inputs that `verify` skips: it takes about 6 s at max order 1 and 10-12 s at
+# max order 2 on the 60-point cloud (shared 2-core host), against about 5 s for this
 # whole digest
 VERIFY_SKIP = ("knn6_cloud_60",)
 
@@ -100,8 +101,8 @@ def items(graph, fld):
 
 
 def oracle_items(gi, graph):
-    """repr of the oracle's theorem reports, local Betti numbers and
-    Mayer-Vietoris answers on one corpus graph."""
+    """repr of the oracle's theorem reports, local Betti numbers,
+    Mayer-Vietoris answers and global sections counts on one corpus graph."""
     from localhom import build_flag_complex, oracle, star_of_vertices
 
     filt = build_flag_complex(graph, 3)
@@ -116,6 +117,8 @@ def oracle_items(gi, graph):
         a, b = (star_of_vertices(filt, [u]) for u in filt.simplices[edges[0]])
         for k in (0, 1, 2):
             yield repr(oracle.check_mayer_vietoris(filt, a, b, k).positions)
+    for k in (1, 2):
+        yield repr([oracle.global_sections_dim(filt, t, k) for t in filt.threshold_values()])
 
 
 def cli_inputs(tmp: Path):
