@@ -70,16 +70,6 @@ class WeightedGraph:
             canon.append((key[0], key[1], float(w)))
         object.__setattr__(self, "edges", tuple(canon))
 
-    def adjacency(self) -> list[set[int]]:
-        adj = [set() for _ in range(self.vertex_count)]
-        for u, v, _ in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
-    def weight_map(self) -> dict[tuple[int, int], float]:
-        return {(u, v): w for u, v, w in self.edges}
-
 
 @dataclass
 class Filtration:
@@ -177,38 +167,31 @@ def build_flag_complex(
         raise BudgetExceededError(
             f"{graph.vertex_count} vertices exceed the simplex budget {budget}"
         )
-    adj = graph.adjacency()
-    wmap = graph.weight_map()
+    # vertex -> {higher neighbour: edge weight}; edges are stored with u < v
+    higher: list[dict[int, float]] = [{} for _ in range(graph.vertex_count)]
+    for u, v, w in graph.edges:
+        higher[u][v] = w
+    entries: list[tuple[float, int, Simplex]] = [(0.0, 0, (v,)) for v in range(graph.vertex_count)]
 
-    entries: list[tuple[float, int, Simplex]] = []
-    count = 0
-
-    def push(simplex: Simplex, value: float):
-        nonlocal count
-        count += 1
-        if count > budget:
-            raise BudgetExceededError(
-                f"simplex budget {budget} exceeded while enumerating cliques"
-            )
-        entries.append((value, len(simplex) - 1, simplex))
-
-    for v in range(graph.vertex_count):
-        push((v,), 0.0)
-
-    # grow cliques by appending common higher neighbors; the clique value is
-    # max over its edges, updated incrementally
-    def grow(clique: Simplex, candidates: set[int], value: float):
+    # grow cliques by appending common higher neighbours, in increasing order;
+    # the clique value is max over its edges, updated incrementally
+    def grow(clique: Simplex, candidates: list[int], value: float):
         if len(clique) - 1 >= max_dim:
             return
-        for u in sorted(candidates):
-            w = max(value, max(wmap[(min(c, u), max(c, u))] for c in clique))
+        for i, u in enumerate(candidates):
+            w = max(value, max(higher[c][u] for c in clique))
             bigger = clique + (u,)
-            push(bigger, w)
-            grow(bigger, {x for x in candidates if x > u and x in adj[u]}, w)
+            if len(entries) >= budget:
+                raise BudgetExceededError(
+                    f"simplex budget {budget} exceeded while enumerating cliques"
+                )
+            entries.append((w, len(bigger) - 1, bigger))
+            neighbours = higher[u]
+            grow(bigger, [x for x in candidates[i + 1:] if x in neighbours], w)
 
     if max_dim >= 1:
         for v in range(graph.vertex_count):
-            grow((v,), {u for u in adj[v] if u > v}, 0.0)
+            grow((v,), sorted(higher[v]), 0.0)
 
     entries.sort()
     return Filtration(

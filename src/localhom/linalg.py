@@ -2,9 +2,10 @@
 
 Two carriers share one interface: exact rationals (`fractions.Fraction`,
 the correctness reference) and binary64 floats with a relative zero
-tolerance (the performance path). The left-to-right column reduction here
-is the single algorithm behind every persistence computation in the
-package; the dense brute-force oracle deliberately does not use it.
+tolerance (the performance path). One left-to-right elimination step,
+`reduce_column`, is the single algorithm behind every persistence
+computation in the package and behind `reduce`; the dense brute-force
+oracle deliberately does not use it.
 """
 
 from __future__ import annotations
@@ -101,9 +102,9 @@ class SparseColumnMatrix:
         """entries: iterable of (row, col, value), each (row, col) at most once.
 
         This is where caller data enters (`AssembledLaplacian.kernel_dim_exact`
-        and tests), so rows and columns are checked here. Coboundary blocks
-        build their sorted columns directly, and `reduce` keeps rows sorted
-        and in range by construction.
+        and tests), so rows and columns are checked here. Persistence
+        builds its sorted coboundary columns directly, with no matrix, and
+        `reduce_column` keeps rows sorted and in range by construction.
         """
         cols: list[Column] = [[] for _ in range(col_count)]
         for r, c, v in entries:
@@ -128,36 +129,45 @@ class Reduction:
     pivots: dict[int, int]  # pivot row -> column owning it
 
 
-def reduce(matrix: SparseColumnMatrix, skip_cols=frozenset()) -> Reduction:
-    """Left-to-right column reduction.
+def reduce_column(
+    r: Column, v: Column, pivots: dict[int, tuple[Column, Column]], fld: Field
+) -> tuple[Column, Column]:
+    """One column of the left-to-right reduction: (R column, V column).
 
-    A column's pivot is its lowest nonzero row; while some earlier column
-    owns the same pivot, subtract the matching field multiple. Columns in
-    skip_cols are zeroed without work (the clearing optimization; callers
-    must only pass columns whose reduction is known to vanish).
+    A column's pivot is its lowest nonzero row; while an earlier column
+    owns the same pivot, subtract the matching field multiple from R and
+    V alike. `pivots` maps each owned pivot row to its owner's (R, V)
+    columns, and a column that stays nonzero is entered there. Columns are
+    replaced, never edited in place, so the caller's columns stay intact.
     """
+    while r:
+        low, x = r[-1]
+        owner = pivots.get(low)
+        if owner is None:
+            pivots[low] = (r, v)
+            break
+        r_owner, v_owner = owner
+        coeff = -(x / r_owner[-1][1])
+        r = fld.prune(axpy(r, r_owner, coeff))
+        v = fld.prune(axpy(v, v_owner, coeff))
+    return r, v
+
+
+def reduce(matrix: SparseColumnMatrix) -> Reduction:
+    """`reduce_column` over the matrix's columns, left to right; V starts
+    as the identity."""
     fld = matrix.field
     one = fld.one
-    # columns are replaced, never edited in place, so the input's columns stay intact
-    rcols = list(matrix.cols)
-    vcols: list[Column] = [[(j, one)] for j in range(matrix.col_count)]
-    pivots: dict[int, int] = {}
-    for j in range(matrix.col_count):
-        if j in skip_cols:
-            rcols[j] = []
-            continue
-        while rcols[j]:
-            low = rcols[j][-1][0]
-            owner = pivots.get(low)
-            if owner is None:
-                pivots[low] = j
-                break
-            coeff = -(rcols[j][-1][1] / rcols[owner][-1][1])
-            rcols[j] = fld.prune(axpy(rcols[j], rcols[owner], coeff))
-            vcols[j] = fld.prune(axpy(vcols[j], vcols[owner], coeff))
+    owners: dict[int, tuple[Column, Column]] = {}
+    rcols: list[Column] = []
+    vcols: list[Column] = []
+    for j, col in enumerate(matrix.cols):
+        r, v = reduce_column(col, [(j, one)], owners, fld)
+        rcols.append(r)
+        vcols.append(v)
     R = SparseColumnMatrix(matrix.row_count, matrix.col_count, rcols, fld)
     V = SparseColumnMatrix(matrix.col_count, matrix.col_count, vcols, fld)
-    return Reduction(R=R, V=V, pivots=pivots)
+    return Reduction(R=R, V=V, pivots={r[-1][0]: j for j, r in enumerate(rcols) if r})
 
 
 def rank(matrix: SparseColumnMatrix) -> int:

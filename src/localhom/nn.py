@@ -105,13 +105,14 @@ def power_iteration(matrix, iters: int = 200) -> float:
     v = np.ones(n) + 1e-3 * np.arange(n)
     v /= np.linalg.norm(v)
     lam = 0.0
+    w = matrix @ v
     for _ in range(iters):
-        w = matrix @ v
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0
         v = w / norm
-        lam = float(v @ (matrix @ v))
+        w = matrix @ v  # gives lambda now and is the next iteration's product
+        lam = float(v @ w)
     return lam
 
 
@@ -137,11 +138,11 @@ def diffuse(
         raise ContractError(f"alpha={alpha} outside (0, 2/lambda_max={limit:.6g})")
     x = features.stacked(laplacian)
     lx = laplacian @ x
-    energies = [float(np.sum(x * lx))]
+    energies = [float((x * lx).sum())]
     for _ in range(steps):
         x = x - alpha * lx
         lx = laplacian @ x
-        energies.append(float(np.sum(x * lx)))
+        energies.append(float((x * lx).sum()))
     return FeatureBundle.from_stacked(laplacian, x, features.order), energies
 
 

@@ -1,15 +1,16 @@
 """Persistent cohomology of filtrations with representative cocycles.
 
-The coboundary matrix of each order is reduced with rows and columns
-sorted by decreasing filtration order (value, then reverse tie-break).
-For a column that reduces to nonzero, the pivot row's simplex kills the
-class; a zero column that was not a pivot row one order down is an
-essential class. The column of a simplex that was a pivot row one order
-down reduces to zero, so it is cleared without work (Bauer, "Ripser",
-2021). The column of the transformation matrix V is the representative
-cocycle and the reduced column R is its coboundary, so births come from
-the representative's lowest-value support simplex and deaths from the
-pivot.
+The coboundary of each order is reduced with rows and columns sorted by
+decreasing filtration order (value, then reverse tie-break). No matrix is
+stored: each column is built from the simplex's cofacets when the walk
+reaches it and eliminated at once against the columns before it (Bauer,
+"Ripser", 2021). For a column that reduces to nonzero, the pivot row's
+simplex kills the class; a zero column that was not a pivot row one order
+down is an essential class. The column of a simplex that was a pivot row
+one order down reduces to zero, so it is cleared without being built. The
+column of the transformation V is the representative cocycle and the
+reduced column R is its coboundary, so births come from the
+representative's lowest-value support simplex and deaths from the pivot.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 from .complexes import Filtration, SimplexSubset, is_open_set
 from .errors import ContractError
-from .linalg import Column, Field, SparseColumnMatrix, reduce as column_reduce
+from .linalg import Column, Field, reduce_column
 
 INF = math.inf
 
@@ -78,35 +79,6 @@ def sid_of(filtration: Filtration, row: int) -> int:
     return len(filtration.simplices) - 1 - row
 
 
-def coboundary_block(
-    filtration: Filtration,
-    k: int,
-    keep: frozenset[int] | None,
-    fld: Field,
-) -> tuple[SparseColumnMatrix, list[int]]:
-    """Order-k coboundary, columns by decreasing filtration index.
-
-    Returns (matrix, column simplex ids); rows are `row_of` rows. With
-    `keep` set, the columns are the k-simplices of that open set, read from
-    `keep` itself so the cost is that of the set, not of the filtration;
-    an open set holds every coface of its members, so no row is dropped.
-
-    `Filtration.cofacets` runs by increasing id, so read backwards it runs
-    by increasing row and needs no sort.
-    """
-    if keep is None:
-        col_ids = filtration.ids_of_dim(k)[::-1]
-    else:
-        col_ids = sorted((i for i in keep if len(filtration.simplices[i]) == k + 1), reverse=True)
-    top = row_of(filtration, 0)
-    signs = {1: fld.coerce(1), -1: fld.coerce(-1)}  # shared, not one object per entry
-    cols = [
-        [(top - c, signs[sign]) for c, sign in reversed(filtration.cofacets(sid))]
-        for sid in col_ids
-    ]
-    return SparseColumnMatrix(len(filtration), len(col_ids), cols, fld), col_ids
-
-
 def _diagram_from_reductions(
     filtration: Filtration,
     keep: frozenset[int] | None,
@@ -116,7 +88,17 @@ def _diagram_from_reductions(
     """The diagram up to `max_order`, and for each k in 1..max_order the
     nonzero reduced order-(k-1) coboundary columns: each column's lowest
     row is the k-simplex it kills, so with the order-k representatives they
-    own every k-simplex's row once."""
+    own every k-simplex's row once.
+
+    The columns of order k are the k-simplices of `keep` (all of them when
+    `keep` is None) by decreasing id. Each is built from
+    `Filtration.cofacets` when it is reached and reduced at once by
+    `linalg.reduce_column`; a cleared simplex is skipped before anything is
+    built. With `keep` set the cost is that of the set, not of the
+    filtration; an open set holds every coface of its members, so no row
+    is dropped. R and V columns are in `row_of` rows, so the coboundary and
+    the representative are read off directly.
+    """
     if max_order < 0:
         raise ContractError("max_order must be nonnegative")
     if max_order + 1 > filtration.max_dim:
@@ -124,29 +106,41 @@ def _diagram_from_reductions(
             "filtration was built with max_dim "
             f"{filtration.max_dim}; order {max_order} needs max_dim >= {max_order + 1}"
         )
+    if keep is None:
+        buckets = [filtration.ids_of_dim(k)[::-1] for k in range(max_order + 1)]
+    else:
+        buckets = [[] for _ in range(max_order + 1)]
+        for sid in keep:
+            k = len(filtration.simplices[sid]) - 1
+            if k <= max_order:
+                buckets[k].append(sid)
+        for bucket in buckets:
+            bucket.sort(reverse=True)
+    values = filtration.values
+    top = row_of(filtration, 0)  # row_of(sid) == top - sid, and sid_of(row) == top - row
+    one = fld.one
+    signs = {1: one, -1: fld.coerce(-1)}  # shared, not one object per entry
     classes: list[PersistentCocycle] = []
     coboundaries: dict[int, list[Column]] = {}
     destroyers: set[int] = set()
-    for k in range(max_order + 1):
-        matrix, col_ids = coboundary_block(filtration, k, keep, fld)
-        # clearing: a simplex that was a pivot row one order down has a zero column
-        skip = frozenset(j for j, sid in enumerate(col_ids) if sid in destroyers)
-        red = column_reduce(matrix, skip_cols=skip)
-        pivot_of_col = {j: low for low, j in red.pivots.items()}
-        if k < max_order:
-            coboundaries[k + 1] = [col for col in red.R.cols if col]
+    for k, col_ids in enumerate(buckets):
+        pivots: dict[int, tuple[Column, Column]] = {}
+        reduced: list[Column] = []
         next_destroyers = set()
-        for j, sid in enumerate(col_ids):
+        for sid in col_ids:
             if sid in destroyers:
-                continue  # cleared
-            low = pivot_of_col.get(j)
-            if low is None:
-                death_id, death = None, INF
-            else:
-                death_id = sid_of(filtration, low)
-                death = filtration.values[death_id]
+                continue  # cleared: a pivot row one order down has a zero column
+            # cofacets run by increasing id, so read backwards by increasing row
+            col = [(top - c, signs[sign]) for c, sign in reversed(filtration.cofacets(sid))]
+            r, v = reduce_column(col, [(top - sid, one)], pivots, fld)
+            if r:
+                reduced.append(r)
+                death_id = top - r[-1][0]
+                death = values[death_id]
                 next_destroyers.add(death_id)
-            birth = filtration.values[sid]
+            else:
+                death_id, death = None, INF
+            birth = values[sid]
             if birth < death:
                 # an essential class's R column is empty, so its coboundary is too
                 classes.append(
@@ -156,10 +150,12 @@ def _diagram_from_reductions(
                         death=death,
                         birth_index=sid,
                         death_index=death_id,
-                        representative={col_ids[r]: c for r, c in red.V.cols[j]},
-                        coboundary={sid_of(filtration, r): c for r, c in red.R.cols[j]},
+                        representative={top - row: c for row, c in v},
+                        coboundary={top - row: c for row, c in r},
                     )
                 )
+        if k < max_order:
+            coboundaries[k + 1] = reduced
         destroyers = next_destroyers
     classes.sort(key=lambda c: (c.order, c.birth, c.birth_index))
     return Diagram(classes=classes), coboundaries

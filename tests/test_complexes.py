@@ -28,9 +28,21 @@ from localhom.oracle import subfiltration, truncate_neighborhood
 # ---------------------------------------------------------------------------
 
 
+def adjacency(graph: WeightedGraph) -> list[set[int]]:
+    adj = [set() for _ in range(graph.vertex_count)]
+    for u, v, _ in graph.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
+
+
+def weight_map(graph: WeightedGraph) -> dict[tuple[int, int], float]:
+    return {(u, v): w for u, v, w in graph.edges}
+
+
 def naive_cliques(graph: WeightedGraph, max_dim: int):
     """All-subsets clique scan; exponential, only for tiny graphs."""
-    adj = graph.adjacency()
+    adj = adjacency(graph)
     out = set()
     for r in range(1, max_dim + 2):
         for combo in itertools.combinations(range(graph.vertex_count), r):
@@ -42,7 +54,7 @@ def naive_cliques(graph: WeightedGraph, max_dim: int):
 def naive_value(graph: WeightedGraph, simplex):
     if len(simplex) == 1:
         return 0.0
-    wm = graph.weight_map()
+    wm = weight_map(graph)
     return max(wm[(a, b)] for a, b in itertools.combinations(simplex, 2))
 
 
@@ -354,7 +366,7 @@ def test_subset_operator_laws(graph, seed_vertex):
 
 def test_points_euclidean_square():
     graph = graph_from_points([(0, 0), (1, 0), (1, 1), (0, 1)])
-    wm = graph.weight_map()
+    wm = weight_map(graph)
     assert wm[(0, 1)] == pytest.approx(1.0)
     assert wm[(0, 2)] == pytest.approx(math.sqrt(2.0))
     assert len(graph.edges) == 6
@@ -362,13 +374,13 @@ def test_points_euclidean_square():
 
 def test_points_manhattan():
     graph = graph_from_points([(0, 0), (1, 1)], metric="manhattan")
-    assert graph.weight_map()[(0, 1)] == pytest.approx(2.0)
+    assert weight_map(graph)[(0, 1)] == pytest.approx(2.0)
 
 
 def test_points_knn_union_rule():
     # collinear points 0,1,2 at x = 0, 1, 10: with k=1 the long pair (0,2) drops
     graph = graph_from_points([(0.0,), (1.0,), (10.0,)], knn=1)
-    assert set(graph.weight_map()) == {(0, 1), (1, 2)}
+    assert set(weight_map(graph)) == {(0, 1), (1, 2)}
 
 
 def test_points_knn_tie_after_sqrt_goes_to_lower_id():
@@ -380,7 +392,7 @@ def test_points_knn_tie_after_sqrt_goes_to_lower_id():
     assert a[0] ** 2 + a[1] ** 2 > b[0] ** 2 + b[1] ** 2
     pts = [(0.0, 0.0), a, b]
     graph = graph_from_points(pts, knn=1)
-    assert set(graph.weight_map()) == {(0, 1), (1, 2)}
+    assert set(weight_map(graph)) == {(0, 1), (1, 2)}
     assert graph.edges == oracle.knn_graph_scan(pts, knn=1)
 
 

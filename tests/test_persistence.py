@@ -1,6 +1,7 @@
 """Persistent (relative) cohomology diagrams against the dense oracle."""
 
 import math
+import random
 
 import pytest
 
@@ -9,11 +10,14 @@ from localhom.complexes import (
     SimplexSubset,
     WeightedGraph,
     build_flag_complex,
+    graph_from_points,
     star_of_vertices,
 )
 from localhom.errors import ContractError
-from localhom.linalg import Field
+from localhom.linalg import Field, SparseColumnMatrix, reduce
 from localhom.persistence import (
+    PersistentCocycle,
+    _diagram_from_reductions,
     betti_at,
     persistent_cohomology,
     persistent_relative_cohomology,
@@ -217,3 +221,70 @@ def test_representative_lowest_value_is_birth(corpus):
                 pivot_value = filt.values[c.death_index]
                 assert pivot_value == c.death
                 assert c.birth < c.death
+
+
+# ---------------------------------------------------------------------------
+# the column kernel against explicit matrices
+# ---------------------------------------------------------------------------
+
+
+def matrix_reductions(filt, keep, max_order, fld):
+    """The diagram and reduced coboundary columns from explicit matrices:
+    each order's coboundary block (columns by decreasing id, rows by
+    `row_of`) reduced by `linalg.reduce`. A cleared column was zeroed
+    without work and never owns a pivot, so it is left out of the block."""
+    top = len(filt) - 1
+    classes, coboundaries, destroyers = [], {}, set()
+    for k in range(max_order + 1):
+        col_ids = [
+            sid for sid in reversed(filt.ids_of_dim(k))
+            if (keep is None or sid in keep) and sid not in destroyers
+        ]
+        cols = [
+            [(top - c, fld.coerce(sign)) for c, sign in reversed(filt.cofacets(sid))]
+            for sid in col_ids
+        ]
+        red = reduce(SparseColumnMatrix(len(filt), len(cols), cols, fld))
+        if k < max_order:
+            coboundaries[k + 1] = [col for col in red.R.cols if col]
+        destroyers = set()
+        for j, sid in enumerate(col_ids):
+            r = red.R.cols[j]
+            death_id = top - r[-1][0] if r else None
+            death = INF if death_id is None else filt.values[death_id]
+            if death_id is not None:
+                destroyers.add(death_id)
+            if filt.values[sid] < death:
+                classes.append(PersistentCocycle(
+                    order=k,
+                    birth=filt.values[sid],
+                    death=death,
+                    birth_index=sid,
+                    death_index=death_id,
+                    representative={col_ids[i]: c for i, c in red.V.cols[j]},
+                    coboundary={top - row: c for row, c in r},
+                ))
+    classes.sort(key=lambda c: (c.order, c.birth, c.birth_index))
+    return classes, coboundaries
+
+
+@pytest.mark.parametrize("kind", ["exact", "float"])
+def test_column_kernel_equals_matrix_reduction(corpus, tie_free_corpus, kind):
+    """Diagrams and reduced coboundary columns match the explicit-matrix
+    reduction to the repr, for the whole complex, every vertex star and
+    every edge star, at max orders 1 and 2."""
+    fld = Field(kind=kind)
+    rng = random.Random(60)
+    cloud = graph_from_points([(rng.random(), rng.random()) for _ in range(60)], knn=6)
+    for gi, graph in enumerate(corpus[:40] + tie_free_corpus[:20] + [cloud]):
+        filt = build_flag_complex(graph, 3)
+        stars = [star_of_vertices(filt, [v]).ids for v in range(filt.vertex_count)]
+        opens = [None] + stars + [
+            stars[u] & stars[v] for u, v in (filt.simplices[e] for e in filt.ids_of_dim(1))
+        ]
+        for max_order in (1, 2):
+            for keep in opens:
+                diagram, coboundaries = _diagram_from_reductions(filt, keep, max_order, fld)
+                classes, reference = matrix_reductions(filt, keep, max_order, fld)
+                assert repr(diagram.classes) == repr(classes), (gi, max_order, keep)
+                assert repr(coboundaries) == repr(reference), (gi, max_order, keep)

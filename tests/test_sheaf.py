@@ -17,7 +17,7 @@ from localhom.complexes import (
 )
 from localhom.errors import ContractError, IllConditionedError
 from localhom.linalg import Field, SparseColumnMatrix, rank
-from localhom.persistence import coboundary_block, persistent_relative_cohomology, sid_of
+from localhom.persistence import persistent_relative_cohomology
 from localhom.sheaf import assemble_laplacian, compute_stalk, sheaf_laplacian_block
 
 INF = math.inf
@@ -133,23 +133,12 @@ def test_stalk_order_zero_is_contract_error(c4_filt):
         compute_stalk(c4_filt, 0, 0)
 
 
-def filtered_coboundary_block(filtration, k, keep, fld):
-    """The relative block as stalks once built it: the whole coboundary
-    block, columns and rows outside `keep` dropped in order."""
-    matrix, col_ids = coboundary_block(filtration, k, None, fld)
-    kept = [j for j, sid in enumerate(col_ids) if sid in keep]
-    cols = [[(r, x) for r, x in matrix.cols[j] if sid_of(filtration, r) in keep] for j in kept]
-    return SparseColumnMatrix(matrix.row_count, len(cols), cols, fld), [col_ids[j] for j in kept]
-
-
-def truncated_stalk(filt, v, rings, fld, monkeypatch):
+def truncated_stalk(filt, v, rings, fld):
     """Stalk cocycles the old way: relative cohomology on an excision
-    truncation with filtered blocks, ids mapped back to `filt`."""
+    truncation, ids mapped back to `filt`."""
     trunc, idmap, open_img = oracle.truncate_neighborhood(filt, [v], rings)
     old = {new: old for old, new in idmap.items()}
-    with monkeypatch.context() as m:
-        m.setattr(persistence, "coboundary_block", filtered_coboundary_block)
-        diagram = persistent_relative_cohomology(trunc, open_img, 2, fld)
+    diagram = persistent_relative_cohomology(trunc, open_img, 2, fld)
     cocycles = [
         replace(
             c,
@@ -164,7 +153,7 @@ def truncated_stalk(filt, v, rings, fld, monkeypatch):
     return sorted(cocycles, key=lambda c: (c.order, c.birth, c.birth_index))
 
 
-def test_stalk_equals_truncated_reference(oct_filt, corpus, monkeypatch):
+def test_stalk_equals_truncated_reference(oct_filt, corpus):
     """The stalk on the full filtration equals the one on 1- and 2-ring
     truncations (excision): every field of every cocycle, both carriers."""
     rng = random.Random(60)
@@ -175,7 +164,7 @@ def test_stalk_equals_truncated_reference(oct_filt, corpus, monkeypatch):
             for v in range(filt.vertex_count):
                 stalk = compute_stalk(filt, v, 2, fld=fld)
                 for rings in (1, 2):
-                    reference = truncated_stalk(filt, v, rings, fld, monkeypatch)
+                    reference = truncated_stalk(filt, v, rings, fld)
                     assert stalk.cocycles == reference, (
                         fld.kind, fi, v, rings,
                     )

@@ -1,11 +1,13 @@
-"""Per-stage wall time and peak RSS of the float pipeline on one kNN cloud.
+"""Per-stage wall time and peak RSS of the pipeline on one kNN cloud.
 
     PYTHONPATH=src python3 tools/scale.py --n 1600 --seed 1
+    PYTHONPATH=src python3 tools/scale.py --n 400 --seed 1 --field exact --order 2
     PYTHONPATH=src python3 tools/scale.py --n 6400 --seed 1 --cli
 
 Each call is one fresh process and one cloud: n uniform points in the unit
-square (numpy `default_rng(seed)`), kNN 6, max_dim 2, order 1, float
-carrier. The default runs the library stages in CLI order: graph, flag
+square (numpy `default_rng(seed)`), kNN 6, order `--order` (1 or 2, default
+1) with max_dim = order + 1, on the `--field` carrier (float or exact,
+default float). The default runs the library stages in CLI order: graph, flag
 complex, persistence, stalks, slice Laplacian at t_plus (its blocks
 reduced and its entries built), weighted Laplacian (the entries of
 `dataclasses.replace(lap, mode=("weighted",))`, read from the slice's
@@ -31,8 +33,6 @@ from pathlib import Path
 import numpy as np
 
 KNN = 6
-MAX_DIM = 2
-ORDER = 1
 STEPS = 500
 
 
@@ -44,7 +44,7 @@ def cloud(n: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).random((n, 2))
 
 
-def run_stages(points: np.ndarray) -> dict:
+def run_stages(points: np.ndarray, kind: str, order: int) -> dict:
     from localhom import (
         FeatureBundle,
         Field,
@@ -57,7 +57,7 @@ def run_stages(points: np.ndarray) -> dict:
     )
     from localhom.nn import power_iteration
 
-    fld = Field(kind="float")
+    fld = Field(kind=kind)
     stages: dict[str, float] = {}
     rss: dict[str, float] = {}
 
@@ -69,21 +69,21 @@ def run_stages(points: np.ndarray) -> dict:
         return out
 
     graph = timed("graph", lambda: graph_from_points(points.tolist(), knn=KNN))
-    filt = timed("flag", lambda: build_flag_complex(graph, MAX_DIM))
-    timed("persistence", lambda: persistent_cohomology(filt, ORDER, fld))
+    filt = timed("flag", lambda: build_flag_complex(graph, order + 1))
+    timed("persistence", lambda: persistent_cohomology(filt, order, fld))
     stalks = timed("stalks", lambda: {
-        v: compute_stalk(filt, v, ORDER, 1, fld) for v in range(filt.vertex_count)
+        v: compute_stalk(filt, v, order, 1, fld) for v in range(filt.vertex_count)
     })
 
     def slice_operator():
-        lap = assemble_laplacian(filt, stalks, ORDER, ("slice", filt.t_plus), fld)
+        lap = assemble_laplacian(filt, stalks, order, ("slice", filt.t_plus), fld)
         lap.entries  # built on first read: the stage times reduction and emission
         return lap
 
     lap = timed("slice", slice_operator)
     timed("weighted", lambda: replace(lap, mode=("weighted",)).entries)
     lam = timed("power_iteration", lambda: power_iteration(lap))
-    features = FeatureBundle.random(lap, ORDER, seed=0)
+    features = FeatureBundle.random(lap, order, seed=0)
     timed("diffuse", lambda: diffuse(features, lap, 0.9 / lam if lam > 0 else 0.5, STEPS))
     atoms = sum(len(b.atoms) for b in lap.blocks.values())
     return {
@@ -100,14 +100,14 @@ def run_stages(points: np.ndarray) -> dict:
     }
 
 
-def run_cli(points: np.ndarray) -> dict:
+def run_cli(points: np.ndarray, kind: str, order: int) -> dict:
     from localhom.cli import main as cli_main
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "points.csv"
         path.write_text("".join(f"{x!r},{y!r}\n" for x, y in points.tolist()))
         argv = ["diffuse", "--input", str(path), "--format", "points", "--knn", str(KNN),
-                "--field", "float", "--max-order", str(ORDER), "--max-dim", str(MAX_DIM),
+                "--field", kind, "--max-order", str(order), "--max-dim", str(order + 1),
                 "--steps", str(STEPS), "--out", str(Path(tmp) / "out")]
         begin = time.perf_counter()
         code = cli_main(argv)
@@ -120,12 +120,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--n", type=int, required=True)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--field", choices=["float", "exact"], default="float")
+    parser.add_argument("--order", type=int, choices=[1, 2], default=1)
     parser.add_argument("--cli", action="store_true", help="time `localhom diffuse` instead")
     args = parser.parse_args(argv)
     points = cloud(args.n, args.seed)
-    record = {"n": args.n, "seed": args.seed, "knn": KNN, "max_dim": MAX_DIM,
-              "order": ORDER, "field": "float", "diffuse_steps": STEPS}
-    record.update(run_cli(points) if args.cli else run_stages(points))
+    record = {"n": args.n, "seed": args.seed, "knn": KNN, "max_dim": args.order + 1,
+              "order": args.order, "field": args.field, "diffuse_steps": STEPS}
+    run = run_cli if args.cli else run_stages
+    record.update(run(points, args.field, args.order))
     record["peak_rss_mb"] = peak_rss_mb()
     record["python"] = sys.version.split()[0]
     record["numpy"] = np.__version__
