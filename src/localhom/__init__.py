@@ -22,7 +22,7 @@ from .errors import (
     IllConditionedError,
     UnknownSimplexError,
 )
-from .linalg import Field, Reduction, SparseColumnMatrix, rank, reduce
+from .linalg import Field
 from .nn import (
     FeatureBundle,
     FiltrationGradient,
@@ -34,13 +34,7 @@ from .nn import (
     message_pass,
     sign_equivariant_layer,
 )
-from .persistence import (
-    Diagram,
-    PersistentCocycle,
-    betti_at,
-    persistent_cohomology,
-    persistent_relative_cohomology,
-)
+from .persistence import Diagram, PersistentCocycle, betti_at, persistent_cohomology
 from .sheaf import (
     AssembledLaplacian,
     LocalStalk,

@@ -4,8 +4,9 @@ Two carriers share one interface: exact rationals (`fractions.Fraction`,
 the correctness reference) and binary64 floats with a relative zero
 tolerance (the performance path). One left-to-right elimination step,
 `reduce_column`, is the single algorithm behind every persistence
-computation in the package and behind `reduce`; the dense brute-force
-oracle deliberately does not use it.
+computation in the package and behind the exact Laplacian kernel rank;
+callers loop it over their own sorted columns, with no matrix type. The
+dense brute-force oracle deliberately does not use it.
 """
 
 from __future__ import annotations
@@ -84,51 +85,6 @@ def axpy(target: Column, source: Column, coeff) -> Column:
     return out
 
 
-@dataclass
-class SparseColumnMatrix:
-    """Column-major sparse matrix; no stored zeros, rows sorted per column."""
-
-    row_count: int
-    col_count: int
-    cols: list[Column]
-    field: Field
-
-    def __post_init__(self):
-        if len(self.cols) != self.col_count:
-            raise ContractError("column list does not match col_count")
-
-    @classmethod
-    def from_entries(cls, row_count, col_count, entries, field=Field()):
-        """entries: iterable of (row, col, value), each (row, col) at most once.
-
-        This is where caller data enters (`AssembledLaplacian.kernel_dim_exact`
-        and tests), so rows and columns are checked here. Persistence
-        builds its sorted coboundary columns directly, with no matrix, and
-        `reduce_column` keeps rows sorted and in range by construction.
-        """
-        cols: list[Column] = [[] for _ in range(col_count)]
-        for r, c, v in entries:
-            if not (0 <= c < col_count):
-                raise ContractError("column index out of range")
-            if not (0 <= r < row_count):
-                raise ContractError("row index out of range")
-            cols[c].append((r, field.coerce(v)))
-        for col in cols:
-            col.sort()
-            if any(a[0] == b[0] for a, b in zip(col, col[1:])):
-                raise ContractError("duplicate (row, col) entry")
-        return cls(row_count, col_count, [field.prune(c) for c in cols], field)
-
-
-@dataclass
-class Reduction:
-    """R = M @ V with V invertible upper-triangular, distinct column pivots."""
-
-    R: SparseColumnMatrix
-    V: SparseColumnMatrix
-    pivots: dict[int, int]  # pivot row -> column owning it
-
-
 def reduce_column(
     r: Column, v: Column, pivots: dict[int, tuple[Column, Column]], fld: Field
 ) -> tuple[Column, Column]:
@@ -151,25 +107,3 @@ def reduce_column(
         r = fld.prune(axpy(r, r_owner, coeff))
         v = fld.prune(axpy(v, v_owner, coeff))
     return r, v
-
-
-def reduce(matrix: SparseColumnMatrix) -> Reduction:
-    """`reduce_column` over the matrix's columns, left to right; V starts
-    as the identity."""
-    fld = matrix.field
-    one = fld.one
-    owners: dict[int, tuple[Column, Column]] = {}
-    rcols: list[Column] = []
-    vcols: list[Column] = []
-    for j, col in enumerate(matrix.cols):
-        r, v = reduce_column(col, [(j, one)], owners, fld)
-        rcols.append(r)
-        vcols.append(v)
-    R = SparseColumnMatrix(matrix.row_count, matrix.col_count, rcols, fld)
-    V = SparseColumnMatrix(matrix.col_count, matrix.col_count, vcols, fld)
-    return Reduction(R=R, V=V, pivots={r[-1][0]: j for j, r in enumerate(rcols) if r})
-
-
-def rank(matrix: SparseColumnMatrix) -> int:
-    """Number of pivot columns; mathematical rank for the exact carrier."""
-    return len(reduce(matrix).pivots)

@@ -10,7 +10,10 @@ down is an essential class. The column of a simplex that was a pivot row
 one order down reduces to zero, so it is cleared without being built. The
 column of the transformation V is the representative cocycle and the
 reduced column R is its coboundary, so births come from the
-representative's lowest-value support simplex and deaths from the pivot.
+representative's lowest-value support simplex and deaths from R's pivot.
+Relative cohomology H^k(S_t, S_t \\ U_t) of an open set U reduces only U's
+columns (`_diagram_from_reductions` with `keep`): openness keeps the
+coboundary of a U-simplex inside U.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .complexes import Filtration, SimplexSubset, is_open_set
+from .complexes import Filtration
 from .errors import ContractError
 from .linalg import Column, Field, reduce_column
 
@@ -30,8 +33,9 @@ class PersistentCocycle:
     """One persistent relative/absolute cohomology class.
 
     `representative` maps k-simplex ids (in the source filtration) to
-    coefficients; `coboundary` does the same over (k+1)-simplices. Both
-    carry the sign/scale freedom of the reduction.
+    coefficients and carries the sign/scale freedom of the reduction. Its
+    coboundary is zero for an essential class; otherwise its lowest-id
+    simplex is `death_index`.
     """
 
     order: int
@@ -40,7 +44,6 @@ class PersistentCocycle:
     birth_index: int
     death_index: int | None
     representative: dict[int, object]
-    coboundary: dict[int, object]
 
     @property
     def essential(self) -> bool:
@@ -96,8 +99,8 @@ def _diagram_from_reductions(
     `linalg.reduce_column`; a cleared simplex is skipped before anything is
     built. With `keep` set the cost is that of the set, not of the
     filtration; an open set holds every coface of its members, so no row
-    is dropped. R and V columns are in `row_of` rows, so the coboundary and
-    the representative are read off directly.
+    is dropped. V columns are in `row_of` rows, so the representative is
+    read off directly.
     """
     if max_order < 0:
         raise ContractError("max_order must be nonnegative")
@@ -142,7 +145,6 @@ def _diagram_from_reductions(
                 death_id, death = None, INF
             birth = values[sid]
             if birth < death:
-                # an essential class's R column is empty, so its coboundary is too
                 classes.append(
                     PersistentCocycle(
                         order=k,
@@ -151,7 +153,6 @@ def _diagram_from_reductions(
                         birth_index=sid,
                         death_index=death_id,
                         representative={top - row: c for row, c in v},
-                        coboundary={top - row: c for row, c in r},
                     )
                 )
         if k < max_order:
@@ -168,22 +169,3 @@ def persistent_cohomology(
 ) -> Diagram:
     """Diagram of the absolute persistent cohomology up to max_order."""
     return _diagram_from_reductions(filtration, None, max_order, fld)[0]
-
-
-def persistent_relative_cohomology(
-    filtration: Filtration,
-    open_set: SimplexSubset,
-    max_order: int,
-    fld: Field = Field(),
-) -> Diagram:
-    """Diagram of H^k(S_t, S_t \\ U_t) for the open set U.
-
-    Openness guarantees the coboundary of a U-simplex stays in U, so
-    deleting the rows and columns of the complement yields exactly the
-    relative coboundary.
-    """
-    if open_set.filtration is not filtration:
-        raise ContractError("open_set belongs to a different filtration")
-    if not is_open_set(filtration, open_set.ids):
-        raise ContractError("subset is not open (not a union of stars)")
-    return _diagram_from_reductions(filtration, open_set.ids, max_order, fld)[0]

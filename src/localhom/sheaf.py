@@ -25,13 +25,14 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, groupby
+from operator import itemgetter
 
 import numpy as np
 
 from .complexes import Filtration, SimplexSubset, star_of_vertices
 from .errors import ContractError, IllConditionedError
-from .linalg import FLOAT, Column, Field, SparseColumnMatrix, axpy, rank
+from .linalg import FLOAT, Column, Field, axpy, reduce_column
 from .persistence import INF, PersistentCocycle, _diagram_from_reductions, row_of, sid_of
 
 
@@ -259,6 +260,8 @@ class AssembledLaplacian:
     received a term as COO arrays `(rows, cols, vals)` sorted by (row, col),
     each cell once. `vals` are the sums in the carrier's scalars (an object
     array of Fractions on the exact carrier), and a sum may cancel to zero.
+    `kernel_dim_exact` ranks these rows exactly, one `reduce_column` step
+    per row.
     `laplacian @ x` multiplies by their float image `float_vals`: each
     output row is summed from 0.0, one term at a time, in ascending column
     order, whatever the BLAS build. `dense` builds the `dim x dim` float
@@ -348,13 +351,23 @@ class AssembledLaplacian:
         return out
 
     def kernel_dim_exact(self) -> int:
-        """dim ker via exact rank; requires the exact carrier."""
+        """dim ker = dimension - rank, on the exact carrier only.
+
+        rank L = rank L^T, and one row of the sorted `entries`, its cells in
+        column order, is a sorted column of L^T. Each row, less the cells
+        whose sum cancelled to zero, is eliminated by `linalg.reduce_column`
+        against the rows before it, with no V; each row left nonzero owns
+        one pivot, so the rank is the number of pivots.
+        """
         if self.field_kind != "exact":
             raise ContractError("exact kernel rank needs the exact carrier")
-        n = self.dimension
+        fld = Field()
+        pivots: dict[int, tuple[Column, Column]] = {}
         rows, cols, vals = self.entries
         cells = zip(rows.tolist(), cols.tolist(), vals.tolist())
-        return n - rank(SparseColumnMatrix.from_entries(n, n, cells, Field()))
+        for _, row in groupby(cells, key=itemgetter(0)):
+            reduce_column(fld.prune([(j, x) for _, j, x in row]), [], pivots, fld)
+        return self.dimension - len(pivots)
 
 
 def _slice_time(t) -> float:

@@ -5,6 +5,7 @@ import pytest
 
 from localhom.complexes import WeightedGraph, build_flag_complex
 from localhom.golden import c4, k3, k4, octahedron, two_c4, unit_square_graph
+from localhom.linalg import reduce_column
 
 DATA = Path(__file__).parent / "data"
 
@@ -16,6 +17,17 @@ def load_corpus(name="random_corpus.json"):
         WeightedGraph(g["vertices"], tuple((u, v, w) for u, v, w in g["edges"]))
         for g in entries
     ]
+
+
+def reduce_columns(cols, fld):
+    """`reduce_column` over sorted sparse columns, left to right, with V
+    starting as the identity: (R columns, V columns, pivot row -> column)."""
+    owners, rcols, vcols = {}, [], []
+    for j, col in enumerate(cols):
+        r, v = reduce_column(col, [(j, fld.one)], owners, fld)
+        rcols.append(r)
+        vcols.append(v)
+    return rcols, vcols, {r[-1][0]: j for j, r in enumerate(rcols) if r}
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,4 @@
-"""Sparse column reduction, field carriers and rank."""
+"""The column reduction step and the field carriers, over plain column lists."""
 
 import math
 import random
@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import reduce_columns
 from localhom.errors import ContractError, IllConditionedError
-from localhom.linalg import Field, SparseColumnMatrix, rank, reduce
+from localhom.linalg import Field
 
 
 def dense_rank_oracle(dense):
@@ -30,41 +31,47 @@ def dense_rank_oracle(dense):
     return r
 
 
-def to_dense(m):
-    """Row lists of a sparse column matrix, zeros in the carrier's scalars."""
-    zero = m.field.coerce(0)
-    dense = [[zero] * m.col_count for _ in range(m.row_count)]
-    for j, col in enumerate(m.cols):
+def from_dense(dense, field=Field()):
+    """Sorted sparse columns of a row-list matrix, zeros dropped."""
+    nc = len(dense[0]) if dense else 0
+    return [
+        field.prune([(i, field.coerce(row[j])) for i, row in enumerate(dense)])
+        for j in range(nc)
+    ]
+
+
+def to_dense(cols, row_count, field=Field()):
+    """Row lists of sparse columns, zeros in the carrier's scalars."""
+    zero = field.coerce(0)
+    dense = [[zero] * len(cols) for _ in range(row_count)]
+    for j, col in enumerate(cols):
         for r, c in col:
             dense[r][j] = c
     return dense
 
 
-def from_dense(dense, field=Field()):
-    nr = len(dense)
-    nc = len(dense[0]) if nr else 0
-    entries = [
-        (i, j, dense[i][j]) for i in range(nr) for j in range(nc) if dense[i][j]
-    ]
-    return SparseColumnMatrix.from_entries(nr, nc, entries, field=field)
-
-
-def matmul_dense(m, v):
-    md, vd = to_dense(m), to_dense(v)
-    out = [[sum(md[i][k] * vd[k][j] for k in range(len(vd))) for j in range(len(vd[0]))] for i in range(len(md))]
+def matmul_dense(cols, row_count, vcols, field=Field()):
+    """M @ V as row lists: column j is the sum of V[i, j] * M[:, i]."""
+    zero = field.coerce(0)
+    out = [[zero] * len(vcols) for _ in range(row_count)]
+    for j, vcol in enumerate(vcols):
+        for i, x in vcol:
+            for r, c in cols[i]:
+                out[r][j] += c * x
     return out
 
 
-def boundary_1(edges, n_vertices, field=Field()):
-    entries = []
-    for j, (u, v) in enumerate(edges):
-        entries.append((u, j, -1))
-        entries.append((v, j, 1))
-    return SparseColumnMatrix.from_entries(n_vertices, len(edges), entries, field=field)
+def boundary_1(edges):
+    """Columns of the vertex-edge boundary matrix: -1 at u, +1 at v > u."""
+    return [[(u, Fraction(-1)), (v, Fraction(1))] for u, v in edges]
+
+
+def rank(cols, fld=Field()):
+    return len(reduce_columns(cols, fld)[2])
 
 
 # ---------------------------------------------------------------------------
-# carriers and construction checks
+# carriers
 # ---------------------------------------------------------------------------
 
 
@@ -78,53 +85,37 @@ def test_field_rejects_bad_kind_or_eps(kind, eps):
         Field(kind=kind, eps=eps)
 
 
-@pytest.mark.parametrize(
-    "entries",
-    [
-        [(0, 0, 1), (0, 0, 2)],  # duplicate (row, col)
-        [(2, 0, 1)],  # row past row_count
-        [(-1, 0, 1)],  # negative row
-        [(0, 1, 1)],  # column past col_count
-        [(0, -1, 1)],  # negative column
-    ],
-)
-def test_from_entries_rejects_bad_entries(entries):
-    with pytest.raises(ContractError):
-        SparseColumnMatrix.from_entries(2, 1, entries)
-
-
 # ---------------------------------------------------------------------------
-# reduce
+# reduce_column, looped by conftest.reduce_columns
 # ---------------------------------------------------------------------------
 
 
 def test_reduce_identity():
     m = from_dense([[1, 0], [0, 1]])
-    red = reduce(m)
-    assert to_dense(red.R) == to_dense(m)
-    assert to_dense(red.V) == [[1, 0], [0, 1]]
-    assert red.pivots == {0: 0, 1: 1}
+    rcols, vcols, pivots = reduce_columns(m, Field())
+    assert rcols == m
+    assert to_dense(vcols, 2) == [[1, 0], [0, 1]]
+    assert pivots == {0: 0, 1: 1}
 
 
 def test_reduce_single_edge_boundary():
-    m = boundary_1([(0, 1)], 2)
-    red = reduce(m)
-    assert to_dense(red.R) == to_dense(m)
-    assert to_dense(red.V) == [[1]]
-    assert list(red.pivots) == [1]  # pivot at the larger-index vertex row
+    m = boundary_1([(0, 1)])
+    rcols, vcols, pivots = reduce_columns(m, Field())
+    assert rcols == m
+    assert to_dense(vcols, 1) == [[1]]
+    assert list(pivots) == [1]  # pivot at the larger-index vertex row
 
 
 def test_reduce_triangle_boundary_finds_the_cycle():
-    edges = [(0, 1), (0, 2), (1, 2)]
-    m = boundary_1(edges, 3)
-    assert dense_rank_oracle(to_dense(m)) == 2
-    red = reduce(m)
-    assert len(red.pivots) == 2
-    zero_cols = [j for j in range(3) if not red.R.cols[j]]
+    m = boundary_1([(0, 1), (0, 2), (1, 2)])
+    dense = to_dense(m, 3)
+    assert dense_rank_oracle(dense) == 2
+    rcols, vcols, pivots = reduce_columns(m, Field())
+    assert len(pivots) == 2
+    zero_cols = [j for j in range(3) if not rcols[j]]
     assert len(zero_cols) == 1
-    cycle = {r: c for r, c in red.V.cols[zero_cols[0]]}
+    cycle = dict(vcols[zero_cols[0]])
     assert len(cycle) == 3 and all(abs(c) == 1 for c in cycle.values())
-    dense = to_dense(m)
     for i in range(3):
         assert sum(dense[i][j] * cycle.get(j, 0) for j in range(3)) == 0
 
@@ -137,10 +128,10 @@ def test_reduce_rv_identity_random_exact():
             [rng.choice([0, 0, 0, 1, -1, 2]) for _ in range(nc)] for _ in range(nr)
         ]
         m = from_dense(dense)
-        red = reduce(m)
-        assert matmul_dense(m, red.V) == to_dense(red.R)
+        rcols, vcols, _ = reduce_columns(m, Field())
+        assert matmul_dense(m, nr, vcols) == to_dense(rcols, nr)
         # distinct pivots
-        lows = [col[-1][0] for col in red.R.cols if col]
+        lows = [col[-1][0] for col in rcols if col]
         assert len(lows) == len(set(lows))
 
 
@@ -153,10 +144,10 @@ def test_reduce_rv_identity_float_tolerance():
             [rng.choice([0.0, 0.0, 1.0, -1.0, 0.5]) for _ in range(nc)]
             for _ in range(nr)
         ]
-        m = from_dense(dense, field=fld)
-        red = reduce(m)
-        mv = matmul_dense(m, red.V)
-        rd = to_dense(red.R)
+        m = from_dense(dense, fld)
+        rcols, vcols, _ = reduce_columns(m, fld)
+        mv = matmul_dense(m, nr, vcols, fld)
+        rd = to_dense(rcols, nr, fld)
         max_mag = max((abs(x) for row in dense for x in row), default=1.0)
         for i in range(nr):
             for j in range(nc):
@@ -165,20 +156,21 @@ def test_reduce_rv_identity_float_tolerance():
 
 def test_pivot_parity_exact_vs_float():
     rng = random.Random(3)
+    fld = Field(kind="float")
     for _ in range(30):
         nr, nc = rng.randint(1, 7), rng.randint(1, 7)
         dense = [
             [rng.choice([0, 0, 1, -1, 2, 3]) for _ in range(nc)] for _ in range(nr)
         ]
-        exact = reduce(from_dense(dense))
-        fl = reduce(from_dense([[float(x) for x in row] for row in dense], Field(kind="float")))
-        assert exact.pivots == fl.pivots
+        exact = reduce_columns(from_dense(dense), Field())[2]
+        fl = reduce_columns(from_dense(dense, fld), fld)[2]
+        assert exact == fl
 
 
 def test_v_invertible_by_solving():
     edges = [(0, 1), (0, 2), (1, 2), (0, 3)]
-    red = reduce(boundary_1(edges, 4))
-    for j, col in enumerate(red.V.cols):
+    _, vcols, _ = reduce_columns(boundary_1(edges), Field())
+    for j, col in enumerate(vcols):
         assert col and all(r <= j for r, _ in col)
         assert col[-1][0] == j and col[-1][1] != 0
 
@@ -186,26 +178,24 @@ def test_v_invertible_by_solving():
 def test_float_ill_conditioning_detected():
     fld = Field(kind="float", eps=1e-9)
     with pytest.raises(IllConditionedError):
-        SparseColumnMatrix.from_entries(2, 1, [(0, 0, 1e10), (1, 0, 1.0)], field=fld)
+        fld.prune([(0, 1e10), (1, 1.0)])
 
 
 def test_float_ill_conditioning_during_elimination():
     # eliminating against a tiny pivot scales the second column past 1/eps
     fld = Field(kind="float", eps=1e-6)
-    m = SparseColumnMatrix.from_entries(
-        2, 2, [(0, 0, 1.0), (1, 0, 1e-5), (1, 1, 1e3)], field=fld
-    )
+    m = [[(0, 1.0), (1, 1e-5)], [(1, 1e3)]]
     with pytest.raises(IllConditionedError):
-        reduce(m)
+        reduce_columns(m, fld)
 
 
 # ---------------------------------------------------------------------------
-# rank
+# rank: the number of pivots
 # ---------------------------------------------------------------------------
 
 
 def test_rank_zero_matrix():
-    assert rank(SparseColumnMatrix(3, 3, [[], [], []], Field())) == 0
+    assert rank([[], [], []]) == 0
 
 
 def test_rank_identity():
@@ -213,8 +203,8 @@ def test_rank_identity():
 
 
 def test_rank_c4_boundary():
-    m = boundary_1([(0, 1), (0, 3), (1, 2), (2, 3)], 4)
-    assert dense_rank_oracle(to_dense(m)) == 3
+    m = boundary_1([(0, 1), (0, 3), (1, 2), (2, 3)])
+    assert dense_rank_oracle(to_dense(m, 4)) == 3
     assert rank(m) == 3
 
 
@@ -223,6 +213,5 @@ def test_rank_equals_transpose_rank():
     for _ in range(20):
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
         dense = [[rng.choice([0, 0, 1, -1]) for _ in range(nc)] for _ in range(nr)]
-        m = from_dense(dense)
-        transposed = from_dense([list(row) for row in zip(*dense)])
-        assert rank(m) == rank(transposed) == dense_rank_oracle(dense)
+        transposed = [list(row) for row in zip(*dense)]
+        assert rank(from_dense(dense)) == rank(from_dense(transposed)) == dense_rank_oracle(dense)

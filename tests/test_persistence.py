@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from conftest import reduce_columns
 from localhom import oracle
 from localhom.complexes import (
     SimplexSubset,
@@ -14,13 +15,12 @@ from localhom.complexes import (
     star_of_vertices,
 )
 from localhom.errors import ContractError
-from localhom.linalg import Field, SparseColumnMatrix, reduce
+from localhom.linalg import Field
 from localhom.persistence import (
     PersistentCocycle,
     _diagram_from_reductions,
     betti_at,
     persistent_cohomology,
-    persistent_relative_cohomology,
 )
 
 INF = math.inf
@@ -78,7 +78,7 @@ def test_max_order_requires_construction_depth(c4_filt):
 
 
 def test_c4_star_relative(c4_filt):
-    d = persistent_relative_cohomology(c4_filt, star_of_vertices(c4_filt, [0]), 1)
+    d = _diagram_from_reductions(c4_filt, star_of_vertices(c4_filt, [0]).ids, 1, Field())[0]
     assert pairs(d, 1) == [(1, 1.0, INF)]
     # transient degree-0 class: v0's component relative to the collapsed rest
     assert pairs(d, 0) == [(0, 0.0, 1.0)]
@@ -92,26 +92,19 @@ def test_c4_star_relative(c4_filt):
 
 
 def test_octahedron_star_relative(oct_filt):
-    d = persistent_relative_cohomology(oct_filt, star_of_vertices(oct_filt, [0]), 2)
+    d = _diagram_from_reductions(oct_filt, star_of_vertices(oct_filt, [0]).ids, 2, Field())[0]
     assert pairs(d, 2) == [(2, 1.0, INF)]
     assert pairs(d, 1) == []
 
 
 def test_k3_star_relative_empty_above_degree_zero(k3_filt):
-    d = persistent_relative_cohomology(k3_filt, star_of_vertices(k3_filt, [0]), 2)
+    d = _diagram_from_reductions(k3_filt, star_of_vertices(k3_filt, [0]).ids, 2, Field())[0]
     assert pairs(d, 1) == [] and pairs(d, 2) == []
-
-
-def test_relative_rejects_non_open(c4_filt):
-    bad = SimplexSubset(c4_filt, frozenset({c4_filt.id_of((0,))}))
-    with pytest.raises(ContractError):
-        persistent_relative_cohomology(c4_filt, bad, 1)
 
 
 def test_relative_with_whole_complex_equals_absolute(c4_filt, square_filt):
     for filt, k in ((c4_filt, 1), (square_filt, 2)):
-        whole = SimplexSubset(filt, frozenset(range(len(filt))))
-        rel = persistent_relative_cohomology(filt, whole, k)
+        rel = _diagram_from_reductions(filt, frozenset(range(len(filt))), k, Field())[0]
         absd = persistent_cohomology(filt, k)
         assert pairs(rel) == pairs(absd)
 
@@ -140,7 +133,7 @@ def test_relative_betti_against_oracle(corpus):
         open_star = star_of_vertices(filt, [gi % graph.vertex_count])
         rest = SimplexSubset(filt, frozenset(range(len(filt))) - open_star.ids)
         for fld in (Field(), Field(kind="float")):
-            d = persistent_relative_cohomology(filt, open_star, 2, fld)
+            d = _diagram_from_reductions(filt, open_star.ids, 2, fld)[0]
             for t in filt.threshold_values():
                 for k in range(3):
                     dense = oracle.relative_betti_dense(filt, t, rest, k)
@@ -223,6 +216,36 @@ def test_representative_lowest_value_is_birth(corpus):
                 assert c.birth < c.death
 
 
+def test_coboundary_of_representative_is_zero_or_dies_at_death_index(corpus):
+    """delta of each representative, read from `Filtration.cofacets` inside
+    the open set: zero for an essential class, and otherwise nonzero with
+    its lowest id at `death_index`. Whole complex, vertex stars and edge
+    stars, exact carrier, orders up to 2."""
+    fld = Field()
+    for gi, graph in enumerate(corpus[:15]):
+        filt = build_flag_complex(graph, 3)
+        stars = [star_of_vertices(filt, [v]).ids for v in range(filt.vertex_count)]
+        opens = [None] + stars + [
+            stars[u] & stars[v] for u, v in (filt.simplices[e] for e in filt.ids_of_dim(1))
+        ]
+        for keep in opens:
+            if keep is None:
+                diagram = persistent_cohomology(filt, 2, fld)
+            else:
+                diagram = _diagram_from_reductions(filt, keep, 2, fld)[0]
+            for c in diagram.classes:
+                delta = {}
+                for sid, x in c.representative.items():
+                    for cof, sign in filt.cofacets(sid):
+                        if keep is None or cof in keep:
+                            delta[cof] = delta.get(cof, 0) + sign * x
+                support = [cof for cof, x in delta.items() if x != 0]
+                if c.essential:
+                    assert not support, (gi, keep, c)
+                else:
+                    assert support and min(support) == c.death_index, (gi, keep, c)
+
+
 # ---------------------------------------------------------------------------
 # the column kernel against explicit matrices
 # ---------------------------------------------------------------------------
@@ -231,7 +254,7 @@ def test_representative_lowest_value_is_birth(corpus):
 def matrix_reductions(filt, keep, max_order, fld):
     """The diagram and reduced coboundary columns from explicit matrices:
     each order's coboundary block (columns by decreasing id, rows by
-    `row_of`) reduced by `linalg.reduce`. A cleared column was zeroed
+    `row_of`) reduced by `conftest.reduce_columns`. A cleared column was zeroed
     without work and never owns a pivot, so it is left out of the block."""
     top = len(filt) - 1
     classes, coboundaries, destroyers = [], {}, set()
@@ -244,12 +267,12 @@ def matrix_reductions(filt, keep, max_order, fld):
             [(top - c, fld.coerce(sign)) for c, sign in reversed(filt.cofacets(sid))]
             for sid in col_ids
         ]
-        red = reduce(SparseColumnMatrix(len(filt), len(cols), cols, fld))
+        rcols, vcols, _ = reduce_columns(cols, fld)
         if k < max_order:
-            coboundaries[k + 1] = [col for col in red.R.cols if col]
+            coboundaries[k + 1] = [col for col in rcols if col]
         destroyers = set()
         for j, sid in enumerate(col_ids):
-            r = red.R.cols[j]
+            r = rcols[j]
             death_id = top - r[-1][0] if r else None
             death = INF if death_id is None else filt.values[death_id]
             if death_id is not None:
@@ -261,8 +284,7 @@ def matrix_reductions(filt, keep, max_order, fld):
                     death=death,
                     birth_index=sid,
                     death_index=death_id,
-                    representative={col_ids[i]: c for i, c in red.V.cols[j]},
-                    coboundary={top - row: c for row, c in r},
+                    representative={col_ids[i]: c for i, c in vcols[j]},
                 ))
     classes.sort(key=lambda c: (c.order, c.birth, c.birth_index))
     return classes, coboundaries

@@ -11,6 +11,7 @@ place of the row's absolute sum, sum_j |a_ij x_j|.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -220,3 +221,22 @@ def test_matrixmarket_skips_cells_that_cancel_to_zero():
     text = formats.laplacian_to_matrixmarket(lap)
     assert text == dense_matrixmarket(lap.dense)
     assert text.splitlines()[1:] == ["3 3 3", "1 1 1.5", "3 1 -2.0", f"3 3 {math.pi!r}"]
+
+
+def test_kernel_dim_exact_drops_cells_that_cancel_to_zero():
+    """A cell whose exact sum cancelled to 0 is no pivot: L = 2I with two
+    stored zeros off the diagonal has rank 2, so an empty kernel."""
+    lap = AssembledLaplacian(
+        order=1,
+        mode=("slice", 0.0),
+        lifespans={0: [(0.0, 1.0)], 1: [(0.0, 1.0)]},
+        blocks={},
+        horizon=1.0,
+        field_kind="exact",
+    )
+    lap.entries = (
+        np.array([0, 0, 1, 1], dtype=np.intp),
+        np.array([0, 1, 0, 1], dtype=np.intp),
+        np.array([Fraction(2), Fraction(0), Fraction(0), Fraction(2)], dtype=object),
+    )
+    assert lap.kernel_dim_exact() == 0

@@ -35,7 +35,10 @@ enters the hash.
 
 Each item enters the hash as its `repr`, so a change of value, type,
 order or dict order changes the hash. A change meant to keep outputs
-identical prints the same line before and after it.
+identical prints the same line before and after it. Since cocycles
+stopped carrying a `coboundary` field, a cocycle's `repr` has no
+`coboundary=`, so the hash moved then with no output change; CHANGES.md
+says how that was checked.
 """
 
 from __future__ import annotations
