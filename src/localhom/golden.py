@@ -3,8 +3,6 @@ the CLI `verify` command."""
 
 from __future__ import annotations
 
-import math
-
 from .complexes import WeightedGraph
 
 
@@ -51,17 +49,6 @@ def two_c4() -> WeightedGraph:
 
 def unit_square_points() -> list[tuple[float, float]]:
     return [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
-
-
-def unit_square_graph() -> WeightedGraph:
-    """Complete graph on the square: sides 1, diagonals sqrt(2)."""
-    pts = unit_square_points()
-    edges = []
-    for i in range(4):
-        for j in range(i + 1, 4):
-            d = math.dist(pts[i], pts[j])
-            edges.append((i, j, d))
-    return WeightedGraph(vertex_count=4, edges=tuple(edges))
 
 
 # (graph builder, max_dim, expected Betti numbers beta_0.. of the final complex)

@@ -182,21 +182,6 @@ def mlp_forward(params: MLPParams, x: np.ndarray) -> np.ndarray:
     return h
 
 
-def mlp_jvp(params: MLPParams, x: np.ndarray, dx: np.ndarray) -> np.ndarray:
-    """Forward-mode directional derivative of mlp_forward at x along dx."""
-    h = np.asarray(x, dtype=float)
-    dh = np.asarray(dx, dtype=float)
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = w @ h + b
-        dh = w @ dh
-        if i < last:
-            t = np.tanh(h)
-            dh = (1.0 - t * t) * dh
-            h = t
-    return dh
-
-
 def sign_equivariant_layer(x: np.ndarray, rho: MLPParams) -> np.ndarray:
     """psi(x) = x * rho(|x|); satisfies psi(Dx) = D psi(x) for diagonal +-1 D."""
     x = np.asarray(x, dtype=float)
@@ -205,15 +190,6 @@ def sign_equivariant_layer(x: np.ndarray, rho: MLPParams) -> np.ndarray:
             f"rho maps {rho.in_dim}->{rho.out_dim}, need {x.shape[0]}->{x.shape[0]}"
         )
     return x * mlp_forward(rho, np.abs(x))
-
-
-def sign_equivariant_jvp(x: np.ndarray, dx: np.ndarray, rho: MLPParams) -> np.ndarray:
-    """Directional derivative of the sign-equivariant layer at x along dx."""
-    x = np.asarray(x, dtype=float)
-    dx = np.asarray(dx, dtype=float)
-    gate = mlp_forward(rho, np.abs(x))
-    dgate = mlp_jvp(rho, np.abs(x), np.sign(x) * dx)
-    return dx * gate + x * dgate
 
 
 def hypernet_weights(stalk: LocalStalk, psi: MLPParams) -> np.ndarray:

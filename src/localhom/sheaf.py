@@ -6,7 +6,10 @@ so its relative coboundary never leaves the star and the work per node is
 the size of its star (excision, used directly). For an adjacent pair (u, v)
 the relative persistence of the edge's own star st e = st u ∩ st v is
 reduced, and each of its bars, written in both stalks, is a rank-1
-Laplacian atom v_A v_B^T tagged with the bar's interval.
+Laplacian atom v_A v_B^T tagged with the bar's interval. At order 1 st e
+holds one 1-simplex, e itself, so its one bar is read in closed form: born
+at e, represented by 1_e, killed by e's first cofacet (essential if there
+is none); only orders >= 2 reduce st e.
 
 The assembled operator is its atoms plus the cocycle lifespans: each
 block is reduced once, and every slice and the weighted operator are read
@@ -64,6 +67,22 @@ class LocalStalk:
         self._by_order = {k: [] for k in range(1, self.max_order + 1)}
         for c in self.cocycles:
             self._by_order[c.order].append(c)
+
+    @cached_property
+    def _owners(self) -> dict[int, dict[int, tuple[int | None, Column]]]:
+        """Per order k, each row -> the column that owns it: (position,
+        representative column) for the order-k class born there, else (None,
+        coboundary column) for the one that kills it there. Built once, on
+        the first solve against the stalk, so a stalk no block reads never
+        pays for it; `dataclasses.replace` makes a stalk that builds its own.
+        """
+        filt = self.star.filtration
+        owners = {}
+        for k, cocycles in self._by_order.items():
+            owners[k] = {col[-1][0]: (None, col) for col in self.coboundaries.get(k, [])}
+            for pos, c in enumerate(cocycles):
+                owners[k][row_of(filt, c.birth_index)] = (pos, _column(filt, c.representative))
+        return owners
 
     @property
     def truncation(self) -> SimplexSubset:
@@ -142,7 +161,8 @@ class SheafLaplacianBlock:
 
 
 def _column(filtration: Filtration, cochain: dict[int, object]) -> Column:
-    return sorted((row_of(filtration, sid), x) for sid, x in cochain.items())
+    top = row_of(filtration, 0)  # row_of(sid) == top - sid
+    return sorted([(top - sid, x) for sid, x in cochain.items()])
 
 
 def _coordinates(
@@ -150,9 +170,9 @@ def _coordinates(
 ) -> dict[int, object]:
     """The class of `xi`'s representative in the stalk, by order-k position.
 
-    A triangular solve from the lowest row up, against the stalk's
-    representatives (each one's lowest row is its birth simplex, with
-    coefficient 1 up to sign) and its reduced order-(k-1) coboundary
+    A triangular solve from the lowest row up, against the stalk's owner
+    table: its representatives (each one's lowest row is its birth simplex,
+    with coefficient 1 up to sign) and its reduced order-(k-1) coboundary
     columns (lowest row: the simplex each one kills), whose coefficients
     are dropped. It stops at the first row valued at or after xi's death:
     only zero-length classes own the rows past it, and before it no such
@@ -161,27 +181,39 @@ def _coordinates(
     before xi gets coefficient 0, and every class reached is born no
     earlier than xi.
     """
-    cocycles = stalk.order_cocycles(k)
-    if not cocycles:
+    if not stalk.order_cocycles(k):
         return {}
-    births = {row_of(filtration, c.birth_index): pos for pos, c in enumerate(cocycles)}
-    kills = {col[-1][0]: col for col in stalk.coboundaries[k]}
+    owners = stalk._owners[k]
     coords: dict[int, object] = {}
     z = _column(filtration, xi.representative)
     while z and filtration.values[sid_of(filtration, z[-1][0])] < xi.death:
         row, x = z[-1]
-        pos = births.get(row)
-        col = kills.get(row) if pos is None else _column(filtration, cocycles[pos].representative)
-        if col is None:
+        owner = owners.get(row)
+        if owner is None:
             raise IllConditionedError(
                 f"row {row} has no owner among vertex {stalk.vertex}'s order-{k} classes "
                 "and coboundaries"
             )
+        pos, col = owner
         coeff = x / col[-1][1]
         if pos is not None:
             coords[pos] = coeff
         z = fld.prune(axpy(z[:-1], col[:-1], -coeff))
     return coords
+
+
+def _edge_bars(filtration: Filtration, e: int, fld: Field) -> list[PersistentCocycle]:
+    """H^1_c(st e), the one order-1 bar of the edge star, with zero length
+    dropped. st e holds one 1-simplex, e, and no vertex, so the bar is born
+    at e with representative 1_e, and the pivot of its one column, e's
+    coboundary, is e's first cofacet; with no cofacet it is essential."""
+    cofacets = filtration.cofacets(e)
+    death_id = cofacets[0][0] if cofacets else None
+    death = INF if death_id is None else filtration.values[death_id]
+    if filtration.values[e] >= death:
+        return []
+    return [PersistentCocycle(order=1, birth=filtration.values[e], death=death, birth_index=e,
+                              death_index=death_id, representative={e: fld.one})]
 
 
 def sheaf_laplacian_block(
@@ -200,18 +232,24 @@ def sheaf_laplacian_block(
     [xi.birth, xi.death) whose `v_a` is xi's class in u's stalk and whose
     `v_b` is minus its class in v's; at any t, the atoms alive restricted
     to the cocycles alive span that image. A bar zero in both stalks gives
-    no atom.
+    no atom. At k = 1 the one bar is read off e's first cofacet
+    (`_edge_bars`); at k >= 2 st e is reduced by the column walk.
     """
     u, v = stalk_u.vertex, stalk_v.vertex
-    if (min(u, v), max(u, v)) not in filtration.index:
+    e = filtration.index.get((min(u, v), max(u, v)))
+    if e is None:
         raise ContractError(f"vertices {u} and {v} are not adjacent (empty intersection)")
     if stalk_u.star.filtration is not filtration or stalk_v.star.filtration is not filtration:
         raise ContractError("stalks were computed on a different filtration")
     if {stalk_u.field_kind, stalk_v.field_kind} != {fld.kind}:
         raise ContractError(f"stalks were computed on another carrier than {fld.kind}")
-    edge_star = stalk_u.star.ids & stalk_v.star.ids
+    if k == 1:
+        bars = _edge_bars(filtration, e, fld)
+    else:
+        edge_star = stalk_u.star.ids & stalk_v.star.ids
+        bars = _diagram_from_reductions(filtration, edge_star, k, fld)[0].of_order(k)
     atoms: list[LaplacianAtom] = []
-    for xi in _diagram_from_reductions(filtration, edge_star, k, fld)[0].of_order(k):
+    for xi in bars:
         v_a = _coordinates(stalk_u, filtration, k, xi, fld)
         v_b = {b: -x for b, x in _coordinates(stalk_v, filtration, k, xi, fld).items()}
         if v_a or v_b:

@@ -24,13 +24,12 @@ from localhom.nn import (
     filtration_gradient,
     node_gain_network,
     power_iteration,
-    sign_equivariant_jvp,
     sign_equivariant_layer,
 )
 from localhom.persistence import betti_at, persistent_cohomology
 from localhom.sheaf import assemble_laplacian, compute_stalk
 
-from conftest import load_corpus
+from conftest import load_corpus, sign_equivariant_jvp
 
 
 def report(num: int, name: str, started: float, budget: float):

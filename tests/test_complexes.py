@@ -8,6 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import unit_square_graph
 from localhom.complexes import (
     Filtration,
     WeightedGraph,
@@ -18,7 +19,7 @@ from localhom.complexes import (
 )
 from localhom.errors import BudgetExceededError, ContractError, UnknownSimplexError
 from localhom.formats import dumps, filtration_from_obj, filtration_to_obj
-from localhom.golden import c4, k3, k4, octahedron, unit_square_graph
+from localhom.golden import c4, k3, k4, octahedron
 from localhom import oracle
 from localhom.oracle import subfiltration, truncate_neighborhood
 

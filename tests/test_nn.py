@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import sign_equivariant_jvp
 from localhom import oracle
 from localhom.complexes import build_flag_complex
 from localhom.errors import ContractError
-from localhom.golden import unit_square_graph
 from localhom.nn import (
     FeatureBundle,
     MLPParams,
@@ -20,7 +20,6 @@ from localhom.nn import (
     message_pass,
     node_gain_network,
     power_iteration,
-    sign_equivariant_jvp,
     sign_equivariant_layer,
 )
 from localhom.persistence import persistent_cohomology

@@ -19,6 +19,7 @@ from localhom.linalg import Field
 from localhom.persistence import (
     PersistentCocycle,
     _diagram_from_reductions,
+    _elder_rule,
     betti_at,
     persistent_cohomology,
 )
@@ -293,15 +294,15 @@ def matrix_reductions(filt, keep, max_order, fld):
 @pytest.mark.parametrize("kind", ["exact", "float"])
 def test_column_kernel_equals_matrix_reduction(corpus, tie_free_corpus, kind):
     """Diagrams and reduced coboundary columns match the explicit-matrix
-    reduction to the repr, for the whole complex, every vertex star and
-    every edge star, at max orders 1 and 2."""
+    reduction to the repr, for the whole complex (the walk on its full id
+    set), every vertex star and every edge star, at max orders 1 and 2."""
     fld = Field(kind=kind)
     rng = random.Random(60)
     cloud = graph_from_points([(rng.random(), rng.random()) for _ in range(60)], knn=6)
     for gi, graph in enumerate(corpus[:40] + tie_free_corpus[:20] + [cloud]):
         filt = build_flag_complex(graph, 3)
         stars = [star_of_vertices(filt, [v]).ids for v in range(filt.vertex_count)]
-        opens = [None] + stars + [
+        opens = [frozenset(range(len(filt)))] + stars + [
             stars[u] & stars[v] for u, v in (filt.simplices[e] for e in filt.ids_of_dim(1))
         ]
         for max_order in (1, 2):
@@ -310,3 +311,21 @@ def test_column_kernel_equals_matrix_reduction(corpus, tie_free_corpus, kind):
                 classes, reference = matrix_reductions(filt, keep, max_order, fld)
                 assert repr(diagram.classes) == repr(classes), (gi, max_order, keep)
                 assert repr(coboundaries) == repr(reference), (gi, max_order, keep)
+
+
+@pytest.mark.parametrize("kind", ["exact", "float"])
+def test_elder_rule_equals_column_walk(closed_form_filtrations, kind):
+    """`persistent_cohomology`, whose order 0 is the elder rule, gives the
+    column walk's diagram on the full id set to the repr (dict key order
+    included) at max orders 0, 1 and 2; the rule's merging edges are the
+    walk's order-0 pivots, so order 1 is cleared alike."""
+    fld = Field(kind=kind)
+    for fi, filt in enumerate(closed_form_filtrations):
+        whole = frozenset(range(len(filt)))
+        for max_order in (0, 1, 2):
+            walk = _diagram_from_reductions(filt, whole, max_order, fld)[0]
+            elder = persistent_cohomology(filt, max_order, fld)
+            assert repr(elder.classes) == repr(walk.classes), (fi, max_order)
+        order0 = _diagram_from_reductions(filt, whole, 1, fld)[1][1]
+        top = len(filt) - 1
+        assert _elder_rule(filt, fld)[1] == {top - col[-1][0] for col in order0}, fi

@@ -201,6 +201,20 @@ def test_stalks_from_another_filtration_rejected(c4_filt, k4_filt):
         assemble_laplacian(k4_filt, stalks, 1, ("weighted",))
 
 
+@pytest.mark.parametrize("kind", ["exact", "float"])
+def test_edge_bar_equals_edge_star_walk(closed_form_filtrations, kind):
+    """On every edge e, the order-1 bar read off e's first cofacet is the
+    order-1 diagram of the column walk on st e, to the repr, and neither
+    holds a zero-length bar."""
+    fld = Field(kind=kind)
+    for fi, filt in enumerate(closed_form_filtrations):
+        stars = [star_of_vertices(filt, [v]).ids for v in range(filt.vertex_count)]
+        for e in filt.ids_of_dim(1):
+            u, v = filt.simplices[e]
+            walk = _diagram_from_reductions(filt, stars[u] & stars[v], 1, fld)[0].of_order(1)
+            assert repr(walk) == repr(sheaf._edge_bars(filt, e, fld)), (fi, e)
+
+
 def test_extended_matrix_rejects_non_adjacent(two_c4_filt):
     """A block couples the two ends of an edge only."""
     s0 = compute_stalk(two_c4_filt, 0, 1)
