@@ -28,7 +28,6 @@ from .nn import (
     FiltrationGradient,
     MLPParams,
     diffuse,
-    dirichlet_energy,
     filtration_gradient,
     hypernet_weights,
     message_pass,

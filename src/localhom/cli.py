@@ -290,13 +290,6 @@ def _verify_fixture(name: str, filt: Filtration, max_order: int, checks: list):
                 cases.append(({"t": t, "k": k}, live, oracle.global_sections_dim(filt, t, k)))
         compare("sheaf_kernel_vs_global_sections", cases)
 
-    # the dies-earlier theorem on one vertex star, if there is a vertex
-    if filt.vertex_count:
-        star0 = star_of_vertices(filt, [0])
-        for k in range(min(max_order, 1) + 1):
-            rep = oracle.check_theorem_dies_earlier(filt, star0, k)
-            record(f"theorem_dies_earlier_k{k}", rep.passed, rep.counterexample)
-
     # Mayer-Vietoris exactness on the first adjacent pair
     edges = filt.ids_of_dim(1)
     if edges:

@@ -87,12 +87,6 @@ class FeatureBundle:
         return cls(order=order, channels=channels, values=values)
 
 
-def dirichlet_energy(features: FeatureBundle, laplacian: AssembledLaplacian) -> float:
-    """x^T Delta x summed over channels; nonnegative for slice Laplacians."""
-    x = features.stacked(laplacian)
-    return float(np.sum(x * (laplacian @ x)))
-
-
 def power_iteration(matrix, iters: int = 200) -> float:
     """Largest-magnitude eigenvalue estimate, deterministic start vector.
 

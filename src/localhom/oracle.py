@@ -109,12 +109,6 @@ def kernel_basis(rows, ncols: int) -> list[dict[int, int]]:
     return basis
 
 
-def in_span(span_rows, candidates) -> bool:
-    """True iff every candidate row lies in the span of span_rows."""
-    base = rank_int_rows(span_rows)
-    return rank_int_rows(list(span_rows) + list(candidates)) == base
-
-
 # ---------------------------------------------------------------------------
 # boundary matrices of subcomplexes, rebuilt from simplex tuples
 # ---------------------------------------------------------------------------
@@ -366,9 +360,9 @@ def check_mayer_vietoris(
     open_a: SimplexSubset,
     open_b: SimplexSubset,
     k: int,
-    t: float | None = None,
 ) -> ExactnessReport:
-    """Exactness at H^k(A)+H^k(B) in the open-set Mayer-Vietoris sequence.
+    """Exactness at H^k(A)+H^k(B) in the open-set Mayer-Vietoris sequence,
+    on the whole complex S_{t_plus}.
 
     Verifies im(H^k(A cap B) -> H^k(A) + H^k(B)) has the same rank as the
     kernel of the map onto H^k(A cup B), all computed densely from
@@ -377,15 +371,15 @@ def check_mayer_vietoris(
     for subset in (open_a, open_b):
         if not is_open_set(filtration, subset.ids):
             raise ContractError("Mayer-Vietoris inputs must be open")
-    present = ids_at(filtration, filtration.t_plus if t is None else t)
+    present = ids_at(filtration, filtration.t_plus)
     a_ids, b_ids = set(open_a.ids), set(open_b.ids)
     c_ids = a_ids & b_ids
     d_ids = a_ids | b_ids
 
-    n_c, b_c, cols_c = _open_cohomology_spaces(filtration, present, c_ids, k)
+    n_c, _, cols_c = _open_cohomology_spaces(filtration, present, c_ids, k)
     n_a, b_a, cols_a = _open_cohomology_spaces(filtration, present, a_ids, k)
     n_b, b_b, cols_b = _open_cohomology_spaces(filtration, present, b_ids, k)
-    n_d, b_d, cols_d = _open_cohomology_spaces(filtration, present, d_ids, k)
+    _, b_d, cols_d = _open_cochains(filtration, present, d_ids, k)  # no basis of A cup B is read
 
     pos_a = {sid: i for i, sid in enumerate(cols_a)}
     pos_b = {sid: i for i, sid in enumerate(cols_b)}
@@ -413,85 +407,10 @@ def check_mayer_vietoris(
     rank2 = rank_int_rows(img2 + b_d) - rank_int_rows(b_d)
     ker_dim = dim_va + dim_vb - rank2
 
-    report = ExactnessReport(
+    return ExactnessReport(
         order=k,
         positions=[{"position": "middle", "im_rank": im_rank, "ker_dim": ker_dim}],
     )
-    return report
-
-
-# ---------------------------------------------------------------------------
-# step-by-step verification of the dies-earlier persistence theorem
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class TheoremReport:
-    passed: bool
-    steps_checked: int
-    hypotheses_fired: int
-    counterexample: dict | None = None
-
-
-def _theorem_spaces(filtration: Filtration, present: set[int], open_ids: set[int], k: int):
-    """(relative cocycle basis, absolute constraints, absolute coboundary
-    rows, absolute columns) in degree k on `present`; the relative basis is
-    written over the absolute columns, and the absolute cochains are those
-    of `present` as an open set of itself."""
-    rel, _, cols_u = _open_cohomology_spaces(filtration, present, open_ids, k)
-    constraints, cob, cols = _open_cochains(filtration, present, present, k)
-    pos = {c: i for i, c in enumerate(cols)}
-    return [_embed(v, cols_u, pos) for v in rel], constraints, cob, cols
-
-
-def _theorem_steps(filtration: Filtration, open_set: SimplexSubset, k: int):
-    """(step m, spaces before m, spaces after m) for each step m that adds
-    a (k+1)-simplex, every space recomputed densely."""
-    open_ids = set(open_set.ids)
-    for m, s in enumerate(filtration.simplices):  # filtration order is the id order
-        if len(s) == k + 2:
-            yield (
-                m,
-                _theorem_spaces(filtration, set(range(m)), open_ids, k),
-                _theorem_spaces(filtration, set(range(m + 1)), open_ids, k),
-            )
-
-
-def check_theorem_dies_earlier(
-    filtration: Filtration, open_set: SimplexSubset, k: int
-) -> TheoremReport:
-    """When a (k+1)-simplex kills an absolute class that is the image of a
-    relative class, the relative class dies at the same step.
-
-    Walks the filtration one simplex at a time with dense recomputation of
-    every space. dim H^k of the whole complex is a count of ranks (columns
-    minus the ranks of the constraints and the coboundaries), so its
-    cocycle basis is computed only where the hypothesis fires."""
-    steps_checked = fired = 0
-    for m, before, after in _theorem_steps(filtration, open_set, k):
-        steps_checked += 1
-        (rel_t, c_t, b_t, cols_t), (rel_t1, c_t1, b_t1, cols_t1) = before, after
-        # a (k+1)-simplex changes no k-simplices: coordinates agree
-        d_abs_t = len(cols_t) - rank_int_rows(c_t) - rank_int_rows(b_t)
-        d_abs_t1 = len(cols_t1) - rank_int_rows(c_t1) - rank_int_rows(b_t1)
-        if d_abs_t1 >= d_abs_t:
-            continue
-        d_im_t = rank_int_rows(rel_t + b_t) - rank_int_rows(b_t)
-        d_im_t1 = rank_int_rows(rel_t1 + b_t1) - rank_int_rows(b_t1)
-        if d_im_t1 >= d_im_t:
-            continue
-        fired += 1
-        # the killed class came from a relative class: that class must die
-        d_rel_t = rank_int_rows(rel_t)
-        d_rel_t1 = rank_int_rows(rel_t1)
-        rel_dies = d_rel_t1 < d_rel_t
-        # surviving relative classes must map to surviving absolute classes
-        maps_into = in_span(kernel_basis(c_t1, len(cols_t1)) + b_t1, rel_t1)
-        if not (rel_dies and maps_into):
-            return TheoremReport(
-                False, steps_checked, fired, {"step": m, "simplex": filtration.simplices[m]}
-            )
-    return TheoremReport(True, steps_checked, fired)
 
 
 # ---------------------------------------------------------------------------

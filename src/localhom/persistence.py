@@ -41,8 +41,9 @@ class PersistentCocycle:
 
     `representative` maps k-simplex ids (in the source filtration) to
     coefficients and carries the sign/scale freedom of the reduction. Its
-    coboundary is zero for an essential class; otherwise its lowest-id
-    simplex is `death_index`.
+    keys run by strictly decreasing id, as the column walk, `_elder_rule`
+    and `sheaf._edge_bars` build them. Its coboundary is zero for an
+    essential class; otherwise its lowest-id simplex is `death_index`.
     """
 
     order: int

@@ -161,8 +161,10 @@ class SheafLaplacianBlock:
 
 
 def _column(filtration: Filtration, cochain: dict[int, object]) -> Column:
+    """A representative as a column: its keys run by decreasing id
+    (`PersistentCocycle.representative`), so its rows come out increasing."""
     top = row_of(filtration, 0)  # row_of(sid) == top - sid
-    return sorted([(top - sid, x) for sid, x in cochain.items()])
+    return [(top - sid, x) for sid, x in cochain.items()]
 
 
 def _coordinates(

@@ -118,17 +118,6 @@ def test_criterion_05_diffusion():
     report(5, "diffusion energy decay", started, 1.0)
 
 
-def test_criterion_06_theorem_suites():
-    started = time.time()
-    for gi, graph in enumerate(load_corpus()):
-        filt = build_flag_complex(graph, 3)
-        open_set = star_of_vertices(filt, [gi % graph.vertex_count])
-        for k in (0, 1):
-            rep = oracle.check_theorem_dies_earlier(filt, open_set, k)
-            assert rep.passed, (gi, k, rep.counterexample)
-    report(6, "theorem property suites", started, 120.0)
-
-
 def test_criterion_07_psd_and_symmetry():
     started = time.time()
     rng = np.random.default_rng(777)

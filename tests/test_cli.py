@@ -536,12 +536,16 @@ def test_verify_golden_corpus(tmp_path, capsys):
     assert code == 0
     report = json.loads(out.read_text())
     assert report and all(entry["status"] == "pass" for entry in report)
-    checks = {entry["check"] for entry in report}
-    assert "betti_fast_vs_dense" in checks
-    for check in ("stalks_fast_vs_dense", "sheaf_kernel_vs_global_sections"):
-        fixtures = [e["fixture"] for e in report if e["check"] == check]
-        assert fixtures == ["c4", "two_c4", "octahedron", "k4", "k3"], check
-    assert not any(c == "excision" or c.startswith("theorem_appears") for c in checks)
+    fixtures = ["c4", "two_c4", "octahedron", "k4", "k3"]
+    assert [e["fixture"] for e in report] == [f for f in fixtures for _ in range(5)]
+    for fixture in fixtures:
+        assert [e["check"] for e in report if e["fixture"] == fixture] == [
+            "betti_fast_vs_dense",
+            "stalks_fast_vs_dense",
+            "sheaf_kernel_vs_global_sections",
+            "mayer_vietoris",
+            "field_parity",
+        ], fixture
 
 
 def test_verify_on_input_graph(c4_csv, tmp_path):

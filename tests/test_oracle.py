@@ -143,62 +143,6 @@ def test_mv_union_of_stars_opens(corpus):
 
 
 # ---------------------------------------------------------------------------
-# the dies-earlier theorem
-# ---------------------------------------------------------------------------
-
-
-def test_theorems_vacuous_on_single_vertex():
-    filt = build_flag_complex(WeightedGraph(1, ()), 1)
-    whole = star_of_vertices(filt, [0])
-    for k in (0, 1):
-        report = oracle.check_theorem_dies_earlier(filt, whole, k)
-        assert report.passed and report.hypotheses_fired == 0
-
-
-def test_theorem_dies_earlier_fires_on_unit_square(square_filt):
-    star0 = star_of_vertices(square_filt, [0])
-    report = oracle.check_theorem_dies_earlier(square_filt, star0, 1)
-    assert report.passed
-    assert report.hypotheses_fired >= 1  # the square cycle dies at sqrt(2)
-
-
-def test_theorems_on_corpus_sample(corpus):
-    for gi, graph in enumerate(corpus[:25]):
-        filt = build_flag_complex(graph, 3)
-        s = star_of_vertices(filt, [gi % graph.vertex_count])
-        for k in (0, 1):
-            report = oracle.check_theorem_dies_earlier(filt, s, k)
-            assert report.passed, (gi, k, report.counterexample)
-
-
-@pytest.mark.parametrize(
-    "fixture, expected",
-    [
-        # per order k: (passed, steps_checked, hypotheses_fired) of dies-earlier
-        # on the star of vertex 0
-        ("c4_filt", [(True, 4, 1), (True, 0, 0)]),
-        ("square_filt", [(True, 6, 1), (True, 4, 2)]),
-        ("oct_filt", [(True, 12, 1), (True, 8, 3), (True, 0, 0)]),
-    ],
-)
-def test_theorem_reports_exact_counts(fixture, expected, request):
-    filt = request.getfixturevalue(fixture)
-    star0 = star_of_vertices(filt, [0])
-    for k, cells in enumerate(expected):
-        r = oracle.check_theorem_dies_earlier(filt, star0, k)
-        assert (r.passed, r.steps_checked, r.hypotheses_fired) == cells, (fixture, k)
-
-
-def test_theorem_failure_reports_first_fired_step(square_filt, monkeypatch):
-    """A check that fails stops at the first step where its hypothesis fires."""
-    monkeypatch.setattr(oracle, "in_span", lambda span_rows, candidates: False)
-    star0 = star_of_vertices(square_filt, [0])
-    assert oracle.check_theorem_dies_earlier(square_filt, star0, 1) == oracle.TheoremReport(
-        False, 1, 1, {"step": 10, "simplex": (0, 1, 2)}
-    )
-
-
-# ---------------------------------------------------------------------------
 # excision
 # ---------------------------------------------------------------------------
 

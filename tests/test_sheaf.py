@@ -215,6 +215,23 @@ def test_edge_bar_equals_edge_star_walk(closed_form_filtrations, kind):
             assert repr(walk) == repr(sheaf._edge_bars(filt, e, fld)), (fi, e)
 
 
+@pytest.mark.parametrize("kind", ["exact", "float"])
+def test_representative_keys_run_by_decreasing_id(corpus, tie_free_corpus, kind):
+    """Every representative's keys are strictly decreasing simplex ids: in
+    the whole-complex diagram, in every stalk and in every order-1 edge bar,
+    so `sheaf._column` reads a sorted column off one without sorting."""
+    fld = Field(kind=kind)
+    for gi, graph in enumerate(corpus + tie_free_corpus):
+        filt = build_flag_complex(graph, 3)
+        cocycles = list(persistence.persistent_cohomology(filt, 2, fld).classes)
+        for v in range(filt.vertex_count):
+            cocycles += compute_stalk(filt, v, 2, fld=fld).cocycles
+        cocycles += [bar for e in filt.ids_of_dim(1) for bar in sheaf._edge_bars(filt, e, fld)]
+        for c in cocycles:
+            ids = list(c.representative)
+            assert ids and all(a > b for a, b in zip(ids, ids[1:])), (gi, c)
+
+
 def test_extended_matrix_rejects_non_adjacent(two_c4_filt):
     """A block couples the two ends of an edge only."""
     s0 = compute_stalk(two_c4_filt, 0, 1)

@@ -14,9 +14,8 @@ mode's `assemble_laplacian`; the other modes are `dataclasses.replace`
 copies of that operator.
 
 The hash then covers the dense oracle on the first 20 graphs of each
-corpus, built with max_dim 3: for the star of vertex `gi % n` (gi the
-graph's position in its corpus), the dies-earlier theorem report at k = 0
-and 1 and `local_betti` at k = 0, 1 and 2 and every threshold,
+corpus, built with max_dim 3: for vertex `gi % n` (gi the graph's position
+in its corpus), `local_betti` at k = 0, 1 and 2 and every threshold,
 `check_mayer_vietoris(...).positions` for the stars of the first edge's
 ends at k = 0, 1 and 2, and `global_sections_dim` at k = 1 and 2 and every
 threshold.
@@ -57,9 +56,9 @@ import numpy as np
 
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 CLOUD_SIZES = (30, 60, 120, 200)
-# CLI inputs that `verify` skips: it takes about 6 s at max order 1 and 10-12 s at
-# max order 2 on the 60-point cloud (shared 2-core host), against about 5 s for this
-# whole digest
+# CLI inputs that `verify` skips: it takes about 4 s at max order 1 and 10.5-11 s at
+# max order 2 on the 60-point cloud (CPU time, shared 2-core host), most of it in
+# `oracle.global_sections_dim`, against about 4 s for this whole digest
 VERIFY_SKIP = ("knn6_cloud_60",)
 
 
@@ -104,15 +103,12 @@ def items(graph, fld):
 
 
 def oracle_items(gi, graph):
-    """repr of the oracle's theorem reports, local Betti numbers,
-    Mayer-Vietoris answers and global sections counts on one corpus graph."""
+    """repr of the oracle's local Betti numbers, Mayer-Vietoris answers and
+    global sections counts on one corpus graph."""
     from localhom import build_flag_complex, oracle, star_of_vertices
 
     filt = build_flag_complex(graph, 3)
     v = gi % graph.vertex_count
-    star = star_of_vertices(filt, [v])
-    for k in (0, 1):
-        yield repr(oracle.check_theorem_dies_earlier(filt, star, k))
     for k in (0, 1, 2):
         yield repr([oracle.local_betti(filt, v, t, k) for t in filt.threshold_values()])
     edges = filt.ids_of_dim(1)
