@@ -5,10 +5,9 @@ the correctness reference) and binary64 floats with a relative zero
 tolerance (the performance path). One left-to-right elimination step,
 `reduce_column`, is behind every persistence reduction in the package
 and the exact Laplacian kernel rank; callers loop it over their own
-sorted columns, with no matrix type. Two bars are read in closed form
-without it: order 0 of the whole complex (`persistence._elder_rule`) and
-the order-1 bar of an edge star (`sheaf._edge_bars`). The dense
-brute-force oracle deliberately does not use it.
+sorted columns, with no matrix type. The two lowest degrees of every
+star are read off its link without it (`persistence.star_diagram`). The
+dense brute-force oracle deliberately does not use it.
 """
 
 from __future__ import annotations

@@ -1,26 +1,22 @@
-"""Persistent cohomology of filtrations with representative cocycles.
+"""Persistent cohomology of the star of a simplex, with representative cocycles.
 
-The coboundary of each order is reduced with rows and columns sorted by
-decreasing filtration order (value, then reverse tie-break). No matrix is
-stored: each column is built from the simplex's cofacets when the walk
-reaches it and eliminated at once against the columns before it (Bauer,
-"Ripser", 2021). For a column that reduces to nonzero, the pivot row's
-simplex kills the class; a zero column that was not a pivot row one order
-down is an essential class. The column of a simplex that was a pivot row
-one order down reduces to zero, so it is cleared without being built. The
-column of the transformation V is the representative cocycle and the
-reduced column R is its coboundary, so births come from the
-representative's lowest-value support simplex and deaths from R's pivot.
-Relative cohomology H^k(S_t, S_t \\ U_t) of an open set U reduces only U's
-columns (`_diagram_from_reductions` with `keep`): openness keeps the
-coboundary of a U-simplex inside U.
+`star_diagram` gives the persistent relative cohomology H^k(S_t, S_t \\ st σ)
+of the open star of σ: the whole complex (σ = (), the star of the empty
+simplex), a vertex (a stalk) or an edge (a Laplacian block). With d = dim σ
+it is the reduced cohomology of the link in degree k - d - 1 (Munkres 1984,
+§63), so the two lowest degrees are read off the link: degree d is σ's one
+bar, killed by σ's first cofacet, and degree d + 1 is the elder rule on the
+link graph (Edelsbrunner & Harer 2010, VII), the union-find pass Ripser
+uses for degree 0.
 
-Order 0 of the whole complex has a closed form, the elder rule
-(Edelsbrunner & Harer 2010, VII): one union-find pass over the edges by
-increasing id gives the walk's order-0 classes, representatives and
-pivots, as Ripser computes degree 0. `persistent_cohomology` takes it and
-walks only orders >= 1. Vertex and edge stars go through the walk
-(`sheaf` reads an order-1 edge-star bar off the edge's first cofacet).
+Degrees d + 2 and up are walked. Each coboundary is reduced with rows and
+columns by decreasing filtration order, and no matrix is stored: each column
+is built from the simplex's cofacets when the walk reaches it and eliminated
+at once against the columns before it (Bauer, "Ripser", 2021). A nonzero
+reduced column's pivot row kills its class; a zero column is an essential
+class, unless its simplex was a pivot row one order down, whose column is
+cleared without being built. The V column is the representative cocycle and
+R its coboundary. A star is open, so a star simplex's coboundary stays in it.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .complexes import Filtration
+from .complexes import Filtration, Simplex
 from .errors import ContractError
 from .linalg import Column, Field, reduce_column
 
@@ -41,9 +37,9 @@ class PersistentCocycle:
 
     `representative` maps k-simplex ids (in the source filtration) to
     coefficients and carries the sign/scale freedom of the reduction. Its
-    keys run by strictly decreasing id, as the column walk, `_elder_rule`
-    and `sheaf._edge_bars` build them. Its coboundary is zero for an
-    essential class; otherwise its lowest-id simplex is `death_index`.
+    keys run by strictly decreasing id, as `star_diagram` builds them in
+    every degree. Its coboundary is zero for an essential class; otherwise
+    its lowest-id simplex is `death_index`.
     """
 
     order: int
@@ -88,16 +84,6 @@ def row_of(filtration: Filtration, sid: int) -> int:
 def sid_of(filtration: Filtration, row: int) -> int:
     """Simplex id of a `row_of` row."""
     return len(filtration.simplices) - 1 - row
-
-
-def _check_max_order(filtration: Filtration, max_order: int) -> None:
-    if max_order < 0:
-        raise ContractError("max_order must be nonnegative")
-    if max_order + 1 > filtration.max_dim:
-        raise ContractError(
-            "filtration was built with max_dim "
-            f"{filtration.max_dim}; order {max_order} needs max_dim >= {max_order + 1}"
-        )
 
 
 def _reduce_order(
@@ -152,81 +138,107 @@ def _reduce_order(
     return reduced, killed
 
 
-def _diagram_from_reductions(
+def star_diagram(
     filtration: Filtration,
-    keep: frozenset[int],
+    sigma: Simplex,
     max_order: int,
-    fld: Field,
+    fld: Field = Field(),
 ) -> tuple[Diagram, dict[int, list[Column]]]:
-    """The diagram of the open set `keep` up to `max_order` by the column
-    walk, and for each k in 1..max_order the nonzero reduced order-(k-1)
-    coboundary columns: each column's lowest row is the k-simplex it kills,
-    so with the order-k representatives they own every k-simplex's row once.
+    """The diagram of st σ up to `max_order` (σ = () for the whole complex)
+    and, for a vertex star only, its nonzero reduced coboundary columns:
+    for k in 1..max_order the order-(k-1) columns, whose lowest rows are
+    the k-simplices they kill; with the order-k representatives they own
+    every k-simplex's row once, for the stalk's owner table.
 
-    The columns of order k are the k-simplices of `keep` by decreasing id,
-    each reduced by `_reduce_order`, so the cost is that of the set, not of
-    the filtration; an open set holds every coface of its members, so no
-    row is dropped.
+    Degree d = dim σ is σ's bar. Degree d + 1 is the elder rule on the link
+    graph, whose vertices are σ's cofacets τ and whose edges are the
+    (d+2)-simplices over σ, by increasing id: a merge kills the younger
+    component, represented by its τs keyed by decreasing id, each with
+    coefficient sign(σ in τ) * sign(σ in its oldest τ), as the walk's V is;
+    σ's own column kills the component of σ's first cofacet. Degrees d + 2
+    and up are walked over st σ, cleared by the merging simplices.
     """
-    _check_max_order(filtration, max_order)
-    buckets: list[list[int]] = [[] for _ in range(max_order + 1)]
-    for sid in keep:
-        k = len(filtration.simplices[sid]) - 1
-        if k <= max_order:
-            buckets[k].append(sid)
-    for bucket in buckets:
-        bucket.sort(reverse=True)
+    if max_order < 0:
+        raise ContractError("max_order must be nonnegative")
+    if max_order + 1 > filtration.max_dim:
+        raise ContractError(
+            "filtration was built with max_dim "
+            f"{filtration.max_dim}; order {max_order} needs max_dim >= {max_order + 1}"
+        )
+    d = len(sigma) - 1
+    values = filtration.values
     classes: list[PersistentCocycle] = []
     coboundaries: dict[int, list[Column]] = {}
-    cleared: set[int] = set()
-    for k, col_ids in enumerate(buckets):
-        reduced, cleared = _reduce_order(filtration, k, col_ids, cleared, fld, classes)
-        if k < max_order:
-            coboundaries[k + 1] = reduced
+    keep = d == 0  # only a stalk's owner table reads columns
+    up, death_id = [], None
+    if sigma:
+        sid = filtration.id_of(sigma)
+        up = filtration.cofacets(sid)
+        death_id = up[0][0] if up else None
+        death = INF if death_id is None else values[death_id]
+        if d <= max_order and values[sid] < death:
+            classes.append(PersistentCocycle(d, values[sid], death, sid, death_id, {sid: fld.one}))
+    if d < max_order:
+        top = row_of(filtration, 0)  # row_of(sid) == top - sid
+        signs = {1: fld.one, -1: fld.coerce(-1)}
+        # link vertex τ -> sign of σ in τ
+        sign = dict(up) if sigma else dict.fromkeys(filtration.ids_of_dim(0), 1)
+        if keep:
+            coboundaries[1] = [[(top - c, signs[x]) for c, x in reversed(up)]] if up else []
+        # each link edge's two link vertices, in int dicts: a container per
+        # edge would add collector work on a large complex
+        first: dict[int, int] = {}
+        second: dict[int, int] = {}
+        for tau in sign:
+            for rho, _ in filtration.cofacets(tau):
+                if rho in first:
+                    second[rho] = tau
+                else:
+                    first[rho] = tau
+        oldest = {tau: tau for tau in sign}  # link vertex -> its component's oldest
+        members = {tau: [tau] for tau in sign}  # oldest -> the component's link vertices
+        bars: list[tuple[int, int | None, list[int]]] = []  # (oldest, death id, members)
+        level = sorted(second)
+        for rho in level:
+            elder, young = oldest[first[rho]], oldest[second[rho]]
+            if elder > young:
+                elder, young = young, elder
+            if elder != young:
+                dying = members.pop(young)
+                bars.append((young, rho, dying))
+                for tau in dying:
+                    oldest[tau] = elder
+                members[elder] += dying
+        cleared = {rho for _, rho, _ in bars}
+        if keep and d + 1 < max_order:
+            # the walk's nonzero columns come by decreasing column id
+            coboundaries[d + 2] = []
+            for root, _, dying in sorted(bars, reverse=True):
+                delta: dict[int, int] = {}
+                for tau in dying:
+                    for rho, x in filtration.cofacets(tau):
+                        delta[rho] = delta.get(rho, 0) + x * sign[tau] * sign[root]
+                coboundaries[d + 2].append(
+                    [(top - rho, signs[x]) for rho, x in sorted(delta.items(), reverse=True) if x]
+                )
+        # σ's own column kills the component of its first cofacet
+        bars += [(root, None, m) for root, m in members.items() if root != death_id]
+        for root, rho, dying in bars:
+            death = INF if rho is None else values[rho]
+            if values[root] < death:
+                s = sign[root]
+                rep = {tau: signs[sign[tau] * s] for tau in sorted(dying, reverse=True)}
+                classes.append(PersistentCocycle(d + 1, values[root], death, root, rho, rep))
+        for k in range(d + 2, max_order + 1):
+            if k > d + 2:  # the k-simplices over σ, each a cofacet of one below
+                level = filtration.ids_of_dim(k) if not sigma else sorted(
+                    {c for t in level for c, _ in filtration.cofacets(t)}
+                )
+            reduced, cleared = _reduce_order(filtration, k, level[::-1], cleared, fld, classes)
+            if keep and k < max_order:
+                coboundaries[k + 1] = reduced
     classes.sort(key=lambda c: (c.order, c.birth, c.birth_index))
     return Diagram(classes=classes), coboundaries
-
-
-def _elder_rule(filtration: Filtration, fld: Field) -> tuple[list[PersistentCocycle], set[int]]:
-    """Order 0 of the whole complex, and the edges that merge two components.
-
-    Edges are taken by increasing id. An edge that joins two components
-    kills the younger, whose oldest vertex has the larger id: its class is
-    born there and represented by its vertices, each coefficient one, keyed
-    by decreasing id, as the column walk gives it. The components left are
-    essential. A merge moves as many vertices as the class it ends holds.
-    """
-    values, index = filtration.values, filtration.index
-    oldest = {sid: sid for sid in filtration.ids_of_dim(0)}  # vertex -> its component's oldest
-    members = {sid: [sid] for sid in oldest}  # oldest vertex -> the component's vertices
-    merges: set[int] = set()
-    bars: list[tuple[int, int | None, list[int]]] = []  # (birth id, death id, vertices)
-    for eid in filtration.ids_of_dim(1):
-        a, b = filtration.simplices[eid]
-        elder, young = sorted((oldest[index[(a,)]], oldest[index[(b,)]]))
-        if elder == young:
-            continue
-        merges.add(eid)
-        dying = members.pop(young)
-        bars.append((young, eid, dying))
-        for sid in dying:
-            oldest[sid] = elder
-        members[elder] += dying
-    bars += [(root, None, vertices) for root, vertices in members.items()]
-    one = fld.one
-    classes = [
-        PersistentCocycle(
-            order=0,
-            birth=values[root],
-            death=INF if death_id is None else values[death_id],
-            birth_index=root,
-            death_index=death_id,
-            representative=dict.fromkeys(sorted(vertices, reverse=True), one),
-        )
-        for root, death_id, vertices in bars
-        if death_id is None or values[root] < values[death_id]
-    ]
-    return classes, merges
 
 
 def persistent_cohomology(
@@ -234,14 +246,6 @@ def persistent_cohomology(
     max_order: int,
     fld: Field = Field(),
 ) -> Diagram:
-    """Diagram of the absolute persistent cohomology up to max_order: order
-    0 by `_elder_rule`, whose merging edges order 1 clears, and orders
-    1..max_order by the column walk."""
-    _check_max_order(filtration, max_order)
-    classes, cleared = _elder_rule(filtration, fld)
-    for k in range(1, max_order + 1):
-        _, cleared = _reduce_order(
-            filtration, k, filtration.ids_of_dim(k)[::-1], cleared, fld, classes
-        )
-    classes.sort(key=lambda c: (c.order, c.birth, c.birth_index))
-    return Diagram(classes=classes)
+    """Diagram of the absolute persistent cohomology up to max_order: the
+    star of the empty simplex."""
+    return star_diagram(filtration, (), max_order, fld)[0]

@@ -4,12 +4,9 @@ A vertex's stalk is the persistent relative cohomology of (S_t, S_t \\ st v),
 computed on the full filtration: the open star is closed under coboundary,
 so its relative coboundary never leaves the star and the work per node is
 the size of its star (excision, used directly). For an adjacent pair (u, v)
-the relative persistence of the edge's own star st e = st u ∩ st v is
-reduced, and each of its bars, written in both stalks, is a rank-1
-Laplacian atom v_A v_B^T tagged with the bar's interval. At order 1 st e
-holds one 1-simplex, e itself, so its one bar is read in closed form: born
-at e, represented by 1_e, killed by e's first cofacet (essential if there
-is none); only orders >= 2 reduce st e.
+each bar of the relative persistence of the edge's own star st e = st u ∩
+st v, written in both stalks, is a rank-1 Laplacian atom v_A v_B^T tagged
+with the bar's interval. Both come from `persistence.star_diagram`.
 
 The assembled operator is its atoms plus the cocycle lifespans: each
 block is reduced once, and every slice and the weighted operator are read
@@ -36,19 +33,20 @@ import numpy as np
 from .complexes import Filtration, SimplexSubset, star_of_vertices
 from .errors import ContractError, IllConditionedError
 from .linalg import FLOAT, Column, Field, axpy, reduce_column
-from .persistence import INF, PersistentCocycle, _diagram_from_reductions, row_of, sid_of
+from .persistence import INF, PersistentCocycle, row_of, sid_of, star_diagram
 
 
 @dataclass
 class LocalStalk:
     """Persistent relative cocycles of one vertex's open star.
 
-    Representatives and indices are simplex ids of the full filtration, so
-    an edge's classes can be written in the stalks of both its ends;
-    `star` is the open set the cohomology is relative to. Degree-0 classes
-    only flag isolated components and carry no sheaf structure at the
-    orders the Laplacian couples, so stalks keep orders 1..max_order, and
-    `order_cocycles` groups them by order once, when the stalk is made.
+    Representatives and indices are simplex ids of `filtration`, the full
+    filtration, so an edge's classes can be written in the stalks of both
+    its ends; the cohomology is relative to the vertex's open star.
+    Degree-0 classes only flag isolated components and carry no sheaf
+    structure at the orders the Laplacian couples, so stalks keep orders
+    1..max_order, and `order_cocycles` groups them by order once, when the
+    stalk is made.
     `field_kind` is the carrier the cocycles were computed on.
     `coboundaries[k]`, for k in 1..max_order, holds the star's nonzero
     reduced order-(k-1) coboundary columns, in `persistence.row_of` rows.
@@ -56,7 +54,7 @@ class LocalStalk:
 
     vertex: int
     cocycles: list[PersistentCocycle]
-    star: SimplexSubset
+    filtration: Filtration = field(repr=False, compare=False)
     horizon: float
     field_kind: str
     max_order: int
@@ -76,7 +74,7 @@ class LocalStalk:
         the first solve against the stalk, so a stalk no block reads never
         pays for it; `dataclasses.replace` makes a stalk that builds its own.
         """
-        filt = self.star.filtration
+        filt = self.filtration
         owners = {}
         for k, cocycles in self._by_order.items():
             owners[k] = {col[-1][0]: (None, col) for col in self.coboundaries.get(k, [])}
@@ -86,11 +84,11 @@ class LocalStalk:
 
     @property
     def truncation(self) -> SimplexSubset:
-        """Alias of `star`, kept only for the benchmark's
-        `sheaf.truncation_size_mean` counter; it goes in the benchmark-only
-        change that renames that counter.
+        """The vertex's open star, built on each read; kept only for the
+        benchmark's `sheaf.truncation_size_mean` counter, it goes in the
+        benchmark-only change that renames that counter.
         """
-        return self.star
+        return star_of_vertices(self.filtration, [self.vertex])
 
     def order_cocycles(self, k: int) -> list[PersistentCocycle]:
         if k not in self._by_order:
@@ -124,12 +122,11 @@ def compute_stalk(
         raise ContractError(f"max_order must be >= 1 for a stalk, not {max_order}")
     if rings < 1:
         raise ContractError("rings must be >= 1")
-    open_star = star_of_vertices(filtration, [vertex])
-    diagram, coboundaries = _diagram_from_reductions(filtration, open_star.ids, max_order, fld)
+    diagram, coboundaries = star_diagram(filtration, (vertex,), max_order, fld)
     return LocalStalk(
         vertex=vertex,
         cocycles=[c for c in diagram.classes if c.order >= 1],
-        star=open_star,
+        filtration=filtration,
         horizon=filtration.t_plus,
         field_kind=fld.kind,
         max_order=max_order,
@@ -204,20 +201,6 @@ def _coordinates(
     return coords
 
 
-def _edge_bars(filtration: Filtration, e: int, fld: Field) -> list[PersistentCocycle]:
-    """H^1_c(st e), the one order-1 bar of the edge star, with zero length
-    dropped. st e holds one 1-simplex, e, and no vertex, so the bar is born
-    at e with representative 1_e, and the pivot of its one column, e's
-    coboundary, is e's first cofacet; with no cofacet it is essential."""
-    cofacets = filtration.cofacets(e)
-    death_id = cofacets[0][0] if cofacets else None
-    death = INF if death_id is None else filtration.values[death_id]
-    if filtration.values[e] >= death:
-        return []
-    return [PersistentCocycle(order=1, birth=filtration.values[e], death=death, birth_index=e,
-                              death_index=death_id, representative={e: fld.one})]
-
-
 def sheaf_laplacian_block(
     stalk_u: LocalStalk,
     stalk_v: LocalStalk,
@@ -234,24 +217,18 @@ def sheaf_laplacian_block(
     [xi.birth, xi.death) whose `v_a` is xi's class in u's stalk and whose
     `v_b` is minus its class in v's; at any t, the atoms alive restricted
     to the cocycles alive span that image. A bar zero in both stalks gives
-    no atom. At k = 1 the one bar is read off e's first cofacet
-    (`_edge_bars`); at k >= 2 st e is reduced by the column walk.
+    no atom.
     """
     u, v = stalk_u.vertex, stalk_v.vertex
-    e = filtration.index.get((min(u, v), max(u, v)))
-    if e is None:
+    e = (min(u, v), max(u, v))
+    if e not in filtration.index:
         raise ContractError(f"vertices {u} and {v} are not adjacent (empty intersection)")
-    if stalk_u.star.filtration is not filtration or stalk_v.star.filtration is not filtration:
+    if stalk_u.filtration is not filtration or stalk_v.filtration is not filtration:
         raise ContractError("stalks were computed on a different filtration")
     if {stalk_u.field_kind, stalk_v.field_kind} != {fld.kind}:
         raise ContractError(f"stalks were computed on another carrier than {fld.kind}")
-    if k == 1:
-        bars = _edge_bars(filtration, e, fld)
-    else:
-        edge_star = stalk_u.star.ids & stalk_v.star.ids
-        bars = _diagram_from_reductions(filtration, edge_star, k, fld)[0].of_order(k)
     atoms: list[LaplacianAtom] = []
-    for xi in bars:
+    for xi in star_diagram(filtration, e, k, fld)[0].of_order(k):
         v_a = _coordinates(stalk_u, filtration, k, xi, fld)
         v_b = {b: -x for b, x in _coordinates(stalk_v, filtration, k, xi, fld).items()}
         if v_a or v_b:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import unit_square_graph
+import dense_reference
 from localhom.complexes import (
     Filtration,
     WeightedGraph,
@@ -21,7 +22,7 @@ from localhom.errors import BudgetExceededError, ContractError, UnknownSimplexEr
 from localhom.formats import dumps, filtration_from_obj, filtration_to_obj
 from localhom.golden import c4, k3, k4, octahedron
 from localhom import oracle
-from localhom.oracle import subfiltration, truncate_neighborhood
+from dense_reference import subfiltration, truncate_neighborhood
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +83,7 @@ def closure_fixpoint(filt, ids):
 
 
 def star_scan(filt, sid):
-    return oracle.star_ids_scan(filt, {sid})
+    return dense_reference.star_ids_scan(filt, {sid})
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +238,7 @@ def test_star_lookups_match_scan_oracle(corpus):
             filt.simplices[i] for i in filt.ids_of_dim(1)
         ]:
             seeds = {filt.id_of((u,)), filt.id_of((v,))}
-            assert star_of_vertices(filt, {u, v}).ids == oracle.star_ids_scan(filt, seeds)
+            assert star_of_vertices(filt, {u, v}).ids == dense_reference.star_ids_scan(filt, seeds)
 
 
 def test_is_open_set_matches_star_per_member(corpus, k3_filt):
@@ -254,7 +255,7 @@ def test_is_open_set_matches_star_per_member(corpus, k3_filt):
                 st_ids - {sid},
             ]
         for ids in candidates:
-            by_stars = all(oracle.star_ids_scan(filt, {i}) <= ids for i in ids)
+            by_stars = all(dense_reference.star_ids_scan(filt, {i}) <= ids for i in ids)
             assert is_open_set(filt, ids) == by_stars
 
 
@@ -394,7 +395,7 @@ def test_points_knn_tie_after_sqrt_goes_to_lower_id():
     pts = [(0.0, 0.0), a, b]
     graph = graph_from_points(pts, knn=1)
     assert set(weight_map(graph)) == {(0, 1), (1, 2)}
-    assert graph.edges == oracle.knn_graph_scan(pts, knn=1)
+    assert graph.edges == dense_reference.knn_graph_scan(pts, knn=1)
 
 
 def test_points_bad_metric():
@@ -450,7 +451,7 @@ def point_clouds(draw):
 def test_points_edges_match_scan_oracle(pts, metric, k, dense):
     knn = None if dense else min(k, len(pts) + 1)
     got = graph_from_points(pts, metric, knn).edges
-    assert got == oracle.knn_graph_scan(pts, metric, knn)
+    assert got == dense_reference.knn_graph_scan(pts, metric, knn)
 
 
 @pytest.mark.parametrize("n,d,metric", [(400, 2, "euclidean"), (600, 3, "manhattan")])
@@ -458,4 +459,4 @@ def test_points_knn_several_row_blocks_match_scan_oracle(n, d, metric):
     rng = random.Random(n)
     pts = [tuple(rng.random() for _ in range(d)) for _ in range(n)]
     got = graph_from_points(pts, metric, 6).edges
-    assert got == oracle.knn_graph_scan(pts, metric, 6)
+    assert got == dense_reference.knn_graph_scan(pts, metric, 6)

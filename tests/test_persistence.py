@@ -2,10 +2,12 @@
 
 import math
 import random
+from itertools import combinations
 
 import pytest
 
-from conftest import reduce_columns
+from conftest import load_corpus, reduce_columns
+import dense_reference
 from localhom import oracle
 from localhom.complexes import (
     SimplexSubset,
@@ -18,10 +20,9 @@ from localhom.errors import ContractError
 from localhom.linalg import Field
 from localhom.persistence import (
     PersistentCocycle,
-    _diagram_from_reductions,
-    _elder_rule,
     betti_at,
     persistent_cohomology,
+    star_diagram,
 )
 
 INF = math.inf
@@ -79,7 +80,7 @@ def test_max_order_requires_construction_depth(c4_filt):
 
 
 def test_c4_star_relative(c4_filt):
-    d = _diagram_from_reductions(c4_filt, star_of_vertices(c4_filt, [0]).ids, 1, Field())[0]
+    d = star_diagram(c4_filt, (0,), 1)[0]
     assert pairs(d, 1) == [(1, 1.0, INF)]
     # transient degree-0 class: v0's component relative to the collapsed rest
     assert pairs(d, 0) == [(0, 0.0, 1.0)]
@@ -88,26 +89,28 @@ def test_c4_star_relative(c4_filt):
         c4_filt,
         frozenset(range(len(c4_filt))) - star_of_vertices(c4_filt, [0]).ids,
     )
-    assert oracle.relative_betti_dense(c4_filt, 1.0, complement, 0) == 0
-    assert oracle.relative_betti_dense(c4_filt, 1.0, complement, 1) == 1
+    assert dense_reference.relative_betti_dense(c4_filt, 1.0, complement, 0) == 0
+    assert dense_reference.relative_betti_dense(c4_filt, 1.0, complement, 1) == 1
 
 
 def test_octahedron_star_relative(oct_filt):
-    d = _diagram_from_reductions(oct_filt, star_of_vertices(oct_filt, [0]).ids, 2, Field())[0]
+    d = star_diagram(oct_filt, (0,), 2)[0]
     assert pairs(d, 2) == [(2, 1.0, INF)]
     assert pairs(d, 1) == []
 
 
 def test_k3_star_relative_empty_above_degree_zero(k3_filt):
-    d = _diagram_from_reductions(k3_filt, star_of_vertices(k3_filt, [0]).ids, 2, Field())[0]
+    d = star_diagram(k3_filt, (0,), 2)[0]
     assert pairs(d, 1) == [] and pairs(d, 2) == []
 
 
 def test_relative_with_whole_complex_equals_absolute(c4_filt, square_filt):
+    """The walk relative to the whole id set gives the pairs of the star of
+    the empty simplex, which is the absolute diagram."""
     for filt, k in ((c4_filt, 1), (square_filt, 2)):
-        rel = _diagram_from_reductions(filt, frozenset(range(len(filt))), k, Field())[0]
+        rel = matrix_reductions(filt, frozenset(range(len(filt))), k, Field())[0]
         absd = persistent_cohomology(filt, k)
-        assert pairs(rel) == pairs(absd)
+        assert sorted((c.order, c.birth, c.death) for c in rel) == pairs(absd)
 
 
 # ---------------------------------------------------------------------------
@@ -134,10 +137,10 @@ def test_relative_betti_against_oracle(corpus):
         open_star = star_of_vertices(filt, [gi % graph.vertex_count])
         rest = SimplexSubset(filt, frozenset(range(len(filt))) - open_star.ids)
         for fld in (Field(), Field(kind="float")):
-            d = _diagram_from_reductions(filt, open_star.ids, 2, fld)[0]
+            d = star_diagram(filt, (gi % graph.vertex_count,), 2, fld)[0]
             for t in filt.threshold_values():
                 for k in range(3):
-                    dense = oracle.relative_betti_dense(filt, t, rest, k)
+                    dense = dense_reference.relative_betti_dense(filt, t, rest, k)
                     assert betti_at(d, t, k) == dense, (gi, fld.kind, t, k)
 
 
@@ -218,33 +221,25 @@ def test_representative_lowest_value_is_birth(corpus):
 
 
 def test_coboundary_of_representative_is_zero_or_dies_at_death_index(corpus):
-    """delta of each representative, read from `Filtration.cofacets` inside
-    the open set: zero for an essential class, and otherwise nonzero with
-    its lowest id at `death_index`. Whole complex, vertex stars and edge
-    stars, exact carrier, orders up to 2."""
+    """delta of each representative, read from `Filtration.cofacets` (a
+    star is open, so every cofacet stays in it): zero for an essential
+    class, and otherwise nonzero with its lowest id at `death_index`. Whole
+    complex, vertex stars and edge stars, exact carrier, orders up to 2."""
     fld = Field()
     for gi, graph in enumerate(corpus[:15]):
         filt = build_flag_complex(graph, 3)
-        stars = [star_of_vertices(filt, [v]).ids for v in range(filt.vertex_count)]
-        opens = [None] + stars + [
-            stars[u] & stars[v] for u, v in (filt.simplices[e] for e in filt.ids_of_dim(1))
-        ]
-        for keep in opens:
-            if keep is None:
-                diagram = persistent_cohomology(filt, 2, fld)
-            else:
-                diagram = _diagram_from_reductions(filt, keep, 2, fld)[0]
-            for c in diagram.classes:
+        sigmas = [()] + [filt.simplices[sid] for sid in filt.ids_of_dim(0) + filt.ids_of_dim(1)]
+        for sigma in sigmas:
+            for c in star_diagram(filt, sigma, 2, fld)[0].classes:
                 delta = {}
                 for sid, x in c.representative.items():
                     for cof, sign in filt.cofacets(sid):
-                        if keep is None or cof in keep:
-                            delta[cof] = delta.get(cof, 0) + sign * x
+                        delta[cof] = delta.get(cof, 0) + sign * x
                 support = [cof for cof, x in delta.items() if x != 0]
                 if c.essential:
-                    assert not support, (gi, keep, c)
+                    assert not support, (gi, sigma, c)
                 else:
-                    assert support and min(support) == c.death_index, (gi, keep, c)
+                    assert support and min(support) == c.death_index, (gi, sigma, c)
 
 
 # ---------------------------------------------------------------------------
@@ -291,41 +286,75 @@ def matrix_reductions(filt, keep, max_order, fld):
     return classes, coboundaries
 
 
+def stars_with_ids(filt):
+    """(σ, id set of st σ) for the whole complex, every vertex and every edge."""
+    stars = [star_of_vertices(filt, [v]).ids for v in range(filt.vertex_count)]
+    edges = [filt.simplices[e] for e in filt.ids_of_dim(1)]
+    return (
+        [((), frozenset(range(len(filt))))]
+        + [((v,), ids) for v, ids in enumerate(stars)]
+        + [((u, v), stars[u] & stars[v]) for u, v in edges]
+    )
+
+
+def assert_star_matches_matrices(filt, sigma, ids, max_order, fld, where):
+    """`star_diagram` equals `matrix_reductions` on st σ to the repr (dict
+    key order included): the diagram always, the columns of a vertex star."""
+    diagram, coboundaries = star_diagram(filt, sigma, max_order, fld)
+    classes, reference = matrix_reductions(filt, ids, max_order, fld)
+    assert repr(diagram.classes) == repr(classes), where
+    if len(sigma) == 1:
+        assert repr(coboundaries) == repr(reference), where
+    else:
+        assert coboundaries == {}, where
+
+
 @pytest.mark.parametrize("kind", ["exact", "float"])
 def test_column_kernel_equals_matrix_reduction(corpus, tie_free_corpus, kind):
-    """Diagrams and reduced coboundary columns match the explicit-matrix
-    reduction to the repr, for the whole complex (the walk on its full id
-    set), every vertex star and every edge star, at max orders 1 and 2."""
+    """Diagrams match the explicit-matrix reduction to the repr for the
+    whole complex, every vertex star and every edge star, and reduced
+    coboundary columns for every vertex star, at max orders 1 and 2."""
     fld = Field(kind=kind)
     rng = random.Random(60)
     cloud = graph_from_points([(rng.random(), rng.random()) for _ in range(60)], knn=6)
     for gi, graph in enumerate(corpus[:40] + tie_free_corpus[:20] + [cloud]):
         filt = build_flag_complex(graph, 3)
-        stars = [star_of_vertices(filt, [v]).ids for v in range(filt.vertex_count)]
-        opens = [frozenset(range(len(filt)))] + stars + [
-            stars[u] & stars[v] for u, v in (filt.simplices[e] for e in filt.ids_of_dim(1))
-        ]
         for max_order in (1, 2):
-            for keep in opens:
-                diagram, coboundaries = _diagram_from_reductions(filt, keep, max_order, fld)
-                classes, reference = matrix_reductions(filt, keep, max_order, fld)
-                assert repr(diagram.classes) == repr(classes), (gi, max_order, keep)
-                assert repr(coboundaries) == repr(reference), (gi, max_order, keep)
+            for sigma, ids in stars_with_ids(filt):
+                where = (gi, max_order, sigma)
+                assert_star_matches_matrices(filt, sigma, ids, max_order, fld, where)
+
+
+def deep_filtrations():
+    """Flag filtrations built with max_dim 4, so order 3 is reduced: K5-K8 at
+    80% edge density with weights drawn from four values (ties at every
+    order), and the first 30 random-corpus graphs."""
+    rng = random.Random(4)
+    graphs = []
+    for n in (5, 6, 7, 8):
+        for _ in range(3):
+            edges = tuple(
+                (u, v, rng.choice((0.5, 1.0, 1.5, 2.0)))
+                for u, v in combinations(range(n), 2)
+                if rng.random() < 0.8
+            )
+            graphs.append(WeightedGraph(n, edges))
+    return [build_flag_complex(g, 4) for g in graphs + load_corpus()[:30]]
 
 
 @pytest.mark.parametrize("kind", ["exact", "float"])
-def test_elder_rule_equals_column_walk(closed_form_filtrations, kind):
-    """`persistent_cohomology`, whose order 0 is the elder rule, gives the
-    column walk's diagram on the full id set to the repr (dict key order
-    included) at max orders 0, 1 and 2; the rule's merging edges are the
-    walk's order-0 pivots, so order 1 is cleared alike."""
+def test_star_diagram_equals_matrix_reduction(closed_form_filtrations, kind):
+    """The closed forms of `star_diagram`, σ's bar and the elder rule on the
+    link, match the explicit-matrix reduction to the repr: the whole complex
+    at max orders 0, 1 and 2, every vertex and edge star at max orders 1
+    and 2, and every star at max order 3 on filtrations built with max_dim 4,
+    where the walk takes over above the link's degree."""
     fld = Field(kind=kind)
-    for fi, filt in enumerate(closed_form_filtrations):
-        whole = frozenset(range(len(filt)))
-        for max_order in (0, 1, 2):
-            walk = _diagram_from_reductions(filt, whole, max_order, fld)[0]
-            elder = persistent_cohomology(filt, max_order, fld)
-            assert repr(elder.classes) == repr(walk.classes), (fi, max_order)
-        order0 = _diagram_from_reductions(filt, whole, 1, fld)[1][1]
-        top = len(filt) - 1
-        assert _elder_rule(filt, fld)[1] == {top - col[-1][0] for col in order0}, fi
+    cases = [(filt, (0, 1, 2)) for filt in closed_form_filtrations]
+    cases += [(filt, (3,)) for filt in deep_filtrations()]
+    for fi, (filt, orders) in enumerate(cases):
+        for sigma, ids in stars_with_ids(filt):
+            for max_order in orders:
+                if not sigma or max_order:
+                    where = (fi, sigma, max_order)
+                    assert_star_matches_matrices(filt, sigma, ids, max_order, fld, where)

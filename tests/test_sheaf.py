@@ -3,11 +3,13 @@
 import math
 import random
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import reduce_columns
+import dense_reference
 from localhom import oracle, persistence, sheaf
 from localhom.complexes import (
     SimplexSubset,
@@ -18,7 +20,7 @@ from localhom.complexes import (
 )
 from localhom.errors import ContractError, IllConditionedError
 from localhom.linalg import Field
-from localhom.persistence import _diagram_from_reductions
+from localhom.persistence import star_diagram
 from localhom.sheaf import assemble_laplacian, compute_stalk, sheaf_laplacian_block
 
 INF = math.inf
@@ -137,9 +139,9 @@ def test_stalk_order_zero_is_contract_error(c4_filt):
 def truncated_stalk(filt, v, rings, fld):
     """Stalk cocycles the old way: relative cohomology on an excision
     truncation, ids mapped back to `filt`."""
-    trunc, idmap, open_img = oracle.truncate_neighborhood(filt, [v], rings)
+    trunc, idmap, _ = dense_reference.truncate_neighborhood(filt, [v], rings)
     old = {new: old for old, new in idmap.items()}
-    diagram = _diagram_from_reductions(trunc, open_img.ids, 2, fld)[0]
+    diagram = star_diagram(trunc, (v,), 2, fld)[0]
     cocycles = [
         replace(
             c,
@@ -185,7 +187,7 @@ def test_stalk_alive_counts_match_relative_betti_oracle(corpus):
         for t in filt.threshold_values():
             for k in (1, 2):
                 alive = sum(1 for c in stalk.cocycles if c.order == k and c.alive_at(t))
-                dense = oracle.relative_betti_dense(filt, t, rest, k)
+                dense = dense_reference.relative_betti_dense(filt, t, rest, k)
                 local = oracle.local_betti(filt, v, t, k)
                 assert alive == dense == local, (gi, v, t, k)
 
@@ -202,31 +204,19 @@ def test_stalks_from_another_filtration_rejected(c4_filt, k4_filt):
 
 
 @pytest.mark.parametrize("kind", ["exact", "float"])
-def test_edge_bar_equals_edge_star_walk(closed_form_filtrations, kind):
-    """On every edge e, the order-1 bar read off e's first cofacet is the
-    order-1 diagram of the column walk on st e, to the repr, and neither
-    holds a zero-length bar."""
-    fld = Field(kind=kind)
-    for fi, filt in enumerate(closed_form_filtrations):
-        stars = [star_of_vertices(filt, [v]).ids for v in range(filt.vertex_count)]
-        for e in filt.ids_of_dim(1):
-            u, v = filt.simplices[e]
-            walk = _diagram_from_reductions(filt, stars[u] & stars[v], 1, fld)[0].of_order(1)
-            assert repr(walk) == repr(sheaf._edge_bars(filt, e, fld)), (fi, e)
-
-
-@pytest.mark.parametrize("kind", ["exact", "float"])
 def test_representative_keys_run_by_decreasing_id(corpus, tie_free_corpus, kind):
     """Every representative's keys are strictly decreasing simplex ids: in
-    the whole-complex diagram, in every stalk and in every order-1 edge bar,
-    so `sheaf._column` reads a sorted column off one without sorting."""
+    the whole-complex diagram, in every stalk and in every edge star's
+    order-1 and order-2 bars, so `sheaf._column` reads a sorted column off
+    one without sorting."""
     fld = Field(kind=kind)
     for gi, graph in enumerate(corpus + tie_free_corpus):
         filt = build_flag_complex(graph, 3)
         cocycles = list(persistence.persistent_cohomology(filt, 2, fld).classes)
         for v in range(filt.vertex_count):
             cocycles += compute_stalk(filt, v, 2, fld=fld).cocycles
-        cocycles += [bar for e in filt.ids_of_dim(1) for bar in sheaf._edge_bars(filt, e, fld)]
+        for e in filt.ids_of_dim(1):
+            cocycles += star_diagram(filt, filt.simplices[e], 2, fld)[0].classes
         for c in cocycles:
             ids = list(c.representative)
             assert ids and all(a > b for a, b in zip(ids, ids[1:])), (gi, c)
@@ -285,8 +275,8 @@ def test_block_finite_interval_on_unit_square(square_filt):
         square_filt, [1]
     ).ids
     comp = SimplexSubset(square_filt, frozenset(range(len(square_filt))) - inter)
-    assert oracle.relative_betti_dense(square_filt, 1.0, comp, 1) == 1
-    assert oracle.relative_betti_dense(square_filt, root2, comp, 1) == 0
+    assert dense_reference.relative_betti_dense(square_filt, 1.0, comp, 1) == 1
+    assert dense_reference.relative_betti_dense(square_filt, root2, comp, 1) == 0
     # the sheaf Laplacian exists only inside the intersection interval
     stalks = {v: compute_stalk(square_filt, v, 1) for v in range(4)}
     assert edge_block_at(square_filt, stalks, 0, 1, 1, 0.5)[0, 0] == 0.0
@@ -605,6 +595,102 @@ def test_replace_checks_the_mode_and_reduces_nothing(c4_filt, block_calls):
     assert copy.blocks is lap.blocks and copy.lifespans is lap.lifespans
     assert np.array_equal(copy.dense, lap.dense)
     assert block_calls == {}
+
+
+def order1_operators(graph, fld):
+    """The order-1 operator of `graph` (max_dim 2) at every threshold and in
+    weighted mode, all from one assembly."""
+    filt = build_flag_complex(graph, 2)
+    stalks = {v: compute_stalk(filt, v, 1, fld=fld) for v in range(filt.vertex_count)}
+    modes = [("slice", t) for t in filt.threshold_values()] + [("weighted",)]
+    first = assemble_laplacian(filt, stalks, 1, modes[0], fld)
+    return [replace(first, mode=m) for m in modes]
+
+
+def coordinate_keys(lap, name):
+    """(vertex name, birth, death) -> global coordinate, or None if a key repeats."""
+    keys = {
+        (name[v], *span): lap.offsets[v] + a
+        for v, spans in lap.lifespans.items()
+        for a, span in enumerate(spans)
+    }
+    return keys if len(keys) == lap.dimension else None
+
+
+def operator_matrix(lap):
+    """The operator as a dense array: Fractions from `entries` on the exact
+    carrier, `dense` on the float one."""
+    if lap.field_kind == "float":
+        return lap.dense
+    rows, cols, vals = lap.entries
+    out = np.full(lap.shape, Fraction(0), dtype=object)
+    out[rows, cols] = vals
+    return out
+
+
+def equal_up_to_signs(pairs, tol):
+    """Whether one diagonal sign matrix S gives B == S A S for every (A, B):
+    the signs follow the cells with |A| > tol from each coordinate, then
+    every cell is compared, within `tol` (0 compares exactly)."""
+    n = len(pairs[0][0])
+    s = [0] * n
+    for root in range(n):
+        if s[root]:
+            continue
+        s[root], stack = 1, [root]
+        while stack:
+            i = stack.pop()
+            for a, b in pairs:
+                for j in range(n):
+                    if not s[j] and abs(a[i, j]) > tol:
+                        s[j] = s[i] if (a[i, j] > 0) == (b[i, j] > 0) else -s[i]
+                        stack.append(j)
+    signs = np.array(s)
+    return all(
+        np.all(np.abs(b - signs[:, None] * a * signs[None, :]) <= tol) for a, b in pairs
+    )
+
+
+@pytest.mark.parametrize("kind", ["exact", "float"])
+def test_order1_operator_is_label_free(corpus, tie_free_corpus, kind):
+    """The paper's claim (i) at order 1: persistence fixes the stalk bases up
+    to sign, so relabelling the vertices gives the same operator up to a
+    signed permutation. Coordinates are matched by (image vertex, birth,
+    death); a graph whose keys repeat is skipped. Every slice threshold and
+    the weighted mode, exactly on the exact carrier and to 1e-12 on float.
+
+    One graph is label-dependent, and its spectra differ too: at one vertex
+    three triangles share their longest edge, so they enter at one value in
+    an order set by vertex ids. The elder rule's representative of the older
+    of two stalk classes dying there then holds the younger one's link
+    vertices in one labelling and not in the other."""
+    fld = Field(kind=kind)
+    rng = random.Random(26)
+    tol = 1e-12 if kind == "float" else 0
+    skipped = compared = 0
+    differ = []
+    for gi, graph in enumerate(corpus + tie_free_corpus):
+        perm = list(range(graph.vertex_count))
+        rng.shuffle(perm)
+        edges = tuple((perm[u], perm[v], w) for u, v, w in graph.edges)
+        before = order1_operators(graph, fld)
+        after = order1_operators(WeightedGraph(graph.vertex_count, edges), fld)
+        keys = coordinate_keys(before[0], perm)
+        image = coordinate_keys(after[0], range(graph.vertex_count))
+        if keys is None:
+            skipped += 1
+            continue
+        assert keys.keys() == image.keys()
+        order = sorted(keys, key=keys.get)
+        match = np.array([image[key] for key in order], dtype=np.intp)
+        pairs = [
+            (operator_matrix(a), operator_matrix(b)[np.ix_(match, match)])
+            for a, b in zip(before, after)
+        ]
+        if not equal_up_to_signs(pairs, tol):
+            differ.append(gi)
+        compared += len(pairs)
+    assert (skipped, differ, compared) == (0, [60], 2617)
 
 
 # ---------------------------------------------------------------------------
