@@ -6,10 +6,9 @@ A filtration keeps its simplices in the total order
 (value, dimension, lexicographic vertices), which makes every output of
 this module deterministic and face-monotone by construction.
 
-Every `Filtration` also keeps a posting index: vertex id -> ids of the
-simplices containing that vertex, in filtration order. A vertex's posting
-list is its star, so a star lookup costs the size of the star, not the
-size of the filtration.
+Every `Filtration` keeps each simplex's cofacets. A vertex's open star
+is the vertex closed under cofacets, so a star lookup costs the size of
+the star, not the size of the filtration.
 """
 
 from __future__ import annotations
@@ -89,14 +88,8 @@ class Filtration:
     def __post_init__(self):
         self.index = {s: i for i, s in enumerate(self.simplices)}
         self._by_dim: dict[int, list[int]] = {}
-        # vertex -> ids of the simplices containing it, in filtration order;
-        # a dict, so a filtration on a vertex subset indexes only the vertices
-        # it keeps
-        self._postings: dict[int, list[int]] = {}
         for i, s in enumerate(self.simplices):
             self._by_dim.setdefault(dimension(s), []).append(i)
-            for v in s:
-                self._postings.setdefault(v, []).append(i)
         self._cofacets: list[list[tuple[int, int]]] = [[] for _ in self.simplices]
         for j, s in enumerate(self.simplices):
             if len(s) >= 2:
@@ -203,11 +196,17 @@ def build_flag_complex(
 
 
 def star_of_vertices(filtration: Filtration, vertices) -> SimplexSubset:
-    """Union of the open stars of the given vertices: their posting lists."""
+    """Union of the open stars of the given vertices: each vertex closed
+    under cofacets, since every simplex containing it is reached from it
+    through a chain of cofacets."""
     ids: set[int] = set()
     for v in vertices:
-        filtration.id_of((v,))  # an unknown vertex is an UnknownSimplexError
-        ids.update(filtration._postings[v])
+        todo = [filtration.id_of((v,))]  # an unknown vertex is an UnknownSimplexError
+        while todo:
+            sid = todo.pop()
+            if sid not in ids:
+                ids.add(sid)
+                todo += [c for c, _ in filtration.cofacets(sid) if c not in ids]
     return SimplexSubset(filtration, frozenset(ids))
 
 

@@ -3,15 +3,17 @@
 Two carriers share one interface: exact rationals (`fractions.Fraction`,
 the correctness reference) and binary64 floats with a relative zero
 tolerance (the performance path). One left-to-right elimination step,
-`reduce_column`, is behind every persistence reduction in the package
-and the exact Laplacian kernel rank; callers loop it over their own
-sorted columns, with no matrix type. The two lowest degrees of every
-star are read off its link without it (`persistence.star_diagram`). The
-dense brute-force oracle deliberately does not use it.
+`reduce_column`, is behind every persistence reduction in the package;
+callers loop it over their own sorted columns, with no matrix type. The
+two lowest degrees of every star are read off its link without it
+(`persistence.star_diagram`). The exact Laplacian kernel rank runs the
+same step on integer columns, fraction-free (`reduce_integer_column`).
+The dense brute-force oracle deliberately uses neither.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,6 +25,11 @@ DEFAULT_EPS = 1e-9
 
 # a sparse column is a list of (row, coeff) pairs with strictly increasing rows
 Column = list[tuple[int, object]]
+
+# each carrier's 1 and its +-1 incidence signs, built once and shared: a
+# Fraction costs a microsecond to make, and neither is ever mutated
+_ONE = {EXACT: Fraction(1), FLOAT: 1.0}
+_SIGNS = {kind: {1: one, -1: -one} for kind, one in _ONE.items()}
 
 
 @dataclass(frozen=True)
@@ -44,7 +51,12 @@ class Field:
 
     @property
     def one(self):
-        return Fraction(1) if self.kind == EXACT else 1.0
+        return _ONE[self.kind]
+
+    @property
+    def signs(self) -> dict[int, object]:
+        """The carrier's +1 and -1, keyed by the int incidence sign; shared, not copied."""
+        return _SIGNS[self.kind]
 
     def prune(self, col: Column) -> Column:
         """Drop entries indistinguishable from zero; flag ill-conditioning."""
@@ -108,3 +120,29 @@ def reduce_column(
         r = fld.prune(axpy(r, r_owner, coeff))
         v = fld.prune(axpy(v, v_owner, coeff))
     return r, v
+
+
+def reduce_integer_column(r: Column, pivots: dict[int, Column]) -> Column:
+    """`reduce_column` without V, on a column of nonzero ints, fraction-free.
+
+    While an earlier column owns r's pivot, r <- a*r - b*owner with a/b its
+    pivot entry over r's, both divided by their gcd, so the pivot cancels
+    in ints; r is then divided by the gcd of its entries, which keeps them
+    small (Bareiss, Math. Comp. 22, 1968). Every step scales r by a nonzero
+    int, so the pivots, and so the rank, are those of the rational
+    elimination. A column that stays nonzero is entered in `pivots`.
+    """
+    while r:
+        low, x = r[-1]
+        owner = pivots.get(low)
+        if owner is None:
+            pivots[low] = r
+            break
+        y = owner[-1][1]
+        g = math.gcd(x, y)
+        a, b = y // g, x // g
+        r = axpy([(i, a * c) for i, c in r], owner, -b)
+        g = math.gcd(*(c for _, c in r))  # 0 for an empty r
+        if g > 1:
+            r = [(i, c // g) for i, c in r]
+    return r

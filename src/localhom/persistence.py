@@ -105,8 +105,7 @@ def _reduce_order(
     """
     values = filtration.values
     top = row_of(filtration, 0)  # row_of(sid) == top - sid, and sid_of(row) == top - row
-    one = fld.one
-    signs = {1: one, -1: fld.coerce(-1)}  # shared, not one object per entry
+    one, signs = fld.one, fld.signs
     pivots: dict[int, tuple[Column, Column]] = {}
     reduced: list[Column] = []
     killed: set[int] = set()
@@ -180,7 +179,7 @@ def star_diagram(
             classes.append(PersistentCocycle(d, values[sid], death, sid, death_id, {sid: fld.one}))
     if d < max_order:
         top = row_of(filtration, 0)  # row_of(sid) == top - sid
-        signs = {1: fld.one, -1: fld.coerce(-1)}
+        signs = fld.signs
         # link vertex τ -> sign of σ in τ
         sign = dict(up) if sigma else dict.fromkeys(filtration.ids_of_dim(0), 1)
         if keep:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, groupby
 from operator import itemgetter
@@ -32,7 +33,7 @@ import numpy as np
 
 from .complexes import Filtration, SimplexSubset, star_of_vertices
 from .errors import ContractError, IllConditionedError
-from .linalg import FLOAT, Column, Field, axpy, reduce_column
+from .linalg import FLOAT, Column, Field, axpy, reduce_integer_column
 from .persistence import INF, PersistentCocycle, row_of, sid_of, star_diagram
 
 
@@ -73,13 +74,18 @@ class LocalStalk:
         coboundary column) for the one that kills it there. Built once, on
         the first solve against the stalk, so a stalk no block reads never
         pays for it; `dataclasses.replace` makes a stalk that builds its own.
+        On the exact carrier an integral entry is held as an int
+        (`_integral`), so most of the solve runs in ints.
         """
-        filt = self.filtration
+        filt, kind = self.filtration, self.field_kind
         owners = {}
         for k, cocycles in self._by_order.items():
-            owners[k] = {col[-1][0]: (None, col) for col in self.coboundaries.get(k, [])}
+            owners[k] = {
+                col[-1][0]: (None, _integral(col, kind)) for col in self.coboundaries.get(k, [])
+            }
             for pos, c in enumerate(cocycles):
-                owners[k][row_of(filt, c.birth_index)] = (pos, _column(filt, c.representative))
+                col = _integral(_column(filt, c.representative), kind)
+                owners[k][row_of(filt, c.birth_index)] = (pos, col)
         return owners
 
     @property
@@ -164,6 +170,21 @@ def _column(filtration: Filtration, cochain: dict[int, object]) -> Column:
     return [(top - sid, x) for sid, x in cochain.items()]
 
 
+def _integral(col: Column, kind: str) -> Column:
+    """`col` with each integral exact entry as an int; a float column as it is."""
+    if kind == FLOAT:
+        return col
+    return [(r, x.numerator if x.denominator == 1 else x) for r, x in col]
+
+
+def _divide(x, y):
+    """x / y, as an int when both are ints and y divides x, else in the carrier."""
+    if type(x) is int and type(y) is int:
+        q, rem = divmod(x, y)
+        return Fraction(x, y) if rem else q
+    return x / y
+
+
 def _coordinates(
     stalk: LocalStalk, filtration: Filtration, k: int, xi: PersistentCocycle, fld: Field
 ) -> dict[int, object]:
@@ -179,12 +200,18 @@ def _coordinates(
     cocycle on S_t for every t < death. For the same reason a class dying
     before xi gets coefficient 0, and every class reached is born no
     earlier than xi.
+
+    On the exact carrier the owner table and the column solved hold
+    integral entries as ints (elder-rule representatives and vertex
+    coboundary columns are all +-1), a quotient is an int when the
+    division is exact and a Fraction otherwise, and every coordinate
+    returned is a Fraction.
     """
     if not stalk.order_cocycles(k):
         return {}
     owners = stalk._owners[k]
     coords: dict[int, object] = {}
-    z = _column(filtration, xi.representative)
+    z = _integral(_column(filtration, xi.representative), fld.kind)
     while z and filtration.values[sid_of(filtration, z[-1][0])] < xi.death:
         row, x = z[-1]
         owner = owners.get(row)
@@ -194,9 +221,9 @@ def _coordinates(
                 "and coboundaries"
             )
         pos, col = owner
-        coeff = x / col[-1][1]
+        coeff = _divide(x, col[-1][1])
         if pos is not None:
-            coords[pos] = coeff
+            coords[pos] = Fraction(coeff) if type(coeff) is int else coeff
         z = fld.prune(axpy(z[:-1], col[:-1], -coeff))
     return coords
 
@@ -277,8 +304,10 @@ class AssembledLaplacian:
     received a term as COO arrays `(rows, cols, vals)` sorted by (row, col),
     each cell once. `vals` are the sums in the carrier's scalars (an object
     array of Fractions on the exact carrier), and a sum may cancel to zero.
-    `kernel_dim_exact` ranks these rows exactly, one `reduce_column` step
-    per row.
+    On the exact carrier each cell is summed in ints, over the lcm of its
+    terms' denominators, and makes one Fraction. `kernel_dim_exact` ranks
+    these rows exactly: each row is scaled to ints and eliminated
+    fraction-free, one `reduce_integer_column` step per row.
     `laplacian @ x` multiplies by their float image `float_vals`: each
     output row is summed from 0.0, one term at a time, in ascending column
     order, whatever the BLAS build. `dense` builds the `dim x dim` float
@@ -310,10 +339,15 @@ class AssembledLaplacian:
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each atom couples its u-side and v-side components pairwise, so one
         pass fills the off-diagonal blocks, their transposes and both
-        diagonal blocks; every entry is scaled by `_entry_weight`."""
-        fld = Field(kind=self.field_kind)
-        zero = fld.coerce(0)
+        diagonal blocks; every entry is scaled by `_entry_weight`.
+
+        On the exact carrier a term c_i * c_j * w is the int ratio of the
+        coefficients' numerators and denominators and `w.as_integer_ratio()`
+        (exact for a float weight), a cell sums its terms over the lcm of
+        their denominators, and each cell makes one Fraction at the end."""
+        exact = self.field_kind != FLOAT
         offsets, spans = self.offsets, self.lifespans
+        # float: cell -> sum; exact: cell -> (numerator, denominator)
         entries: dict[tuple[int, int], object] = {}
         for (u, v), block in self.blocks.items():
             for atom in block.atoms:
@@ -324,13 +358,32 @@ class AssembledLaplacian:
                 for i, ci, out_iv in comps:
                     for j, cj, in_iv in comps:
                         w = _entry_weight(self.mode, atom, out_iv, in_iv, self.horizon)
-                        if w:
-                            entries[i, j] = entries.get((i, j), zero) + ci * cj * fld.coerce(w)
+                        if not w:
+                            continue
+                        if not exact:
+                            entries[i, j] = entries.get((i, j), 0.0) + ci * cj * float(w)
+                            continue
+                        wn, wd = w.as_integer_ratio()
+                        tn = ci.numerator * cj.numerator * wn
+                        td = ci.denominator * cj.denominator * wd
+                        cell = entries.get((i, j))
+                        if cell is not None:
+                            n, d = cell
+                            if d == td:
+                                tn += n
+                            else:
+                                m = math.lcm(d, td)
+                                tn, td = n * (m // d) + tn * (m // td), m
+                        entries[i, j] = (tn, td)
         cells = sorted(entries)
+        if exact:
+            vals = np.array([Fraction(*entries[c]) for c in cells], dtype=object)
+        else:
+            vals = np.array([entries[c] for c in cells], dtype=float)
         return (
             np.array([i for i, _ in cells], dtype=np.intp),
             np.array([j for _, j in cells], dtype=np.intp),
-            np.array([entries[c] for c in cells], dtype=float if fld.kind == FLOAT else object),
+            vals,
         )
 
     @cached_property
@@ -372,18 +425,20 @@ class AssembledLaplacian:
 
         rank L = rank L^T, and one row of the sorted `entries`, its cells in
         column order, is a sorted column of L^T. Each row, less the cells
-        whose sum cancelled to zero, is eliminated by `linalg.reduce_column`
-        against the rows before it, with no V; each row left nonzero owns
-        one pivot, so the rank is the number of pivots.
+        whose sum cancelled to zero, is scaled to ints by the lcm of its
+        denominators and eliminated fraction-free by
+        `linalg.reduce_integer_column` against the rows before it; each row
+        left nonzero owns one pivot, so the rank is the number of pivots.
         """
         if self.field_kind != "exact":
             raise ContractError("exact kernel rank needs the exact carrier")
-        fld = Field()
-        pivots: dict[int, tuple[Column, Column]] = {}
+        pivots: dict[int, Column] = {}
         rows, cols, vals = self.entries
         cells = zip(rows.tolist(), cols.tolist(), vals.tolist())
         for _, row in groupby(cells, key=itemgetter(0)):
-            reduce_column(fld.prune([(j, x) for _, j, x in row]), [], pivots, fld)
+            row = [(j, x) for _, j, x in row if x]
+            m = math.lcm(*(x.denominator for _, x in row))
+            reduce_integer_column([(j, x.numerator * (m // x.denominator)) for j, x in row], pivots)
         return self.dimension - len(pivots)
 
 

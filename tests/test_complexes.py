@@ -215,8 +215,8 @@ def _star_index_cases(corpus):
     """Corpus flag complexes, a directly built filtration and truncations.
 
     The direct filtration's subfiltration drops vertex 0, and each corpus
-    truncation drops the vertices outside one closed star, so their
-    posting indexes have gaps in the vertex ids.
+    truncation drops the vertices outside one closed star, so their vertex
+    ids have gaps.
     """
     cases = [build_flag_complex(g, 3) for g in corpus[:60]]
     direct = Filtration(

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import reduce_columns
 import dense_reference
-from localhom import oracle, persistence, sheaf
+from localhom import nn, oracle, persistence, sheaf
 from localhom.complexes import (
     SimplexSubset,
     WeightedGraph,
@@ -598,13 +598,13 @@ def test_replace_checks_the_mode_and_reduces_nothing(c4_filt, block_calls):
 
 
 def order1_operators(graph, fld):
-    """The order-1 operator of `graph` (max_dim 2) at every threshold and in
-    weighted mode, all from one assembly."""
+    """The order-1 stalks of `graph` (max_dim 2) and its operator at every
+    threshold and in weighted mode, all from one assembly."""
     filt = build_flag_complex(graph, 2)
     stalks = {v: compute_stalk(filt, v, 1, fld=fld) for v in range(filt.vertex_count)}
     modes = [("slice", t) for t in filt.threshold_values()] + [("weighted",)]
     first = assemble_laplacian(filt, stalks, 1, modes[0], fld)
-    return [replace(first, mode=m) for m in modes]
+    return stalks, [replace(first, mode=m) for m in modes]
 
 
 def coordinate_keys(lap, name):
@@ -626,6 +626,18 @@ def operator_matrix(lap):
     out = np.full(lap.shape, Fraction(0), dtype=object)
     out[rows, cols] = vals
     return out
+
+
+def psi_commutes_with_matching(stalk, image, match, psi, rng):
+    """Whether the stalk's sign-equivariant layer and its image's commute
+    with the coordinate matching P, x_a -> (P x)_match[a]: psi'(P x) equals
+    P psi(x) to 1e-12, for one random x."""
+    x = rng.standard_normal(len(match))
+    px = np.empty_like(x)
+    px[match] = x
+    want = nn.sign_equivariant_layer(x, nn.node_gain_network(stalk, psi))
+    got = nn.sign_equivariant_layer(px, nn.node_gain_network(image, psi))
+    return bool(np.all(np.abs(got[match] - want) <= 1e-12))
 
 
 def equal_up_to_signs(pairs, tol):
@@ -658,6 +670,9 @@ def test_order1_operator_is_label_free(corpus, tie_free_corpus, kind):
     signed permutation. Coordinates are matched by (image vertex, birth,
     death); a graph whose keys repeat is skipped. Every slice threshold and
     the weighted mode, exactly on the exact carrier and to 1e-12 on float.
+    At every vertex, the hypernetwork's sign-equivariant layer under one
+    seeded Psi commutes with that matching too; its tests already cover
+    diagonal signs.
 
     One graph is label-dependent, and its spectra differ too: at one vertex
     three triangles share their longest edge, so they enter at one value in
@@ -666,15 +681,17 @@ def test_order1_operator_is_label_free(corpus, tie_free_corpus, kind):
     vertices in one labelling and not in the other."""
     fld = Field(kind=kind)
     rng = random.Random(26)
+    x_rng = np.random.default_rng(26)
+    psi = nn.MLPParams.init([6, 8, 1], seed=26)
     tol = 1e-12 if kind == "float" else 0
     skipped = compared = 0
-    differ = []
+    differ, psi_differ = [], []
     for gi, graph in enumerate(corpus + tie_free_corpus):
         perm = list(range(graph.vertex_count))
         rng.shuffle(perm)
         edges = tuple((perm[u], perm[v], w) for u, v, w in graph.edges)
-        before = order1_operators(graph, fld)
-        after = order1_operators(WeightedGraph(graph.vertex_count, edges), fld)
+        stalks, before = order1_operators(graph, fld)
+        images, after = order1_operators(WeightedGraph(graph.vertex_count, edges), fld)
         keys = coordinate_keys(before[0], perm)
         image = coordinate_keys(after[0], range(graph.vertex_count))
         if keys is None:
@@ -690,7 +707,12 @@ def test_order1_operator_is_label_free(corpus, tie_free_corpus, kind):
         if not equal_up_to_signs(pairs, tol):
             differ.append(gi)
         compared += len(pairs)
-    assert (skipped, differ, compared) == (0, [60], 2617)
+        for v, stalk in stalks.items():
+            lo = before[0].offsets[v]
+            local = match[lo:lo + before[0].dims[v]] - after[0].offsets[perm[v]]
+            if not psi_commutes_with_matching(stalk, images[perm[v]], local, psi, x_rng):
+                psi_differ.append((gi, v))
+    assert (skipped, differ, psi_differ, compared) == (0, [60], [], 2617)
 
 
 # ---------------------------------------------------------------------------

@@ -12,16 +12,19 @@ place of the row's absolute sum, sum_j |a_ij x_j|.
 
 import math
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 import pytest
 
+from conftest import reduce_columns
 from localhom import formats
 from localhom.complexes import build_flag_complex, graph_from_points
 from localhom.errors import ContractError
 from localhom.linalg import Field
 from localhom.nn import FeatureBundle, diffuse, message_pass, power_iteration
-from localhom.sheaf import AssembledLaplacian, assemble_laplacian, compute_stalk
+from localhom.sheaf import AssembledLaplacian, _entry_weight, assemble_laplacian, compute_stalk
 
 ULP_BOUND = 4
 
@@ -188,6 +191,58 @@ def test_entries_are_sorted_coo(operators):
         assert vals.dtype == (object if lap.field_kind == "exact" else float), name
 
 
+def exact_operators(operators):
+    return [(name, lap) for name, lap in operators if lap.field_kind == "exact"]
+
+
+def fraction_entries(lap):
+    """The exact `entries` loop as it was, one Fraction per term: the
+    reference for the integer sums. Lists of rows, cols and vals."""
+    entries = {}
+    for (u, v), block in lap.blocks.items():
+        for atom in block.atoms:
+            comps = [(lap.offsets[u] + a, c, lap.lifespans[u][a]) for a, c in atom.v_a.items()]
+            comps += [(lap.offsets[v] + b, c, lap.lifespans[v][b]) for b, c in atom.v_b.items()]
+            for i, ci, out_iv in comps:
+                for j, cj, in_iv in comps:
+                    w = _entry_weight(lap.mode, atom, out_iv, in_iv, lap.horizon)
+                    if w:
+                        entries[i, j] = entries.get((i, j), Fraction(0)) + ci * cj * Fraction(w)
+    cells = sorted(entries)
+    return [i for i, _ in cells], [j for _, j in cells], [entries[c] for c in cells]
+
+
+def test_exact_entries_match_term_by_term_fraction_sums(operators):
+    """Integer sums with one Fraction per cell give every value and repr,
+    cells that cancel to Fraction(0) included."""
+    for name, lap in exact_operators(operators):
+        got = tuple(a.tolist() for a in lap.entries)
+        assert repr(got) == repr(fraction_entries(lap)), name
+
+
+def test_kernel_dim_exact_matches_fraction_elimination(operators):
+    """The fraction-free rank equals `reduce_column`'s over the same rows,
+    and the sample holds rows whose scaling to ints is not trivial."""
+    scaled = 0
+    for name, lap in exact_operators(operators):
+        cells = zip(*(a.tolist() for a in lap.entries))
+        rows = [[(j, x) for _, j, x in row if x] for _, row in groupby(cells, key=itemgetter(0))]
+        scaled += any(x.denominator > 1 for row in rows for _, x in row)
+        _, _, pivots = reduce_columns(rows, Field())
+        assert lap.kernel_dim_exact() == lap.dimension - len(pivots), name
+    assert scaled
+
+
+def test_exact_values_and_atom_coefficients_are_fractions(operators):
+    """Integral values computed in ints still come out as Fractions."""
+    for name, lap in exact_operators(operators):
+        assert all(type(x) is Fraction for x in lap.entries[2].tolist()), name
+        for block in lap.blocks.values():
+            for atom in block.atoms:
+                coeffs = [*atom.v_a.values(), *atom.v_b.values()]
+                assert all(type(c) is Fraction for c in coeffs), name
+
+
 def dense_matrixmarket(matrix):
     """The writer as it was: the nonzeros of the dense image, row-major."""
     n, m = matrix.shape
@@ -225,18 +280,27 @@ def test_matrixmarket_skips_cells_that_cancel_to_zero():
 
 def test_kernel_dim_exact_drops_cells_that_cancel_to_zero():
     """A cell whose exact sum cancelled to 0 is no pivot: L = 2I with two
-    stored zeros off the diagonal has rank 2, so an empty kernel."""
-    lap = AssembledLaplacian(
-        order=1,
-        mode=("slice", 0.0),
-        lifespans={0: [(0.0, 1.0)], 1: [(0.0, 1.0)]},
-        blocks={},
-        horizon=1.0,
-        field_kind="exact",
-    )
-    lap.entries = (
-        np.array([0, 0, 1, 1], dtype=np.intp),
-        np.array([0, 1, 0, 1], dtype=np.intp),
-        np.array([Fraction(2), Fraction(0), Fraction(0), Fraction(2)], dtype=object),
-    )
-    assert lap.kernel_dim_exact() == 0
+    stored zeros off the diagonal has rank 2, so an empty kernel. Rows over
+    denominators 3 and 6 are each scaled to ints by their own lcm:
+    [[2/3, 4/3], [1/6, 1/3]] has rank 1, so a 1-dim kernel, though its
+    numerators alone would have rank 2."""
+    def lap_of(cells):
+        lap = AssembledLaplacian(
+            order=1,
+            mode=("slice", 0.0),
+            lifespans={0: [(0.0, 1.0)], 1: [(0.0, 1.0)]},
+            blocks={},
+            horizon=1.0,
+            field_kind="exact",
+        )
+        lap.entries = (
+            np.array([i for i, _, _ in cells], dtype=np.intp),
+            np.array([j for _, j, _ in cells], dtype=np.intp),
+            np.array([x for _, _, x in cells], dtype=object),
+        )
+        return lap
+
+    f = Fraction
+    assert lap_of([(0, 0, f(2)), (0, 1, f(0)), (1, 0, f(0)), (1, 1, f(2))]).kernel_dim_exact() == 0
+    thirds_sixths = [(0, 0, f(2, 3)), (0, 1, f(4, 3)), (1, 0, f(1, 6)), (1, 1, f(1, 3))]
+    assert lap_of(thirds_sixths).kernel_dim_exact() == 1
