@@ -367,20 +367,38 @@ def bowtie_graph():
     return WeightedGraph(5, tuple((u, v, 1.0) for u, v in edges))
 
 
+def sixteen_cell_graphs(count, seed):
+    """Weighted 16-cell graphs: K8 less the pairs (0, 4), (1, 5), (2, 6) and
+    (3, 7), so every vertex link is an octahedron and stalks hold order-3
+    classes. The first half keep all 24 edges, the rest drop about 10%;
+    weights have two decimals, so a few tie."""
+    rng = random.Random(seed)
+    edges = [(u, v) for u in range(8) for v in range(u + 1, 8) if v - u != 4]
+    graphs = []
+    for i in range(count):
+        kept = edges if i < count // 2 else [e for e in edges if rng.random() >= 0.1]
+        weighted = tuple((u, v, round(rng.uniform(1.0, 3.0), 2)) for u, v in kept)
+        graphs.append(WeightedGraph(8, weighted))
+    return graphs
+
+
 def test_slice_kernel_counts_global_sections(corpus, tie_free_corpus):
     """On the cocycles alive at t, the slice kernel is the dense count of
-    global sections of σ ↦ H^k_c(st σ), at every threshold, orders 1 and 2,
-    on both corpora and the bowtie."""
-    checked = 0
-    for gi, graph in enumerate(corpus + tie_free_corpus + [bowtie_graph()]):
-        filt = build_flag_complex(graph, 3)
-        stalks = {v: compute_stalk(filt, v, 2) for v in range(filt.vertex_count)}
-        for k in (1, 2):
+    global sections of σ ↦ H^k_c(st σ), at every threshold: orders 1 and 2
+    on both corpora and the bowtie, and orders 1 to 3 on weighted 16-cell
+    graphs, whose stalks are walked at order 3."""
+    checked = {1: 0, 2: 0, 3: 0}
+    inputs = [(g, 2) for g in corpus + tie_free_corpus + [bowtie_graph()]]
+    inputs += [(g, 3) for g in sixteen_cell_graphs(12, seed=16)]
+    for gi, (graph, max_order) in enumerate(inputs):
+        filt = build_flag_complex(graph, max_order + 1)
+        stalks = {v: compute_stalk(filt, v, max_order) for v in range(filt.vertex_count)}
+        for k in range(1, max_order + 1):
             lap = assemble_laplacian(filt, stalks, k, ("slice", filt.t_plus))
             for t in filt.threshold_values():
                 assert live_kernel(lap, t) == oracle.global_sections_dim(filt, t, k), (gi, k, t)
-                checked += 1
-    assert checked > 4000
+                checked[k] += 1
+    assert checked[1] + checked[2] > 4000 and checked[3] > 200
 
 
 def test_bowtie_kernel_is_a_global_section_not_a_cycle():
