@@ -4,11 +4,16 @@ Two carriers share one interface: exact rationals (`fractions.Fraction`,
 the correctness reference) and binary64 floats with a relative zero
 tolerance (the performance path). One left-to-right elimination step,
 `reduce_column`, is behind every persistence reduction in the package;
-callers loop it over their own sorted columns, with no matrix type. The
+callers loop it over their own columns, with no matrix type. The
 two lowest degrees of every star are read off its link without it
 (`persistence.star_diagram`). The exact Laplacian kernel rank runs the
 same step on integer columns, fraction-free (`reduce_integer_column`).
 The dense brute-force oracle deliberately uses neither.
+
+A column lists its entries by strictly decreasing index and its pivot is
+the last, smallest one: a cohomology reduction walks rows by decreasing
+filtration order (Bauer, "Ripser", 2021), so a coboundary column's
+indices are simplex ids and its pivot is the earliest cofacet.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ EXACT = "exact"
 FLOAT = "float"
 DEFAULT_EPS = 1e-9
 
-# a sparse column is a list of (row, coeff) pairs with strictly increasing rows
+# a sparse column: (index, coeff) pairs by strictly decreasing index, its
+# pivot the last
 Column = list[tuple[int, object]]
 
 # each carrier's 1 and its +-1 incidence signs, built once and shared: a
@@ -45,9 +51,6 @@ class Field:
         # eps >= 1 would call every entry of a column zero next to its largest
         if not (0 < self.eps < 1):
             raise ContractError(f"eps must lie in (0, 1), not {self.eps!r}")
-
-    def coerce(self, x):
-        return Fraction(x) if self.kind == EXACT else float(x)
 
     @property
     def one(self):
@@ -76,15 +79,15 @@ class Field:
 
 
 def axpy(target: Column, source: Column, coeff) -> Column:
-    """target + coeff * source, merging sorted sparse columns."""
+    """target + coeff * source, merging two columns by decreasing index."""
     out: Column = []
     i = j = 0
     while i < len(target) and j < len(source):
         ri, rj = target[i][0], source[j][0]
-        if ri < rj:
+        if ri > rj:
             out.append(target[i])
             i += 1
-        elif ri > rj:
+        elif ri < rj:
             out.append((rj, coeff * source[j][1]))
             j += 1
         else:
@@ -103,11 +106,12 @@ def reduce_column(
 ) -> tuple[Column, Column]:
     """One column of the left-to-right reduction: (R column, V column).
 
-    A column's pivot is its lowest nonzero row; while an earlier column
-    owns the same pivot, subtract the matching field multiple from R and
-    V alike. `pivots` maps each owned pivot row to its owner's (R, V)
-    columns, and a column that stays nonzero is entered there. Columns are
-    replaced, never edited in place, so the caller's columns stay intact.
+    A column's pivot is its last entry, the smallest index; while an
+    earlier column owns the same pivot, subtract the matching field
+    multiple from R and V alike. `pivots` maps each owned pivot to its
+    owner's (R, V) columns, and a column that stays nonzero is entered
+    there. Columns are replaced, never edited in place, so the caller's
+    columns stay intact.
     """
     while r:
         low, x = r[-1]

@@ -16,6 +16,8 @@ from .errors import ContractError
 from .persistence import PersistentCocycle
 from .sheaf import AssembledLaplacian, LocalStalk
 
+POWER_ITERATIONS = 200
+
 
 @dataclass
 class FeatureBundle:
@@ -87,8 +89,9 @@ class FeatureBundle:
         return cls(order=order, channels=channels, values=values)
 
 
-def power_iteration(matrix, iters: int = 200) -> float:
-    """Largest-magnitude eigenvalue estimate, deterministic start vector.
+def power_iteration(matrix) -> float:
+    """Largest-magnitude eigenvalue estimate after `POWER_ITERATIONS` steps
+    from a deterministic start vector.
 
     `matrix` is any square operator with `@` and `.shape`: an ndarray or
     an `AssembledLaplacian`, which multiplies sparsely.
@@ -100,7 +103,7 @@ def power_iteration(matrix, iters: int = 200) -> float:
     v /= np.linalg.norm(v)
     lam = 0.0
     w = matrix @ v
-    for _ in range(iters):
+    for _ in range(POWER_ITERATIONS):
         norm = np.linalg.norm(w)
         if norm == 0.0:
             return 0.0

@@ -13,8 +13,8 @@ Degrees d + 2 and up are walked. Each coboundary is reduced with rows and
 columns by decreasing filtration order, and no matrix is stored: each column
 is built from the simplex's cofacets when the walk reaches it and eliminated
 at once against the columns before it (Bauer, "Ripser", 2021). A nonzero
-reduced column's pivot row kills its class; a zero column is an essential
-class, unless its simplex was a pivot row one order down, whose column is
+reduced column's pivot kills its class; a zero column is an essential
+class, unless its simplex was a pivot one order down, whose column is
 cleared without being built. The V column is the representative cocycle and
 R its coboundary. A star is open, so a star simplex's coboundary stays in it.
 """
@@ -37,9 +37,9 @@ class PersistentCocycle:
 
     `representative` maps k-simplex ids (in the source filtration) to
     coefficients and carries the sign/scale freedom of the reduction. Its
-    keys run by strictly decreasing id, as `star_diagram` builds them in
-    every degree. Its coboundary is zero for an essential class; otherwise
-    its lowest-id simplex is `death_index`.
+    keys run by strictly decreasing id in every degree, so its items are a
+    `linalg.Column` whose pivot is `birth_index`. Its coboundary is zero
+    for an essential class; otherwise its lowest-id simplex is `death_index`.
     """
 
     order: int
@@ -75,17 +75,6 @@ def betti_at(diagram: Diagram, t: float, k: int) -> int:
     return sum(1 for c in diagram.of_order(k) if c.alive_at(t))
 
 
-def row_of(filtration: Filtration, sid: int) -> int:
-    """Row of simplex `sid` in every coboundary matrix of `filtration`:
-    one row per simplex, by decreasing filtration index."""
-    return len(filtration.simplices) - 1 - sid
-
-
-def sid_of(filtration: Filtration, row: int) -> int:
-    """Simplex id of a `row_of` row."""
-    return len(filtration.simplices) - 1 - row
-
-
 def _reduce_order(
     filtration: Filtration,
     k: int,
@@ -100,24 +89,24 @@ def _reduce_order(
 
     Each column is built from `Filtration.cofacets` when it is reached and
     reduced at once by `linalg.reduce_column`; a simplex in `cleared` is
-    skipped before anything is built. V columns are in `row_of` rows, so
-    the representative is read off directly.
+    skipped before anything is built. Rows are simplex ids, so a nonzero
+    column's pivot is the simplex that kills its class and the V column,
+    keyed by decreasing id, is the representative.
     """
     values = filtration.values
-    top = row_of(filtration, 0)  # row_of(sid) == top - sid, and sid_of(row) == top - row
     one, signs = fld.one, fld.signs
     pivots: dict[int, tuple[Column, Column]] = {}
     reduced: list[Column] = []
     killed: set[int] = set()
     for sid in col_ids:
         if sid in cleared:
-            continue  # a pivot row one order down has a zero column
-        # cofacets run by increasing id, so read backwards by increasing row
-        col = [(top - c, signs[sign]) for c, sign in reversed(filtration.cofacets(sid))]
-        r, v = reduce_column(col, [(top - sid, one)], pivots, fld)
+            continue  # a pivot one order down has a zero column
+        # cofacets run by increasing id, so read backwards
+        col = [(c, signs[sign]) for c, sign in reversed(filtration.cofacets(sid))]
+        r, v = reduce_column(col, [(sid, one)], pivots, fld)
         if r:
             reduced.append(r)
-            death_id = top - r[-1][0]
+            death_id = r[-1][0]
             death = values[death_id]
             killed.add(death_id)
         else:
@@ -131,7 +120,7 @@ def _reduce_order(
                     death=death,
                     birth_index=sid,
                     death_index=death_id,
-                    representative={top - row: c for row, c in v},
+                    representative=dict(v),
                 )
             )
     return reduced, killed
@@ -145,9 +134,10 @@ def star_diagram(
 ) -> tuple[Diagram, dict[int, list[Column]]]:
     """The diagram of st σ up to `max_order` (σ = () for the whole complex)
     and, for a vertex star only, its nonzero reduced coboundary columns:
-    for k in 1..max_order the order-(k-1) columns, whose lowest rows are
-    the k-simplices they kill; with the order-k representatives they own
-    every k-simplex's row once, for the stalk's owner table.
+    for k in 1..max_order the order-(k-1) columns, indexed by simplex id,
+    whose pivots are the k-simplices they kill; with the order-k
+    representatives they own every k-simplex once, for the stalk's owner
+    table.
 
     Degree d = dim σ is σ's bar. Degree d + 1 is the elder rule on the link
     graph, whose vertices are σ's cofacets τ and whose edges are the
@@ -178,12 +168,11 @@ def star_diagram(
         if d <= max_order and values[sid] < death:
             classes.append(PersistentCocycle(d, values[sid], death, sid, death_id, {sid: fld.one}))
     if d < max_order:
-        top = row_of(filtration, 0)  # row_of(sid) == top - sid
         signs = fld.signs
         # link vertex τ -> sign of σ in τ
         sign = dict(up) if sigma else dict.fromkeys(filtration.ids_of_dim(0), 1)
         if keep:
-            coboundaries[1] = [[(top - c, signs[x]) for c, x in reversed(up)]] if up else []
+            coboundaries[1] = [[(c, signs[x]) for c, x in reversed(up)]] if up else []
         # each link edge's two link vertices, in int dicts: a container per
         # edge would add collector work on a large complex
         first: dict[int, int] = {}
@@ -218,7 +207,7 @@ def star_diagram(
                     for rho, x in filtration.cofacets(tau):
                         delta[rho] = delta.get(rho, 0) + x * sign[tau] * sign[root]
                 coboundaries[d + 2].append(
-                    [(top - rho, signs[x]) for rho, x in sorted(delta.items(), reverse=True) if x]
+                    [(rho, signs[x]) for rho, x in sorted(delta.items(), reverse=True) if x]
                 )
         # σ's own column kills the component of its first cofacet
         bars += [(root, None, m) for root, m in members.items() if root != death_id]

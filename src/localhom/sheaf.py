@@ -34,7 +34,7 @@ import numpy as np
 from .complexes import Filtration, SimplexSubset, star_of_vertices
 from .errors import ContractError, IllConditionedError
 from .linalg import FLOAT, Column, Field, axpy, reduce_integer_column
-from .persistence import INF, PersistentCocycle, row_of, sid_of, star_diagram
+from .persistence import INF, PersistentCocycle, star_diagram
 
 
 @dataclass
@@ -50,7 +50,7 @@ class LocalStalk:
     stalk is made.
     `field_kind` is the carrier the cocycles were computed on.
     `coboundaries[k]`, for k in 1..max_order, holds the star's nonzero
-    reduced order-(k-1) coboundary columns, in `persistence.row_of` rows.
+    reduced order-(k-1) coboundary columns, indexed by simplex id.
     """
 
     vertex: int
@@ -69,23 +69,24 @@ class LocalStalk:
 
     @cached_property
     def _owners(self) -> dict[int, dict[int, tuple[int | None, Column]]]:
-        """Per order k, each row -> the column that owns it: (position,
-        representative column) for the order-k class born there, else (None,
-        coboundary column) for the one that kills it there. Built once, on
-        the first solve against the stalk, so a stalk no block reads never
-        pays for it; `dataclasses.replace` makes a stalk that builds its own.
+        """Per order k, each k-simplex id -> the column whose pivot it is:
+        (position, representative column) for the order-k class born there,
+        else (None, coboundary column) for the one that kills it there.
+        Built once, on the first solve against the stalk, so a stalk no
+        block reads never pays for it; `dataclasses.replace` makes a stalk
+        that builds its own.
         On the exact carrier an integral entry is held as an int
         (`_integral`), so most of the solve runs in ints.
         """
-        filt, kind = self.filtration, self.field_kind
+        kind = self.field_kind
         owners = {}
         for k, cocycles in self._by_order.items():
             owners[k] = {
                 col[-1][0]: (None, _integral(col, kind)) for col in self.coboundaries.get(k, [])
             }
             for pos, c in enumerate(cocycles):
-                col = _integral(_column(filt, c.representative), kind)
-                owners[k][row_of(filt, c.birth_index)] = (pos, col)
+                col = _integral(list(c.representative.items()), kind)
+                owners[k][c.birth_index] = (pos, col)
         return owners
 
     @property
@@ -163,13 +164,6 @@ class SheafLaplacianBlock:
     atoms: list[LaplacianAtom]
 
 
-def _column(filtration: Filtration, cochain: dict[int, object]) -> Column:
-    """A representative as a column: its keys run by decreasing id
-    (`PersistentCocycle.representative`), so its rows come out increasing."""
-    top = row_of(filtration, 0)  # row_of(sid) == top - sid
-    return [(top - sid, x) for sid, x in cochain.items()]
-
-
 def _integral(col: Column, kind: str) -> Column:
     """`col` with each integral exact entry as an int; a float column as it is."""
     if kind == FLOAT:
@@ -190,16 +184,16 @@ def _coordinates(
 ) -> dict[int, object]:
     """The class of `xi`'s representative in the stalk, by order-k position.
 
-    A triangular solve from the lowest row up, against the stalk's owner
-    table: its representatives (each one's lowest row is its birth simplex,
-    with coefficient 1 up to sign) and its reduced order-(k-1) coboundary
-    columns (lowest row: the simplex each one kills), whose coefficients
-    are dropped. It stops at the first row valued at or after xi's death:
-    only zero-length classes own the rows past it, and before it no such
-    class gets a nonzero coefficient, since the representative is a
-    cocycle on S_t for every t < death. For the same reason a class dying
-    before xi gets coefficient 0, and every class reached is born no
-    earlier than xi.
+    xi's representative, whose items are a column, is solved from its pivot
+    on against the stalk's owner table: its representatives (each one's
+    pivot is its birth simplex, with coefficient 1 up to sign) and its
+    reduced order-(k-1) coboundary columns (pivot: the simplex each one
+    kills), whose coefficients are dropped. It stops at the first simplex
+    valued at or after xi's death: only zero-length classes own the
+    simplices past it, and before it no such class gets a nonzero
+    coefficient, since the representative is a cocycle on S_t for every
+    t < death. For the same reason a class dying before xi gets
+    coefficient 0, and every class reached is born no earlier than xi.
 
     On the exact carrier the owner table and the column solved hold
     integral entries as ints (elder-rule representatives and vertex
@@ -211,13 +205,13 @@ def _coordinates(
         return {}
     owners = stalk._owners[k]
     coords: dict[int, object] = {}
-    z = _integral(_column(filtration, xi.representative), fld.kind)
-    while z and filtration.values[sid_of(filtration, z[-1][0])] < xi.death:
-        row, x = z[-1]
-        owner = owners.get(row)
+    z = _integral(list(xi.representative.items()), fld.kind)
+    while z and filtration.values[z[-1][0]] < xi.death:
+        sid, x = z[-1]
+        owner = owners.get(sid)
         if owner is None:
             raise IllConditionedError(
-                f"row {row} has no owner among vertex {stalk.vertex}'s order-{k} classes "
+                f"simplex {sid} has no owner among vertex {stalk.vertex}'s order-{k} classes "
                 "and coboundaries"
             )
         pos, col = owner
@@ -423,9 +417,9 @@ class AssembledLaplacian:
     def kernel_dim_exact(self) -> int:
         """dim ker = dimension - rank, on the exact carrier only.
 
-        rank L = rank L^T, and one row of the sorted `entries`, its cells in
-        column order, is a sorted column of L^T. Each row, less the cells
-        whose sum cancelled to zero, is scaled to ints by the lcm of its
+        rank L = rank L^T, and one row of the sorted `entries`, its cells
+        read by decreasing column, is a column of L^T. Each row, less the
+        cells whose sum cancelled to zero, is scaled to ints by the lcm of its
         denominators and eliminated fraction-free by
         `linalg.reduce_integer_column` against the rows before it; each row
         left nonzero owns one pivot, so the rank is the number of pivots.
@@ -438,7 +432,8 @@ class AssembledLaplacian:
         for _, row in groupby(cells, key=itemgetter(0)):
             row = [(j, x) for _, j, x in row if x]
             m = math.lcm(*(x.denominator for _, x in row))
-            reduce_integer_column([(j, x.numerator * (m // x.denominator)) for j, x in row], pivots)
+            col = [(j, x.numerator * (m // x.denominator)) for j, x in reversed(row)]
+            reduce_integer_column(col, pivots)
         return self.dimension - len(pivots)
 
 

@@ -86,8 +86,8 @@ def shuffled_filtrations(count, seed, max_dim=3):
 
 
 def reduce_columns(cols, fld):
-    """`reduce_column` over sorted sparse columns, left to right, with V
-    starting as the identity: (R columns, V columns, pivot row -> column)."""
+    """`reduce_column` over columns by decreasing index, left to right, with
+    V starting as the identity: (R columns, V columns, pivot -> column)."""
     owners, rcols, vcols = {}, [], []
     for j, col in enumerate(cols):
         r, v = reduce_column(col, [(j, fld.one)], owners, fld)

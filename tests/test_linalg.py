@@ -32,17 +32,15 @@ def dense_rank_oracle(dense):
 
 
 def from_dense(dense, field=Field()):
-    """Sorted sparse columns of a row-list matrix, zeros dropped."""
+    """Sparse columns of a row-list matrix, by decreasing row, zeros dropped."""
     nc = len(dense[0]) if dense else 0
-    return [
-        field.prune([(i, field.coerce(row[j])) for i, row in enumerate(dense)])
-        for j in range(nc)
-    ]
+    rows = list(enumerate(dense))[::-1]
+    return [field.prune([(i, field.one * row[j]) for i, row in rows]) for j in range(nc)]
 
 
 def to_dense(cols, row_count, field=Field()):
     """Row lists of sparse columns, zeros in the carrier's scalars."""
-    zero = field.coerce(0)
+    zero = field.one * 0
     dense = [[zero] * len(cols) for _ in range(row_count)]
     for j, col in enumerate(cols):
         for r, c in col:
@@ -52,7 +50,7 @@ def to_dense(cols, row_count, field=Field()):
 
 def matmul_dense(cols, row_count, vcols, field=Field()):
     """M @ V as row lists: column j is the sum of V[i, j] * M[:, i]."""
-    zero = field.coerce(0)
+    zero = field.one * 0
     out = [[zero] * len(vcols) for _ in range(row_count)]
     for j, vcol in enumerate(vcols):
         for i, x in vcol:
@@ -62,8 +60,8 @@ def matmul_dense(cols, row_count, vcols, field=Field()):
 
 
 def boundary_1(edges):
-    """Columns of the vertex-edge boundary matrix: -1 at u, +1 at v > u."""
-    return [[(u, Fraction(-1)), (v, Fraction(1))] for u, v in edges]
+    """Columns of the vertex-edge boundary matrix: +1 at v, -1 at u < v."""
+    return [[(v, Fraction(1)), (u, Fraction(-1))] for u, v in edges]
 
 
 def rank(cols, fld=Field()):
@@ -103,7 +101,7 @@ def test_reduce_single_edge_boundary():
     rcols, vcols, pivots = reduce_columns(m, Field())
     assert rcols == m
     assert to_dense(vcols, 1) == [[1]]
-    assert list(pivots) == [1]  # pivot at the larger-index vertex row
+    assert list(pivots) == [0]  # pivot at the smaller-index vertex row
 
 
 def test_reduce_triangle_boundary_finds_the_cycle():
@@ -172,7 +170,7 @@ def test_v_invertible_by_solving():
     _, vcols, _ = reduce_columns(boundary_1(edges), Field())
     for j, col in enumerate(vcols):
         assert col and all(r <= j for r, _ in col)
-        assert col[-1][0] == j and col[-1][1] != 0
+        assert col[0][0] == j and col[0][1] != 0
 
 
 def test_float_ill_conditioning_detected():
@@ -184,7 +182,7 @@ def test_float_ill_conditioning_detected():
 def test_float_ill_conditioning_during_elimination():
     # eliminating against a tiny pivot scales the second column past 1/eps
     fld = Field(kind="float", eps=1e-6)
-    m = [[(0, 1.0), (1, 1e-5)], [(1, 1e3)]]
+    m = [[(1, 1.0), (0, 1e-5)], [(0, 1e3)]]
     with pytest.raises(IllConditionedError):
         reduce_columns(m, fld)
 

@@ -249,10 +249,11 @@ def test_coboundary_of_representative_is_zero_or_dies_at_death_index(corpus):
 
 def matrix_reductions(filt, keep, max_order, fld):
     """The diagram and reduced coboundary columns from explicit matrices:
-    each order's coboundary block (columns by decreasing id, rows by
-    `row_of`) reduced by `conftest.reduce_columns`. A cleared column was zeroed
-    without work and never owns a pivot, so it is left out of the block."""
-    top = len(filt) - 1
+    each order's coboundary block (columns by decreasing id, rows by simplex
+    id) reduced by `conftest.reduce_columns`. V is indexed by column
+    position, so reading it backwards keys the representative by decreasing
+    id. A cleared column was zeroed without work and never owns a pivot, so
+    it is left out of the block."""
     classes, coboundaries, destroyers = [], {}, set()
     for k in range(max_order + 1):
         col_ids = [
@@ -260,7 +261,7 @@ def matrix_reductions(filt, keep, max_order, fld):
             if (keep is None or sid in keep) and sid not in destroyers
         ]
         cols = [
-            [(top - c, fld.coerce(sign)) for c, sign in reversed(filt.cofacets(sid))]
+            [(c, fld.signs[sign]) for c, sign in reversed(filt.cofacets(sid))]
             for sid in col_ids
         ]
         rcols, vcols, _ = reduce_columns(cols, fld)
@@ -269,7 +270,7 @@ def matrix_reductions(filt, keep, max_order, fld):
         destroyers = set()
         for j, sid in enumerate(col_ids):
             r = rcols[j]
-            death_id = top - r[-1][0] if r else None
+            death_id = r[-1][0] if r else None
             death = INF if death_id is None else filt.values[death_id]
             if death_id is not None:
                 destroyers.add(death_id)
@@ -280,7 +281,7 @@ def matrix_reductions(filt, keep, max_order, fld):
                     death=death,
                     birth_index=sid,
                     death_index=death_id,
-                    representative={col_ids[i]: c for i, c in vcols[j]},
+                    representative={col_ids[i]: c for i, c in reversed(vcols[j])},
                 ))
     classes.sort(key=lambda c: (c.order, c.birth, c.birth_index))
     return classes, coboundaries

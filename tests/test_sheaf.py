@@ -61,7 +61,7 @@ def live_atom_rank(lap, u, v, t):
                 for b, x in atom.v_b.items()
                 if alive(lap.lifespans[v][b], t)
             ]
-            cols.append(sorted(col))
+            cols.append(sorted(col, reverse=True))
     return len(reduce_columns(cols, Field())[2])
 
 
@@ -207,14 +207,24 @@ def test_stalks_from_another_filtration_rejected(c4_filt, k4_filt):
 def test_representative_keys_run_by_decreasing_id(corpus, tie_free_corpus, kind):
     """Every representative's keys are strictly decreasing simplex ids: in
     the whole-complex diagram, in every stalk and in every edge star's
-    order-1 and order-2 bars, so `sheaf._column` reads a sorted column off
-    one without sorting."""
+    order-1 and order-2 bars, so its items are a column as `linalg` orders
+    one. So are every vertex stalk's coboundary columns: ids strictly
+    decrease, and each order-k column's pivot, its last id, is a distinct
+    k-simplex."""
     fld = Field(kind=kind)
     for gi, graph in enumerate(corpus + tie_free_corpus):
         filt = build_flag_complex(graph, 3)
         cocycles = list(persistence.persistent_cohomology(filt, 2, fld).classes)
         for v in range(filt.vertex_count):
-            cocycles += compute_stalk(filt, v, 2, fld=fld).cocycles
+            stalk = compute_stalk(filt, v, 2, fld=fld)
+            cocycles += stalk.cocycles
+            for k, cols in stalk.coboundaries.items():
+                pivots = [col[-1][0] for col in cols]
+                assert len(set(pivots)) == len(pivots), (gi, v, k)
+                for col in cols:
+                    ids = [sid for sid, _ in col]
+                    assert all(a > b for a, b in zip(ids, ids[1:])), (gi, v, k, col)
+                    assert len(filt.simplices[ids[-1]]) == k + 1, (gi, v, k, col)
         for e in filt.ids_of_dim(1):
             cocycles += star_diagram(filt, filt.simplices[e], 2, fld)[0].classes
         for c in cocycles:
@@ -787,7 +797,7 @@ def test_ill_conditioned_column_raises_every_time(square_filt):
 
 
 def test_unowned_row_raises(c4_filt):
-    """A solve that reaches a row no class or coboundary of the stalk owns
+    """A solve that reaches a simplex no class or coboundary of the stalk owns
     is an error, not a wrong atom: here vertex 0 lost the coboundary that
     owns its first edge."""
     for fld in (Field(), Field(kind="float")):

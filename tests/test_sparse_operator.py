@@ -226,7 +226,8 @@ def test_kernel_dim_exact_matches_fraction_elimination(operators):
     scaled = 0
     for name, lap in exact_operators(operators):
         cells = zip(*(a.tolist() for a in lap.entries))
-        rows = [[(j, x) for _, j, x in row if x] for _, row in groupby(cells, key=itemgetter(0))]
+        groups = groupby(cells, key=itemgetter(0))
+        rows = [[(j, x) for _, j, x in row if x][::-1] for _, row in groups]
         scaled += any(x.denominator > 1 for row in rows for _, x in row)
         _, _, pivots = reduce_columns(rows, Field())
         assert lap.kernel_dim_exact() == lap.dimension - len(pivots), name
