@@ -797,7 +797,7 @@ def test_ill_conditioned_column_raises_every_time(square_filt):
 
 
 def test_unowned_row_raises(c4_filt):
-    """A solve that reaches a simplex no class or coboundary of the stalk owns
+    """A solve that reaches a row no class or coboundary of the stalk owns
     is an error, not a wrong atom: here vertex 0 lost the coboundary that
     owns its first edge."""
     for fld in (Field(), Field(kind="float")):
