@@ -9,7 +9,6 @@ oracle.
 
 from .complexes import (
     Filtration,
-    SimplexSubset,
     WeightedGraph,
     build_flag_complex,
     graph_from_points,

@@ -123,17 +123,6 @@ class Filtration:
         return self._cofacets[sid]
 
 
-@dataclass(frozen=True)
-class SimplexSubset:
-    """Set of simplex ids inside a parent filtration."""
-
-    filtration: Filtration
-    ids: frozenset[int]
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-
 def is_open_set(filtration: Filtration, ids: frozenset[int]) -> bool:
     """A set is open iff it contains the star of each of its members.
 
@@ -195,7 +184,7 @@ def build_flag_complex(
     )
 
 
-def star_of_vertices(filtration: Filtration, vertices) -> SimplexSubset:
+def star_of_vertices(filtration: Filtration, vertices) -> frozenset[int]:
     """Union of the open stars of the given vertices: each vertex closed
     under cofacets, since every simplex containing it is reached from it
     through a chain of cofacets."""
@@ -207,7 +196,7 @@ def star_of_vertices(filtration: Filtration, vertices) -> SimplexSubset:
             if sid not in ids:
                 ids.add(sid)
                 todo += [c for c, _ in filtration.cofacets(sid) if c not in ids]
-    return SimplexSubset(filtration, frozenset(ids))
+    return frozenset(ids)
 
 
 def graph_from_points(

@@ -1,9 +1,9 @@
 """Dense brute-force homology oracle.
 
 Everything here recomputes boundary matrices from simplex tuples and
-eliminates them with its own exact integer/rational routines; none of the
-sparse reduction machinery of the fast path is used. Tests and the CLI
-`verify` command treat these answers as ground truth.
+eliminates them with its own exact integer routine; none of the sparse
+reduction machinery of the fast path is used. Tests and the CLI `verify`
+command treat these answers as ground truth.
 
 One builder, `_boundary_rows`, makes every incidence matrix from one id
 set, reading only the simplices of that set and dropping the faces outside
@@ -12,19 +12,22 @@ quotient chain complex. On an open set U of S_t its rows are the
 coboundary of U's cochains: the cochain complex of the pair
 (S_t, S_t \\ U), whose cohomology is the paper's local cohomology when U
 is a vertex star; `local_betti` is its homology on st v ∩ S_t.
+
+One elimination, `rank_int_rows`, gives every dimension. No basis of a
+cocycle space is written out: the image of the cocycles under a map φ is
+counted by dim φ(ker δ) = rank [φ; δ] - rank δ (`_beside`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .complexes import Filtration, SimplexSubset, is_open_set
+from .complexes import Filtration, is_open_set
 from .errors import ContractError
 
 # ---------------------------------------------------------------------------
-# exact linear algebra on sparse integer/rational rows
+# exact linear algebra on sparse integer rows
 # ---------------------------------------------------------------------------
 
 
@@ -38,7 +41,9 @@ def _gcd_normalize(row: dict[int, int]) -> dict[int, int]:
 
 
 def rank_int_rows(rows) -> int:
-    """Rank of a matrix given as sparse integer rows (dicts col->coeff)."""
+    """Rank of a matrix given as sparse integer rows (dicts col->coeff).
+
+    Columns are ints of any sign; each row pivots on its least column."""
     pivots: dict[int, dict[int, int]] = {}
     rank = 0
     for row in rows:
@@ -58,54 +63,6 @@ def rank_int_rows(rows) -> int:
                     new[k] = val
             r = _gcd_normalize(new)
     return rank
-
-
-def kernel_basis(rows, ncols: int) -> list[dict[int, int]]:
-    """Integer basis of {x : row . x = 0 for all rows}, via rational RREF."""
-    ech: list[tuple[int, dict[int, Fraction]]] = []
-    for row in rows:
-        r = {c: Fraction(v) for c, v in row.items() if v}
-        for pc, prow in ech:
-            f = r.get(pc)
-            if f:
-                for c2, v2 in prow.items():
-                    nv = r.get(c2, Fraction(0)) - f * v2
-                    if nv:
-                        r[c2] = nv
-                    elif c2 in r:
-                        del r[c2]
-        if r:
-            pc = min(r)
-            pv = r[pc]
-            ech.append((pc, {c: v / pv for c, v in r.items()}))
-    ech.sort(key=lambda e: e[0])
-    for i in range(len(ech) - 1, -1, -1):
-        pc, prow = ech[i]
-        for j in range(i):
-            f = ech[j][1].get(pc)
-            if f:
-                target = ech[j][1]
-                for c2, v2 in prow.items():
-                    nv = target.get(c2, Fraction(0)) - f * v2
-                    if nv:
-                        target[c2] = nv
-                    elif c2 in target:
-                        del target[c2]
-    pivot_cols = {pc for pc, _ in ech}
-    basis = []
-    for free in range(ncols):
-        if free in pivot_cols:
-            continue
-        vec = {free: Fraction(1)}
-        for pc, prow in ech:
-            coeff = prow.get(free)
-            if coeff:
-                vec[pc] = -coeff
-        den = 1
-        for v in vec.values():
-            den = den * v.denominator // math.gcd(den, v.denominator)
-        basis.append({c: int(v * den) for c, v in vec.items()})
-    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -183,47 +140,44 @@ def local_bettis(filtration: Filtration, vertex: int, times, orders) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# relative cohomology subspaces over designated open sets
+# relative cohomology over designated open sets, counted by rank
 # ---------------------------------------------------------------------------
 
 
 def _open_cochains(
     filtration: Filtration, present: set[int], open_ids: set[int], k: int
 ):
-    """(cocycle constraints, coboundary rows, columns) of the k-cochains of
+    """(coboundaries, coboundary map, columns) of the k-cochains of
     (S, S \\ U), S the complex on `present` and U = open_ids & present.
 
-    Vectors live over the k-simplices of U. A cocycle x has (delta x)(s) = 0
-    for each (k+1)-simplex s of U: that constraint is column s of
-    `_boundary_rows` on U in degree k + 1. The coboundary space is spanned
-    by the nonempty rows of `_boundary_rows` on U in degree k.
+    Vectors live over the k-simplices of U, the columns. The coboundary
+    space is spanned by the nonempty rows of `_boundary_rows` on U in
+    degree k. Row c of the coboundary map is δ of the c-th k-simplex over
+    the (k+1)-simplices of U: row c of `_boundary_rows` on U in degree
+    k + 1. So dim Z = len(columns) - rank(coboundary map).
     """
     u = open_ids & present
     cob, cols = _boundary_rows(filtration, u, k)
-    rows, cofaces = _boundary_rows(filtration, u, k + 1)
-    constraints: list[dict[int, int]] = [{} for _ in cofaces]
-    for r, row in enumerate(rows):
-        for c, v in row.items():
-            constraints[c][r] = v
-    return constraints, [v for v in cob if v], cols
+    delta, _ = _boundary_rows(filtration, u, k + 1)
+    return [v for v in cob if v], delta, cols
 
 
-def _open_cohomology_spaces(
-    filtration: Filtration, present: set[int], open_ids: set[int], k: int
-):
-    """(cocycle kernel basis, coboundary rows, columns) of H^k(S, S \\ U).
+def _beside(maps) -> list[dict[int, int]]:
+    """One row (φ(c), δc) per cochain c of each (φ rows, δ rows) pair in
+    `maps`, for the identity dim φ(ker δ) = rank [φ; δ] - rank δ.
 
-    The relative cochains of (S, S \\ U) are the cochains on U's simplices,
-    and their coboundary is `_boundary_rows` on the open set U, which drops
-    the faces outside U; `_open_cochains` reads the cocycle constraints and
-    the coboundaries from it.
+    φ's coordinates are nonnegative; each δ's go in a negative range of
+    their own, so the joint δ is block diagonal and its rank is the sum of
+    the ranks of the δs. With rows E over φ's coordinates stacked on top,
+    dim(Σ φ(ker δ) + span E) = rank of them all - Σ rank δ. As
+    `rank_int_rows` pivots on the least coordinate, a row with δc ≠ 0
+    pivots in its own range, and only cocycles reach φ's coordinates.
     """
-    constraints, cob, cols = _open_cochains(filtration, present, open_ids, k)
-    return kernel_basis(constraints, len(cols)), cob, cols
-
-
-def _embed(vec: dict[int, int], src_cols: list[int], dst_pos: dict[int, int], offset=0):
-    return {dst_pos[src_cols[c]] + offset: v for c, v in vec.items()}
+    out, base = [], -1
+    for phi, delta in maps:
+        out += [{**p, **{base - c: x for c, x in d.items()}} for p, d in zip(phi, delta)]
+        base -= 1 + max((c for d in delta for c in d), default=-1)
+    return out
 
 
 def global_sections_dim(filtration: Filtration, t: float, k: int) -> int:
@@ -235,9 +189,11 @@ def global_sections_dim(filtration: Filtration, t: float, k: int) -> int:
     sequence of the cover by vertex stars (Curry 2014; Hansen & Ghrist
     2019). The slice Laplacian's kernel on the cocycles alive at t counts
     it; it is not β_k in general. With Z and B the vertex cocycles and
-    coboundaries and R the edge rows, all in the vertex stalks' joint
-    coordinates, it is rank(Z+B) - rank(B) minus rank(R+B) - rank(B); as
-    B and R lie in Z, that is dim Z - rank(R+B), and dim Z needs no basis.
+    coboundaries and R the edge cocycles' image, all in the vertex stalks'
+    joint coordinates, it is dim Z - rank(R + B), as B and R lie in Z.
+    R + B is counted with no basis of a cocycle space: with φ the map
+    s ↦ (ext_u s, -ext_v s) of each edge star's cochains and δ_e its
+    coboundary, rank(R + B) = rank [B; φ, δ_e] - Σ_e rank δ_e.
     """
     present = ids_at(filtration, t)
     stars: dict[int, set[int]] = {}
@@ -246,20 +202,18 @@ def global_sections_dim(filtration: Filtration, t: float, k: int) -> int:
             stars.setdefault(v, set()).add(i)
     dim_z, b, place = 0, [], {}
     for v, star in sorted(stars.items()):
-        constraints, b_v, cols_v = _open_cochains(filtration, present, star, k)
-        dim_z += len(cols_v) - rank_int_rows(constraints)
+        b_v, delta_v, cols_v = _open_cochains(filtration, present, star, k)
+        dim_z += len(cols_v) - rank_int_rows(delta_v)
         offset = len(place)
         place.update({(v, sid): offset + i for i, sid in enumerate(cols_v)})
         b += [{offset + c: x for c, x in row.items()} for row in b_v]
-    r = []
+    maps, rank_delta = [], 0
     for eid in sorted(i for i in present if len(filtration.simplices[i]) == 2):
         u, v = filtration.simplices[eid]
-        n_e, _, cols_e = _open_cohomology_spaces(filtration, present, stars[u] & stars[v], k)
-        for x in n_e:
-            row = {place[u, cols_e[c]]: val for c, val in x.items()}
-            row.update({place[v, cols_e[c]]: -val for c, val in x.items()})
-            r.append(row)
-    return dim_z - rank_int_rows(b + r)
+        _, delta_e, cols_e = _open_cochains(filtration, present, stars[u] & stars[v], k)
+        maps.append(([{place[u, s]: 1, place[v, s]: -1} for s in cols_e], delta_e))
+        rank_delta += rank_int_rows(delta_e)
+    return dim_z - rank_int_rows(b + _beside(maps)) + rank_delta
 
 
 @dataclass
@@ -274,55 +228,52 @@ class ExactnessReport:
 
 def check_mayer_vietoris(
     filtration: Filtration,
-    open_a: SimplexSubset,
-    open_b: SimplexSubset,
+    open_a: frozenset[int],
+    open_b: frozenset[int],
     k: int,
 ) -> ExactnessReport:
     """Exactness at H^k(A)+H^k(B) in the open-set Mayer-Vietoris sequence,
-    on the whole complex S_{t_plus}.
+    on the whole complex S_{t_plus}, for open id sets A and B.
 
     Verifies im(H^k(A cap B) -> H^k(A) + H^k(B)) has the same rank as the
     kernel of the map onto H^k(A cup B), all computed densely from
-    extension-by-zero cochain maps.
+    extension-by-zero cochain maps. Every dimension is a rank: dim H^k(U)
+    = len(columns) - rank δ_U - rank B_U, as B_U lies in Z_U, and a map's
+    rank on cohomology is dim(φ(ker δ) + B) - rank B, where dim(φ(ker δ)
+    + B) = rank [B; φ, δ] - rank δ.
     """
-    for subset in (open_a, open_b):
-        if not is_open_set(filtration, subset.ids):
+    for ids in (open_a, open_b):
+        if not is_open_set(filtration, ids):
             raise ContractError("Mayer-Vietoris inputs must be open")
     present = ids_at(filtration, filtration.t_plus)
-    a_ids, b_ids = set(open_a.ids), set(open_b.ids)
-    c_ids = a_ids & b_ids
-    d_ids = a_ids | b_ids
-
-    n_c, _, cols_c = _open_cohomology_spaces(filtration, present, c_ids, k)
-    n_a, b_a, cols_a = _open_cohomology_spaces(filtration, present, a_ids, k)
-    n_b, b_b, cols_b = _open_cohomology_spaces(filtration, present, b_ids, k)
-    _, b_d, cols_d = _open_cochains(filtration, present, d_ids, k)  # no basis of A cup B is read
+    _, delta_c, cols_c = _open_cochains(filtration, present, open_a & open_b, k)
+    b_a, delta_a, cols_a = _open_cochains(filtration, present, open_a, k)
+    b_b, delta_b, cols_b = _open_cochains(filtration, present, open_b, k)
+    b_d, _, cols_d = _open_cochains(filtration, present, open_a | open_b, k)
 
     pos_a = {sid: i for i, sid in enumerate(cols_a)}
-    pos_b = {sid: i for i, sid in enumerate(cols_b)}
+    pos_b = {sid: len(cols_a) + i for i, sid in enumerate(cols_b)}
     pos_d = {sid: i for i, sid in enumerate(cols_d)}
+    rank_a, rank_b = rank_int_rows(delta_a), rank_int_rows(delta_b)
+    rank_ba, rank_bb = rank_int_rows(b_a), rank_int_rows(b_b)
+    dim_ha = len(cols_a) - rank_a - rank_ba
+    dim_hb = len(cols_b) - rank_b - rank_bb
 
-    # H^k(A) + H^k(B) boundary space inside the product coordinates
-    b_prod = [_embed(v, cols_a, pos_a) for v in b_a]
-    b_prod += [_embed(v, cols_b, pos_b, offset=len(cols_a)) for v in b_b]
-
-    dim_va = rank_int_rows(n_a + b_a) - rank_int_rows(b_a)
-    dim_vb = rank_int_rows(n_b + b_b) - rank_int_rows(b_b)
-
-    # image of map1: xi |-> (ext_A xi, -ext_B xi) modulo boundaries
-    img1 = []
-    for vec in n_c:
-        row = _embed(vec, cols_c, pos_a)
-        for c, v in _embed(vec, cols_c, pos_b, offset=len(cols_a)).items():
-            row[c] = -v
-        img1.append(row)
-    im_rank = rank_int_rows(img1 + b_prod) - rank_int_rows(b_prod)
+    # image of map1: xi |-> (ext_A xi, -ext_B xi) modulo B_A + B_B, in the
+    # product coordinates
+    b_prod = b_a + [{len(cols_a) + c: x for c, x in row.items()} for row in b_b]
+    map1 = [{pos_a[s]: 1, pos_b[s]: -1} for s in cols_c]
+    im_rank = (
+        rank_int_rows(b_prod + _beside([(map1, delta_c)]))
+        - rank_int_rows(delta_c)
+        - rank_ba
+        - rank_bb
+    )
 
     # rank of map2: (alpha, beta) |-> ext_D alpha + ext_D beta modulo B_D
-    img2 = [_embed(v, cols_a, pos_d) for v in n_a]
-    img2 += [_embed(v, cols_b, pos_d) for v in n_b]
-    rank2 = rank_int_rows(img2 + b_d) - rank_int_rows(b_d)
-    ker_dim = dim_va + dim_vb - rank2
+    map2 = [([{pos_d[s]: 1} for s in cols_a], delta_a), ([{pos_d[s]: 1} for s in cols_b], delta_b)]
+    rank2 = rank_int_rows(b_d + _beside(map2)) - rank_a - rank_b - rank_int_rows(b_d)
+    ker_dim = dim_ha + dim_hb - rank2
 
     return ExactnessReport(
         order=k,

@@ -31,7 +31,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .complexes import Filtration, SimplexSubset, star_of_vertices
+from .complexes import Filtration, star_of_vertices
 from .errors import ContractError, IllConditionedError
 from .linalg import FLOAT, Column, Field, axpy, reduce_integer_column
 from .persistence import INF, PersistentCocycle, star_diagram
@@ -90,7 +90,7 @@ class LocalStalk:
         return owners
 
     @property
-    def truncation(self) -> SimplexSubset:
+    def truncation(self) -> frozenset[int]:
         """The vertex's open star, built on each read; kept only for the
         benchmark's `sheaf.truncation_size_mean` counter, it goes in the
         benchmark-only change that renames that counter.

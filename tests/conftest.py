@@ -85,6 +85,21 @@ def shuffled_filtrations(count, seed, max_dim=3):
     return out
 
 
+def sixteen_cell_graphs(count, seed):
+    """Weighted 16-cell graphs: K8 less the pairs (0, 4), (1, 5), (2, 6) and
+    (3, 7), so every vertex link is an octahedron and stalks hold order-3
+    classes. The first half keep all 24 edges, the rest drop about 10%;
+    weights have two decimals, so a few tie."""
+    rng = random.Random(seed)
+    edges = [(u, v) for u in range(8) for v in range(u + 1, 8) if v - u != 4]
+    graphs = []
+    for i in range(count):
+        kept = edges if i < count // 2 else [e for e in edges if rng.random() >= 0.1]
+        weighted = tuple((u, v, round(rng.uniform(1.0, 3.0), 2)) for u, v in kept)
+        graphs.append(WeightedGraph(8, weighted))
+    return graphs
+
+
 def reduce_columns(cols, fld):
     """`reduce_column` over columns by decreasing index, left to right, with
     V starting as the identity: (R columns, V columns, pivot -> column)."""

@@ -3,13 +3,15 @@
 Like `localhom.oracle`, everything here works by scans over simplex
 tuples and shares no code with the fast path: star lookups, excision
 truncations and their sub-filtrations, relative Betti numbers against a
-closed subset, and kNN ingestion by ranking every pair.
+closed subset, kNN ingestion by ranking every pair, and a null-space basis
+by rational RREF.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
-from localhom.complexes import Filtration, SimplexSubset
+from localhom.complexes import Filtration
 from localhom.errors import ContractError
 from localhom.oracle import _relative_betti, ids_at
 
@@ -44,7 +46,7 @@ def subfiltration(filtration: Filtration, ids: set[int]) -> tuple[Filtration, di
 
 def truncate_neighborhood(
     filtration: Filtration, vertices, rings: int
-) -> tuple[Filtration, dict[int, int], SimplexSubset]:
+) -> tuple[Filtration, dict[int, int], frozenset[int]]:
     """Sub-filtration induced by the rings-fold closed-star closure of vertices.
 
     Returns (truncation, old->new id map, image of the open set
@@ -74,7 +76,7 @@ def truncate_neighborhood(
     open_ids = frozenset(
         idmap[i] for i, s in enumerate(filtration.simplices) if not seeds.isdisjoint(s)
     )
-    return sub, idmap, SimplexSubset(sub, open_ids)
+    return sub, idmap, open_ids
 
 
 def _check_closed(filtration: Filtration, ids: set[int]) -> None:
@@ -87,11 +89,11 @@ def _check_closed(filtration: Filtration, ids: set[int]) -> None:
 
 
 def relative_betti_dense(
-    filtration: Filtration, t: float, closed_subset: SimplexSubset, k: int
+    filtration: Filtration, t: float, closed_subset: frozenset[int], k: int
 ) -> int:
-    """dim H_k(S_t, A_t) for a closed subset A."""
+    """dim H_k(S_t, A_t) for a closed id set A."""
     present = ids_at(filtration, t)
-    excluded = set(closed_subset.ids) & present
+    excluded = set(closed_subset) & present
     _check_closed(filtration, excluded)
     return _relative_betti(filtration, present - excluded, k)
 
@@ -127,3 +129,51 @@ def knn_graph_scan(points, metric: str = "euclidean", knn: int | None = None):
                 keep.add((min(i, j), max(i, j)))
         weights = {e: w for e, w in weights.items() if e in keep}
     return tuple((u, v, w) for (u, v), w in sorted(weights.items()))
+
+
+def kernel_basis(rows, ncols: int) -> list[dict[int, int]]:
+    """Integer basis of {x : row . x = 0 for all rows}, via rational RREF."""
+    ech: list[tuple[int, dict[int, Fraction]]] = []
+    for row in rows:
+        r = {c: Fraction(v) for c, v in row.items() if v}
+        for pc, prow in ech:
+            f = r.get(pc)
+            if f:
+                for c2, v2 in prow.items():
+                    nv = r.get(c2, Fraction(0)) - f * v2
+                    if nv:
+                        r[c2] = nv
+                    elif c2 in r:
+                        del r[c2]
+        if r:
+            pc = min(r)
+            pv = r[pc]
+            ech.append((pc, {c: v / pv for c, v in r.items()}))
+    ech.sort(key=lambda e: e[0])
+    for i in range(len(ech) - 1, -1, -1):
+        pc, prow = ech[i]
+        for j in range(i):
+            f = ech[j][1].get(pc)
+            if f:
+                target = ech[j][1]
+                for c2, v2 in prow.items():
+                    nv = target.get(c2, Fraction(0)) - f * v2
+                    if nv:
+                        target[c2] = nv
+                    elif c2 in target:
+                        del target[c2]
+    pivot_cols = {pc for pc, _ in ech}
+    basis = []
+    for free in range(ncols):
+        if free in pivot_cols:
+            continue
+        vec = {free: Fraction(1)}
+        for pc, prow in ech:
+            coeff = prow.get(free)
+            if coeff:
+                vec[pc] = -coeff
+        den = 1
+        for v in vec.values():
+            den = den * v.denominator // math.gcd(den, v.denominator)
+        basis.append({c: int(v * den) for c, v in vec.items()})
+    return basis

@@ -78,8 +78,8 @@ def test_criterion_03_excision_suite():
         filt = build_flag_complex(graph, 3)
         for v in range(graph.vertex_count):
             trunc, _, open_img = dense_reference.truncate_neighborhood(filt, [v], 1)
-            star_ids = set(star_of_vertices(filt, [v]).ids)
-            open_ids = set(open_img.ids)
+            star_ids = set(star_of_vertices(filt, [v]))
+            open_ids = set(open_img)
             for t in filt.threshold_values():
                 full_present = oracle.ids_at(filt, t)
                 trunc_present = oracle.ids_at(trunc, t)

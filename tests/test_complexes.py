@@ -167,12 +167,12 @@ def simplices_of(filt, ids):
 
 
 def test_star_vertex_k3(k3_filt):
-    got = simplices_of(k3_filt, star_of_vertices(k3_filt, [0]).ids)
+    got = simplices_of(k3_filt, star_of_vertices(k3_filt, [0]))
     assert got == {(0,), (0, 1), (0, 2), (0, 1, 2)}
 
 
 def test_star_vertex_c4(c4_filt):
-    got = simplices_of(c4_filt, star_of_vertices(c4_filt, [0]).ids)
+    got = simplices_of(c4_filt, star_of_vertices(c4_filt, [0]))
     assert got == {(0,), (0, 1), (0, 3)}
 
 
@@ -197,17 +197,17 @@ def test_closure_idempotent(c4_filt):
 
 def test_closure_star_c4_matches_fixpoint_oracle(c4_filt):
     got = closed_star_ids(c4_filt, 0)
-    assert got == closure_fixpoint(c4_filt, star_of_vertices(c4_filt, [0]).ids)
+    assert got == closure_fixpoint(c4_filt, star_of_vertices(c4_filt, [0]))
     assert simplices_of(c4_filt, got) == {(0,), (1,), (3,), (0, 1), (0, 3)}
 
 
 def test_frontier_c4(c4_filt):
-    fr = closed_star_ids(c4_filt, 0) - star_of_vertices(c4_filt, [0]).ids
+    fr = closed_star_ids(c4_filt, 0) - star_of_vertices(c4_filt, [0])
     assert simplices_of(c4_filt, fr) == {(1,), (3,)}
 
 
 def test_frontier_k3(k3_filt):
-    fr = closed_star_ids(k3_filt, 0) - star_of_vertices(k3_filt, [0]).ids
+    fr = closed_star_ids(k3_filt, 0) - star_of_vertices(k3_filt, [0])
     assert simplices_of(k3_filt, fr) == {(1,), (2,), (1, 2)}
 
 
@@ -238,7 +238,7 @@ def test_star_lookups_match_scan_oracle(corpus):
             filt.simplices[i] for i in filt.ids_of_dim(1)
         ]:
             seeds = {filt.id_of((u,)), filt.id_of((v,))}
-            assert star_of_vertices(filt, {u, v}).ids == dense_reference.star_ids_scan(filt, seeds)
+            assert star_of_vertices(filt, {u, v}) == dense_reference.star_ids_scan(filt, seeds)
 
 
 def test_is_open_set_matches_star_per_member(corpus, k3_filt):
@@ -268,7 +268,7 @@ def test_truncate_c4_one_ring(c4_filt):
     trunc, _, open_img = truncate_neighborhood(c4_filt, [0], 1)
     assert len(trunc.ids_of_dim(0)) == 3
     assert len(trunc.ids_of_dim(1)) == 2
-    assert {trunc.simplices[i] for i in open_img.ids} == {(0,), (0, 1), (0, 3)}
+    assert {trunc.simplices[i] for i in open_img} == {(0,), (0, 1), (0, 3)}
 
 
 def test_truncate_k4_is_whole_complex(k4_filt):
@@ -287,8 +287,8 @@ def test_truncate_octahedron_closed_star(oct_filt):
         full_present = oracle.ids_at(oct_filt, t)
         trunc_present = oracle.ids_at(trunc, t)
         for k in range(3):
-            full = oracle._relative_betti(oct_filt, full_present & star_full.ids, k)
-            small = oracle._relative_betti(trunc, trunc_present & open_img.ids, k)
+            full = oracle._relative_betti(oct_filt, full_present & star_full, k)
+            small = oracle._relative_betti(trunc, trunc_present & open_img, k)
             assert full == small
 
 
@@ -348,7 +348,7 @@ def test_filtration_dump_round_trip(graph, max_dim):
 def test_subset_operator_laws(graph, seed_vertex):
     filt = build_flag_complex(graph, 3)
     v = seed_vertex % filt.vertex_count
-    a = star_of_vertices(filt, [v]).ids
+    a = star_of_vertices(filt, [v])
     assert is_open_set(filt, a)
     cl = closed_star_ids(filt, v)
     assert closure_fixpoint(filt, a) == cl

@@ -10,7 +10,6 @@ from conftest import load_corpus, reduce_columns
 import dense_reference
 from localhom import oracle
 from localhom.complexes import (
-    SimplexSubset,
     WeightedGraph,
     build_flag_complex,
     graph_from_points,
@@ -85,10 +84,7 @@ def test_c4_star_relative(c4_filt):
     # transient degree-0 class: v0's component relative to the collapsed rest
     assert pairs(d, 0) == [(0, 0.0, 1.0)]
     # oracle: relative Betti of (C4, C4 \ st v0) at the end is (0, 1)
-    complement = SimplexSubset(
-        c4_filt,
-        frozenset(range(len(c4_filt))) - star_of_vertices(c4_filt, [0]).ids,
-    )
+    complement = frozenset(range(len(c4_filt))) - star_of_vertices(c4_filt, [0])
     assert dense_reference.relative_betti_dense(c4_filt, 1.0, complement, 0) == 0
     assert dense_reference.relative_betti_dense(c4_filt, 1.0, complement, 1) == 1
 
@@ -135,7 +131,7 @@ def test_relative_betti_against_oracle(corpus):
     for gi, graph in enumerate(corpus[:25]):
         filt = build_flag_complex(graph, 3)
         open_star = star_of_vertices(filt, [gi % graph.vertex_count])
-        rest = SimplexSubset(filt, frozenset(range(len(filt))) - open_star.ids)
+        rest = frozenset(range(len(filt))) - open_star
         for fld in (Field(), Field(kind="float")):
             d = star_diagram(filt, (gi % graph.vertex_count,), 2, fld)[0]
             for t in filt.threshold_values():
@@ -289,7 +285,7 @@ def matrix_reductions(filt, keep, max_order, fld):
 
 def stars_with_ids(filt):
     """(σ, id set of st σ) for the whole complex, every vertex and every edge."""
-    stars = [star_of_vertices(filt, [v]).ids for v in range(filt.vertex_count)]
+    stars = [star_of_vertices(filt, [v]) for v in range(filt.vertex_count)]
     edges = [filt.simplices[e] for e in filt.ids_of_dim(1)]
     return (
         [((), frozenset(range(len(filt))))]

@@ -8,11 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import reduce_columns
+from conftest import reduce_columns, sixteen_cell_graphs
 import dense_reference
 from localhom import nn, oracle, persistence, sheaf
 from localhom.complexes import (
-    SimplexSubset,
     WeightedGraph,
     build_flag_complex,
     graph_from_points,
@@ -67,20 +66,26 @@ def live_atom_rank(lap, u, v, t):
 
 def edge_image_rank(filt, t, k, u, v):
     """Dense rank of the image of H^k(S_t, S_t - st e), e = uv, in
-    H^k(S_t, S_t - st u) ⊕ H^k(S_t, S_t - st v), by extension by zero."""
+    H^k(S_t, S_t - st u) ⊕ H^k(S_t, S_t - st v), by extension by zero: a
+    basis of the edge star's cocycles, the null space of its coboundary
+    map, is mapped into the two stars and ranked modulo their coboundaries."""
     present = oracle.ids_at(filt, t)
     star = lambda *ends: {i for i in present if set(ends) <= set(filt.simplices[i])}
-    _, b_u, cols_u = oracle._open_cohomology_spaces(filt, present, star(u), k)
-    _, b_v, cols_v = oracle._open_cohomology_spaces(filt, present, star(v), k)
-    n_e, _, cols_e = oracle._open_cohomology_spaces(filt, present, star(u, v), k)
+    b_u, _, cols_u = oracle._open_cochains(filt, present, star(u), k)
+    b_v, _, cols_v = oracle._open_cochains(filt, present, star(v), k)
+    _, delta_e, cols_e = oracle._open_cochains(filt, present, star(u, v), k)
+    constraints: dict[int, dict[int, int]] = {}
+    for c, row in enumerate(delta_e):
+        for j, x in row.items():
+            constraints.setdefault(j, {})[c] = x
+    n_e = dense_reference.kernel_basis(list(constraints.values()), len(cols_e))
     pos_u = {sid: i for i, sid in enumerate(cols_u)}
-    pos_v = {sid: i for i, sid in enumerate(cols_v)}
-    b = [oracle._embed(x, cols_u, pos_u) for x in b_u]
-    b += [oracle._embed(x, cols_v, pos_v, len(cols_u)) for x in b_v]
+    pos_v = {sid: len(cols_u) + i for i, sid in enumerate(cols_v)}
+    b = b_u + [{len(cols_u) + c: x for c, x in row.items()} for row in b_v]
     rows = []
     for x in n_e:
-        row = oracle._embed(x, cols_e, pos_u)
-        row.update({c: -y for c, y in oracle._embed(x, cols_e, pos_v, len(cols_u)).items()})
+        row = {pos_u[cols_e[c]]: y for c, y in x.items()}
+        row.update({pos_v[cols_e[c]]: -y for c, y in x.items()})
         rows.append(row)
     return oracle.rank_int_rows(rows + b) - oracle.rank_int_rows(b)
 
@@ -181,9 +186,7 @@ def test_stalk_alive_counts_match_relative_betti_oracle(corpus):
         filt = build_flag_complex(graph, 3)
         v = gi % graph.vertex_count
         stalk = compute_stalk(filt, v, 2)
-        rest = SimplexSubset(
-            filt, frozenset(i for i, s in enumerate(filt.simplices) if v not in s)
-        )
+        rest = frozenset(i for i, s in enumerate(filt.simplices) if v not in s)
         for t in filt.threshold_values():
             for k in (1, 2):
                 alive = sum(1 for c in stalk.cocycles if c.order == k and c.alive_at(t))
@@ -281,10 +284,8 @@ def test_block_finite_interval_on_unit_square(square_filt):
     blk = sheaf_laplacian_block(s0, s1, square_filt, 1)
     assert [(a.start, a.end) for a in blk.atoms] == [(1.0, root2)]
     # oracle: the shared relative class on C' = st(edge 01) lives on [1, sqrt2)
-    inter = star_of_vertices(square_filt, [0]).ids & star_of_vertices(
-        square_filt, [1]
-    ).ids
-    comp = SimplexSubset(square_filt, frozenset(range(len(square_filt))) - inter)
+    inter = star_of_vertices(square_filt, [0]) & star_of_vertices(square_filt, [1])
+    comp = frozenset(range(len(square_filt))) - inter
     assert dense_reference.relative_betti_dense(square_filt, 1.0, comp, 1) == 1
     assert dense_reference.relative_betti_dense(square_filt, root2, comp, 1) == 0
     # the sheaf Laplacian exists only inside the intersection interval
@@ -371,25 +372,32 @@ def test_atom_start_is_support_minimum(corpus, tie_free_corpus):
                             ), (gi, u, v, k, t)
 
 
+def test_oracle_edge_image_rank_matches_kernel_basis(corpus, tie_free_corpus):
+    """The oracle's kernel-free rank of the image of H^k(st e) in
+    H^k(st u) ⊕ H^k(st v), the `im_rank` of `check_mayer_vietoris` on the
+    prefix S_t, equals the basis-based `edge_image_rank` on every edge at
+    every threshold: orders 1 and 2 on the first 20 graphs of each corpus,
+    order 3 on weighted 16-cell graphs."""
+    inputs = [(g, (1, 2)) for g in corpus[:20] + tie_free_corpus[:20]]
+    inputs += [(g, (3,)) for g in sixteen_cell_graphs(12, seed=16)]
+    for gi, (graph, orders) in enumerate(inputs):
+        filt = build_flag_complex(graph, max(orders) + 1)
+        for t in filt.threshold_values():
+            prefix, _ = dense_reference.subfiltration(filt, oracle.ids_at(filt, t))
+            for eid in filt.ids_of_dim(1):
+                u, v = filt.simplices[eid]
+                a, b = star_of_vertices(prefix, [u]), star_of_vertices(prefix, [v])
+                for k in orders:
+                    report = oracle.check_mayer_vietoris(prefix, a, b, k)
+                    assert report.positions[0]["im_rank"] == edge_image_rank(
+                        filt, t, k, u, v
+                    ), (gi, u, v, k, t)
+
+
 def bowtie_graph():
     """Two unit triangles sharing vertex 0."""
     edges = ((0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4))
     return WeightedGraph(5, tuple((u, v, 1.0) for u, v in edges))
-
-
-def sixteen_cell_graphs(count, seed):
-    """Weighted 16-cell graphs: K8 less the pairs (0, 4), (1, 5), (2, 6) and
-    (3, 7), so every vertex link is an octahedron and stalks hold order-3
-    classes. The first half keep all 24 edges, the rest drop about 10%;
-    weights have two decimals, so a few tie."""
-    rng = random.Random(seed)
-    edges = [(u, v) for u in range(8) for v in range(u + 1, 8) if v - u != 4]
-    graphs = []
-    for i in range(count):
-        kept = edges if i < count // 2 else [e for e in edges if rng.random() >= 0.1]
-        weighted = tuple((u, v, round(rng.uniform(1.0, 3.0), 2)) for u, v in kept)
-        graphs.append(WeightedGraph(8, weighted))
-    return graphs
 
 
 def test_slice_kernel_counts_global_sections(corpus, tie_free_corpus):
@@ -521,7 +529,7 @@ def test_assembled_weighted_mode_square(square_filt):
 
 
 def test_kernel_dim_exact_matches_oracle_kernel_basis(corpus):
-    """The exact kernel rank agrees with the oracle's RREF null space of the
+    """The exact kernel rank agrees with the reference RREF null space of the
     same nonzero entries, and `dense` is their float image."""
     for gi, graph in enumerate(corpus[:40]):
         filt = build_flag_complex(graph, 3)
@@ -537,7 +545,7 @@ def test_kernel_dim_exact_matches_oracle_kernel_basis(corpus):
                     rows.setdefault(i, {})[j] = x
                     assert dense[i, j] == float(x)
                 assert np.count_nonzero(dense) <= len(lap.entries[0])
-                basis = oracle.kernel_basis(list(rows.values()), lap.dimension)
+                basis = dense_reference.kernel_basis(list(rows.values()), lap.dimension)
                 assert lap.kernel_dim_exact() == len(basis), (gi, k, mode)
 
 

@@ -56,9 +56,9 @@ import numpy as np
 
 DATA = Path(__file__).resolve().parent.parent / "tests" / "data"
 CLOUD_SIZES = (30, 60, 120, 200)
-# CLI inputs that `verify` skips: it takes about 4 s at max order 1 and 10.5-11 s at
-# max order 2 on the 60-point cloud (CPU time, shared 2-core host), most of it in
-# `oracle.global_sections_dim`, against about 4 s for this whole digest
+# CLI inputs that `verify` skips: it takes about 1.6-1.9 s at max order 1 and 4.2-5.3 s
+# at max order 2 on the 60-point cloud (CPU time, shared 2-core host), most of it in
+# `oracle.global_sections_dim`, against about 1.6 s for this whole digest
 VERIFY_SKIP = ("knn6_cloud_60",)
 
 
