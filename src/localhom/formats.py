@@ -181,7 +181,7 @@ def cocycle_to_obj(c: PersistentCocycle) -> dict:
         "death_index": c.death_index,
         "representative": [
             {"simplex_index": i, "coeff": float(v)}
-            for i, v in sorted(c.representative.items())
+            for i, v in reversed(c.representative)
         ],
     }
 

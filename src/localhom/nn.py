@@ -24,7 +24,9 @@ class FeatureBundle:
     """Per-vertex feature vectors indexed by order-k stalk cocycles.
 
     values[v] has shape (stalk_dim(v), channels); channels are independent
-    copies of the stalk vector space.
+    copies of the stalk vector space. `from_stacked` copies its array once,
+    and `random` draws one, the stream of a vertex-by-vertex draw; either
+    way every values[v] is a view of one (dimension, channels) array.
     """
 
     order: int
@@ -41,10 +43,11 @@ class FeatureBundle:
                 arr = arr[:, None]
             if arr.shape[1] != self.channels:
                 raise ContractError(f"vertex {v}: expected {self.channels} channels")
-            if not np.all(np.isfinite(arr)):
-                raise ContractError(f"vertex {v}: non-finite feature entries")
             checked[v] = arr
         self.values = checked
+        if checked and not np.isfinite(np.concatenate(list(checked.values()))).all():
+            v = next(v for v, arr in checked.items() if not np.isfinite(arr).all())
+            raise ContractError(f"vertex {v}: non-finite feature entries")
 
     def stacked(self, laplacian: AssembledLaplacian) -> np.ndarray:
         """Concatenate vertex vectors in the Laplacian's layout.
@@ -72,21 +75,15 @@ class FeatureBundle:
     @classmethod
     def from_stacked(cls, laplacian: AssembledLaplacian, x: np.ndarray, order: int):
         channels = x.shape[1] if x.ndim == 2 else 1
-        x = x.reshape(laplacian.dimension, channels)
-        values = {}
-        for v in laplacian.vertices:
-            off, dim = laplacian.offsets[v], laplacian.dims[v]
-            values[v] = x[off : off + dim].copy()
+        x = np.array(x, dtype=float).reshape(laplacian.dimension, channels)
+        offsets, dims = laplacian.offsets, laplacian.dims
+        values = {v: x[offsets[v] : offsets[v] + dims[v]] for v in laplacian.vertices}
         return cls(order=order, channels=channels, values=values)
 
     @classmethod
     def random(cls, laplacian: AssembledLaplacian, order, channels=1, seed=0):
-        rng = np.random.default_rng(seed)
-        values = {
-            v: rng.standard_normal((laplacian.dims[v], channels))
-            for v in laplacian.vertices
-        }
-        return cls(order=order, channels=channels, values=values)
+        x = np.random.default_rng(seed).standard_normal((laplacian.dimension, channels))
+        return cls.from_stacked(laplacian, x, order)
 
 
 def power_iteration(matrix) -> float:
@@ -170,10 +167,11 @@ class MLPParams:
 
 
 def mlp_forward(params: MLPParams, x: np.ndarray) -> np.ndarray:
+    """The MLP on a vector, or on each column of an (in_dim, m) batch."""
     h = np.asarray(x, dtype=float)
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = w @ h + b
+        h = w @ h + (b[:, None] if h.ndim == 2 else b)
         if i < last:
             h = np.tanh(h)
     return h
@@ -194,17 +192,17 @@ def hypernet_weights(stalk: LocalStalk, psi: MLPParams) -> np.ndarray:
 
     Psi is an MLPParams with 6 inputs and 1 output. W depends only on the
     stalk's cocycle descriptors, so nodes with identical descriptor lists
-    share weights; an empty stalk yields a 0x0 matrix.
+    share weights; an empty stalk yields a 0x0 matrix. Psi runs once, on
+    the n^2 descriptor pairs as the columns of one batch, (i, j) row-major;
+    each entry equals Psi on its own pair up to rounding, since the matrix
+    product may sum in another order.
     """
     if not isinstance(psi, MLPParams) or psi.in_dim != 6 or psi.out_dim != 1:
         raise ContractError("Psi must be an MLPParams mapping 6 descriptor inputs to 1 output")
-    desc = stalk.descriptors()
+    desc = np.array(stalk.descriptors(), dtype=float).reshape(-1, 3)
     n = len(desc)
-    w = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            w[i, j] = mlp_forward(psi, np.array(desc[i] + desc[j], dtype=float)).item()
-    return w
+    pairs = np.hstack([np.repeat(desc, n, axis=0), np.tile(desc, (n, 1))])
+    return mlp_forward(psi, pairs.T).reshape(n, n)
 
 
 def node_gain_network(stalk: LocalStalk, psi: MLPParams) -> MLPParams:

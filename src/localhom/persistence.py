@@ -35,11 +35,11 @@ INF = math.inf
 class PersistentCocycle:
     """One persistent relative/absolute cohomology class.
 
-    `representative` maps k-simplex ids (in the source filtration) to
-    coefficients and carries the sign/scale freedom of the reduction. Its
-    keys run by strictly decreasing id in every degree, so its items are a
-    `linalg.Column` whose pivot is `birth_index`. Its coboundary is zero
-    for an essential class; otherwise its lowest-id simplex is `death_index`.
+    `representative` is a `linalg.Column` of (k-simplex id in the source
+    filtration, coefficient) pairs by strictly decreasing id, whose pivot is
+    `birth_index`; it carries the sign/scale freedom of the reduction. Its
+    coboundary is zero for an essential class; otherwise its lowest-id
+    simplex is `death_index`.
     """
 
     order: int
@@ -47,7 +47,7 @@ class PersistentCocycle:
     death: float
     birth_index: int
     death_index: int | None
-    representative: dict[int, object]
+    representative: Column
 
     @property
     def essential(self) -> bool:
@@ -90,8 +90,8 @@ def _reduce_order(
     Each column is built from `Filtration.cofacets` when it is reached and
     reduced at once by `linalg.reduce_column`; a simplex in `cleared` is
     skipped before anything is built. Rows are simplex ids, so a nonzero
-    column's pivot is the simplex that kills its class and the V column,
-    keyed by decreasing id, is the representative.
+    column's pivot is the simplex that kills its class and the V column is
+    the representative.
     """
     values = filtration.values
     one, signs = fld.one, fld.signs
@@ -111,18 +111,8 @@ def _reduce_order(
             killed.add(death_id)
         else:
             death_id, death = None, INF
-        birth = values[sid]
-        if birth < death:
-            classes.append(
-                PersistentCocycle(
-                    order=k,
-                    birth=birth,
-                    death=death,
-                    birth_index=sid,
-                    death_index=death_id,
-                    representative=dict(v),
-                )
-            )
+        if values[sid] < death:
+            classes.append(PersistentCocycle(k, values[sid], death, sid, death_id, v))
     return reduced, killed
 
 
@@ -142,7 +132,7 @@ def star_diagram(
     Degree d = dim σ is σ's bar. Degree d + 1 is the elder rule on the link
     graph, whose vertices are σ's cofacets τ and whose edges are the
     (d+2)-simplices over σ, by increasing id: a merge kills the younger
-    component, represented by its τs keyed by decreasing id, each with
+    component, represented by its τs by decreasing id, each with
     coefficient sign(σ in τ) * sign(σ in its oldest τ), as the walk's V is;
     σ's own column kills the component of σ's first cofacet. Degrees d + 2
     and up are walked over st σ, cleared by the merging simplices.
@@ -166,7 +156,8 @@ def star_diagram(
         death_id = up[0][0] if up else None
         death = INF if death_id is None else values[death_id]
         if d <= max_order and values[sid] < death:
-            classes.append(PersistentCocycle(d, values[sid], death, sid, death_id, {sid: fld.one}))
+            bar = PersistentCocycle(d, values[sid], death, sid, death_id, [(sid, fld.one)])
+            classes.append(bar)
     if d < max_order:
         signs = fld.signs
         # link vertex τ -> sign of σ in τ
@@ -215,7 +206,7 @@ def star_diagram(
             death = INF if rho is None else values[rho]
             if values[root] < death:
                 s = sign[root]
-                rep = {tau: signs[sign[tau] * s] for tau in sorted(dying, reverse=True)}
+                rep = [(tau, signs[sign[tau] * s]) for tau in sorted(dying, reverse=True)]
                 classes.append(PersistentCocycle(d + 1, values[root], death, root, rho, rep))
         for k in range(d + 2, max_order + 1):
             if k > d + 2:  # the k-simplices over σ, each a cofacet of one below

@@ -75,7 +75,8 @@ class LocalStalk:
         Built once, on the first solve against the stalk, so a stalk no
         block reads never pays for it; `dataclasses.replace` makes a stalk
         that builds its own.
-        On the exact carrier an integral entry is held as an int
+        On the float carrier a class's column is its representative itself,
+        not a copy; on the exact carrier an integral entry is held as an int
         (`_integral`), so most of the solve runs in ints.
         """
         kind = self.field_kind
@@ -85,8 +86,7 @@ class LocalStalk:
                 col[-1][0]: (None, _integral(col, kind)) for col in self.coboundaries.get(k, [])
             }
             for pos, c in enumerate(cocycles):
-                col = _integral(list(c.representative.items()), kind)
-                owners[k][c.birth_index] = (pos, col)
+                owners[k][c.birth_index] = (pos, _integral(c.representative, kind))
         return owners
 
     @property
@@ -184,15 +184,14 @@ def _coordinates(
 ) -> dict[int, object]:
     """The class of `xi`'s representative in the stalk, by order-k position.
 
-    xi's representative, whose items are a column, is solved from its pivot
-    on against the stalk's owner table: its representatives (each one's
-    pivot is its birth simplex, with coefficient 1 up to sign) and its
-    reduced order-(k-1) coboundary columns (pivot: the simplex each one
-    kills), whose coefficients are dropped. It stops at the first simplex
-    valued at or after xi's death: only zero-length classes own the
-    simplices past it, and before it no such class gets a nonzero
-    coefficient, since the representative is a cocycle on S_t for every
-    t < death. For the same reason a class dying before xi gets
+    xi's representative is solved from its pivot on against the stalk's
+    owner table: its representatives (each one's pivot is its birth
+    simplex, with coefficient 1 up to sign) and its reduced order-(k-1)
+    coboundary columns (pivot: the simplex each one kills), whose
+    coefficients are dropped. It stops at the first simplex valued at or
+    after xi's death: only zero-length classes own the simplices past it,
+    and before it no such class gets a nonzero coefficient, since the
+    representative is a cocycle on S_t for every t < death. For the same reason a class dying before xi gets
     coefficient 0, and every class reached is born no earlier than xi.
 
     On the exact carrier the owner table and the column solved hold
@@ -205,7 +204,7 @@ def _coordinates(
         return {}
     owners = stalk._owners[k]
     coords: dict[int, object] = {}
-    z = _integral(list(xi.representative.items()), fld.kind)
+    z = _integral(xi.representative, fld.kind)
     while z and filtration.values[z[-1][0]] < xi.death:
         sid, x = z[-1]
         owner = owners.get(sid)
@@ -333,7 +332,8 @@ class AssembledLaplacian:
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each atom couples its u-side and v-side components pairwise, so one
         pass fills the off-diagonal blocks, their transposes and both
-        diagonal blocks; every entry is scaled by `_entry_weight`.
+        diagonal blocks; every entry is scaled by `_entry_weight`. A slice
+        pairs only the atoms and components alive at t, the pairs it weights 1.
 
         On the exact carrier a term c_i * c_j * w is the int ratio of the
         coefficients' numerators and denominators and `w.as_integer_ratio()`
@@ -341,14 +341,20 @@ class AssembledLaplacian:
         their denominators, and each cell makes one Fraction at the end."""
         exact = self.field_kind != FLOAT
         offsets, spans = self.offsets, self.lifespans
+        t = self.mode[1] if self.mode[0] == "slice" else None
         # float: cell -> sum; exact: cell -> (numerator, denominator)
         entries: dict[tuple[int, int], object] = {}
         for (u, v), block in self.blocks.items():
             for atom in block.atoms:
+                if t is not None and atom.end <= t:
+                    continue  # every slice weight of an ended atom is 0
                 # (global index, coefficient, lifespan) of both sides; u != v,
                 # so each cell gets at most one term per atom
                 comps = [(offsets[u] + a, c, spans[u][a]) for a, c in atom.v_a.items()]
                 comps += [(offsets[v] + b, c, spans[v][b]) for b, c in atom.v_b.items()]
+                if t is not None:
+                    # a component not alive at t has slice weight 0 in its row and column
+                    comps = [comp for comp in comps if comp[2][0] <= t < comp[2][1]]
                 for i, ci, out_iv in comps:
                     for j, cj, in_iv in comps:
                         w = _entry_weight(self.mode, atom, out_iv, in_iv, self.horizon)

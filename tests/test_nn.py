@@ -8,7 +8,7 @@ import pytest
 
 from conftest import sign_equivariant_jvp
 from localhom import oracle
-from localhom.complexes import build_flag_complex
+from localhom.complexes import build_flag_complex, graph_from_points
 from localhom.errors import ContractError
 from localhom.nn import (
     FeatureBundle,
@@ -17,6 +17,7 @@ from localhom.nn import (
     filtration_gradient,
     hypernet_weights,
     message_pass,
+    mlp_forward,
     node_gain_network,
     power_iteration,
     sign_equivariant_layer,
@@ -86,6 +87,48 @@ def test_bundle_leaves_the_callers_values_alone():
     bundle = FeatureBundle(order=1, channels=1, values=values)
     assert bundle.values[0].shape == (2, 1)
     assert type(values[0]) is list and values[0] == [1.0, 2.0]
+
+
+def test_non_finite_bundle_names_its_first_vertex():
+    values = {0: np.ones((2, 1)), 1: np.array([[0.0], [math.nan]]), 2: np.array([[math.inf]])}
+    with pytest.raises(ContractError, match="vertex 1: non-finite"):
+        FeatureBundle(order=1, channels=1, values=values)
+
+
+def cloud_laplacian():
+    """Order-1 slice on a 40-point kNN-6 cloud, whose stalk dimensions run 0..3."""
+    points = np.random.default_rng(40).random((40, 2)).tolist()
+    filt = build_flag_complex(graph_from_points(points, knn=6), 2)
+    stalks = {v: compute_stalk(filt, v, 1) for v in range(filt.vertex_count)}
+    return assemble_laplacian(filt, stalks, 1, ("slice", filt.t_plus))
+
+
+@pytest.mark.parametrize("channels", [1, 3, 4])
+def test_random_bundle_is_the_per_vertex_draw(channels):
+    """One stacked draw equals drawing each vertex's block in turn from the
+    same stream."""
+    lap = cloud_laplacian()
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        want = {v: rng.standard_normal((lap.dims[v], channels)) for v in lap.vertices}
+        got = FeatureBundle.random(lap, 1, channels=channels, seed=seed).values
+        assert list(got) == list(want)
+        assert all(np.array_equal(got[v], want[v]) for v in want), seed
+
+
+def test_bundle_arrays_are_views_of_one_array():
+    """`random` and `from_stacked` hold every vertex's rows as a view of one
+    stacked array; `from_stacked` copies its input once and keeps no view of it."""
+    lap = cloud_laplacian()
+    x = np.arange(2.0 * lap.dimension).reshape(lap.dimension, 2)
+    for bundle in (FeatureBundle.random(lap, 1, channels=2, seed=1),
+                   FeatureBundle.from_stacked(lap, x, 1)):
+        arrays = list(bundle.values.values())
+        base = arrays[0].base
+        assert base is not None and all(arr.base is base for arr in arrays)
+        assert base.shape == (lap.dimension, 2) and not np.shares_memory(base, x)
+    stacked = FeatureBundle.from_stacked(lap, x, 1).stacked(lap)
+    assert np.array_equal(stacked, x)
 
 
 def test_diffuse_kernel_fixed_point(c4_filt):
@@ -241,6 +284,24 @@ def test_hypernet_permutation_locality():
     perm = [2, 0, 1]
     w_perm = hypernet_weights(FakeStalk([desc[i] for i in perm]), psi)
     assert np.allclose(w_perm, w[np.ix_(perm, perm)])
+
+
+def test_hypernet_matches_the_per_pair_loop(corpus):
+    """The one batched Psi call equals Psi on each descriptor pair, the
+    loop it replaced, up to the rounding of another summation order."""
+    psi = MLPParams.init([6, 8, 1], seed=27)
+    for graph in corpus[:20]:
+        filt = build_flag_complex(graph, 3)
+        for v in range(filt.vertex_count):
+            stalk = compute_stalk(filt, v, 2)
+            desc = stalk.descriptors()
+            want = np.zeros((len(desc), len(desc)))
+            for i, a in enumerate(desc):
+                for j, b in enumerate(desc):
+                    want[i, j] = mlp_forward(psi, np.array(a + b, dtype=float)).item()
+            got = hypernet_weights(stalk, psi)
+            assert got.shape == want.shape
+            assert np.allclose(got, want, rtol=0, atol=16 * np.finfo(float).eps), v
 
 
 def test_hypernet_empty_stalk(k3_filt):

@@ -150,7 +150,7 @@ def test_representative_validity(corpus):
                 if not (c.birth <= t and (c.essential or t < c.death)):
                     continue
                 acc = {}
-                for sid, coeff in c.representative.items():
+                for sid, coeff in c.representative:
                     if filt.values[sid] > t:
                         continue
                     for cof, sign in filt.cofacets(sid):
@@ -207,7 +207,7 @@ def test_representative_lowest_value_is_birth(corpus):
         filt = build_flag_complex(graph, 2)
         d = persistent_cohomology(filt, 1)
         for c in d.classes:
-            lowest = min(filt.values[sid] for sid in c.representative)
+            lowest = min(filt.values[sid] for sid, _ in c.representative)
             assert lowest == c.birth
             assert filt.values[c.birth_index] == c.birth
             if not c.essential:
@@ -228,7 +228,7 @@ def test_coboundary_of_representative_is_zero_or_dies_at_death_index(corpus):
         for sigma in sigmas:
             for c in star_diagram(filt, sigma, 2, fld)[0].classes:
                 delta = {}
-                for sid, x in c.representative.items():
+                for sid, x in c.representative:
                     for cof, sign in filt.cofacets(sid):
                         delta[cof] = delta.get(cof, 0) + sign * x
                 support = [cof for cof, x in delta.items() if x != 0]
@@ -247,7 +247,7 @@ def matrix_reductions(filt, keep, max_order, fld):
     """The diagram and reduced coboundary columns from explicit matrices:
     each order's coboundary block (columns by decreasing id, rows by simplex
     id) reduced by `conftest.reduce_columns`. V is indexed by column
-    position, so reading it backwards keys the representative by decreasing
+    position, so reading it backwards lists the representative by decreasing
     id. A cleared column was zeroed without work and never owns a pivot, so
     it is left out of the block."""
     classes, coboundaries, destroyers = [], {}, set()
@@ -277,7 +277,7 @@ def matrix_reductions(filt, keep, max_order, fld):
                     death=death,
                     birth_index=sid,
                     death_index=death_id,
-                    representative={col_ids[i]: c for i, c in reversed(vcols[j])},
+                    representative=[(col_ids[i], c) for i, c in reversed(vcols[j])],
                 ))
     classes.sort(key=lambda c: (c.order, c.birth, c.birth_index))
     return classes, coboundaries

@@ -152,7 +152,7 @@ def truncated_stalk(filt, v, rings, fld):
             c,
             birth_index=old[c.birth_index],
             death_index=None if c.death_index is None else old[c.death_index],
-            representative={old[i]: x for i, x in c.representative.items()},
+            representative=sorted(((old[i], x) for i, x in c.representative), reverse=True),
         )
         for c in diagram.classes
         if c.order >= 1
@@ -208,12 +208,12 @@ def test_stalks_from_another_filtration_rejected(c4_filt, k4_filt):
 
 @pytest.mark.parametrize("kind", ["exact", "float"])
 def test_representative_keys_run_by_decreasing_id(corpus, tie_free_corpus, kind):
-    """Every representative's keys are strictly decreasing simplex ids: in
-    the whole-complex diagram, in every stalk and in every edge star's
-    order-1 and order-2 bars, so its items are a column as `linalg` orders
-    one. So are every vertex stalk's coboundary columns: ids strictly
-    decrease, and each order-k column's pivot, its last id, is a distinct
-    k-simplex."""
+    """Every representative's simplex ids strictly decrease down to its
+    birth simplex: in the whole-complex diagram, in every stalk and in every
+    edge star's order-1 and order-2 bars, so it is a column as `linalg`
+    orders one, with `birth_index` its pivot. So are every vertex stalk's
+    coboundary columns: ids strictly decrease, and each order-k column's
+    pivot, its last id, is a distinct k-simplex."""
     fld = Field(kind=kind)
     for gi, graph in enumerate(corpus + tie_free_corpus):
         filt = build_flag_complex(graph, 3)
@@ -231,8 +231,24 @@ def test_representative_keys_run_by_decreasing_id(corpus, tie_free_corpus, kind)
         for e in filt.ids_of_dim(1):
             cocycles += star_diagram(filt, filt.simplices[e], 2, fld)[0].classes
         for c in cocycles:
-            ids = list(c.representative)
+            ids = [sid for sid, _ in c.representative]
             assert ids and all(a > b for a, b in zip(ids, ids[1:])), (gi, c)
+            assert ids[-1] == c.birth_index, (gi, c)
+
+
+def test_float_owner_table_holds_the_representatives(corpus):
+    """On the float carrier each class's owner-table entry is its own
+    position and its representative itself, not a copy."""
+    fld = Field(kind="float")
+    for gi, graph in enumerate(corpus[:20]):
+        filt = build_flag_complex(graph, 3)
+        for v in range(filt.vertex_count):
+            stalk = compute_stalk(filt, v, 2, fld=fld)
+            for k in (1, 2):
+                owners = stalk._owners[k]
+                for pos, c in enumerate(stalk.order_cocycles(k)):
+                    owner_pos, col = owners[c.birth_index]
+                    assert owner_pos == pos and col is c.representative, (gi, v, k, pos)
 
 
 def test_extended_matrix_rejects_non_adjacent(two_c4_filt):
@@ -454,7 +470,7 @@ def test_block_sign_flip_equivariance(square_filt):
     s0 = stalks[0]
     flipped_c = replace(
         s0.cocycles[0],
-        representative={i: -v for i, v in s0.cocycles[0].representative.items()},
+        representative=[(i, -v) for i, v in s0.cocycles[0].representative],
     )
     stalks[0] = replace(s0, cocycles=[flipped_c])
     flipped = edge_block_at(square_filt, stalks, 0, 1, 1, 1.2)
@@ -603,6 +619,37 @@ def test_every_mode_reads_one_reduction(corpus, tie_free_corpus, block_calls):
     assert checked > 100
 
 
+def test_slice_entries_pair_only_live_components(corpus, monkeypatch):
+    """A slice weighs only the pairs of an unended atom's components alive
+    at t, so `_entry_weight` never returns 0 there, and every cell is the
+    sum of `_entry_weight` over all pairs of all atoms (exact carrier,
+    orders 1 and 2, every threshold)."""
+    rule, weights = sheaf._entry_weight, []
+    monkeypatch.setattr(sheaf, "_entry_weight", lambda *a: weights.append(rule(*a)) or weights[-1])
+    for graph in corpus[:20]:
+        filt = build_flag_complex(graph, 3)
+        stalks = {v: compute_stalk(filt, v, 2) for v in range(filt.vertex_count)}
+        for k in (1, 2):
+            first = assemble_laplacian(filt, stalks, k, ("slice", filt.t_plus))
+            for t in filt.threshold_values():
+                lap = replace(first, mode=("slice", t))
+                want = {}
+                for (u, v), blk in lap.blocks.items():
+                    for atom in blk.atoms:
+                        comps = [(lap.offsets[u] + a, c, lap.lifespans[u][a])
+                                 for a, c in atom.v_a.items()]
+                        comps += [(lap.offsets[v] + b, c, lap.lifespans[v][b])
+                                  for b, c in atom.v_b.items()]
+                        for i, ci, out_iv in comps:
+                            for j, cj, in_iv in comps:
+                                w = rule(lap.mode, atom, out_iv, in_iv, lap.horizon)
+                                if w:
+                                    want[i, j] = want.get((i, j), 0) + ci * cj * w
+                rows, cols, vals = lap.entries
+                assert dict(zip(zip(rows.tolist(), cols.tolist()), vals.tolist())) == want
+    assert weights and all(w == 1 for w in weights)
+
+
 @pytest.mark.parametrize(
     "mode",
     ["weighted", ["weighted"], ["slice", 1.0], ("weighted", 1.0), ("slice",), ("sliced", 1.0),
@@ -749,6 +796,84 @@ def test_order1_operator_is_label_free(corpus, tie_free_corpus, kind):
             if not psi_commutes_with_matching(stalk, images[perm[v]], local, psi, x_rng):
                 psi_differ.append((gi, v))
     assert (skipped, differ, psi_differ, compared) == (0, [60], [], 2617)
+
+
+def merge_forest_coordinates(filt, stalk, fld):
+    """Order-1 block coordinates of u = `stalk.vertex`, read off the merge
+    forest of u's link: edge τ at u -> its class's coordinates in u's stalk,
+    keyed by stalk position, by increasing root id.
+
+    u's cofacets τ, by increasing id, are the link's vertices; s(τ) is u's
+    sign in τ and o the first. The elder rule on the link, replayed as
+    `star_diagram` runs it, gives p(c), the root each killed root c merged
+    into. τ's edge bar ends at f(τ), the value of τ's first cofacet. For
+    τ != o the coordinates are 1 at τ's class and -s(c) s(τ) at each c with
+    p(c) = τ and value(c) < f(τ); for o they are -s(o) s(r) at each r with
+    value(r) < f(o) that is killed into o or the root of a final component
+    other than o's.
+    """
+    values, one, signs = filt.values, fld.one, fld.signs
+    sign = dict(filt.cofacets(filt.id_of((stalk.vertex,))))
+    if not sign:
+        return {}
+    o = min(sign)
+    first, second = {}, {}
+    for tau in sign:
+        for rho, _ in filt.cofacets(tau):
+            if rho in first:
+                second[rho] = tau
+            else:
+                first[rho] = tau
+    root = {tau: tau for tau in sign}
+    members = {tau: [tau] for tau in sign}
+    parent = {}
+    for rho in sorted(second):
+        elder, young = sorted((root[first[rho]], root[second[rho]]))
+        if elder != young:
+            parent[young] = elder
+            for tau in members[young]:
+                root[tau] = elder
+            members[elder] += members.pop(young)
+    position = {c.birth_index: i for i, c in enumerate(stalk.order_cocycles(1))}
+    coords = {}
+    for tau in sign:
+        up = filt.cofacets(tau)
+        f = values[up[0][0]] if up else INF
+        if not values[tau] < f:
+            continue  # τ's edge bar has zero length
+        if tau != o:
+            kids = sorted(c for c, p in parent.items() if p == tau and values[c] < f)
+            keys = [(tau, one)] + [(c, signs[-sign[c] * sign[tau]]) for c in kids]
+        else:
+            tops = [c for c, p in parent.items() if p == o] + [r for r in members if r != o]
+            keys = [(r, signs[-sign[o] * sign[r]]) for r in sorted(tops) if values[r] < f]
+        coords[tau] = {position[r]: x for r, x in keys}
+    return coords
+
+
+@pytest.mark.parametrize("kind", ["exact", "float"])
+def test_order1_block_coordinates_follow_the_merge_forest(closed_form_filtrations, kind):
+    """At k = 1 every block equals, to the repr, the atom read off the merge
+    forests of its two ends (`merge_forest_coordinates`): for the edge e =
+    uv whose bar [value(e), f(e)) has positive length, `v_a` is u's
+    coordinates of e and `v_b` minus v's, and e has an atom if and only if
+    either one is nonempty."""
+    fld = Field(kind=kind)
+    for fi, filt in enumerate(closed_form_filtrations):
+        stalks = {v: compute_stalk(filt, v, 1, fld=fld) for v in range(filt.vertex_count)}
+        forests = {v: merge_forest_coordinates(filt, s, fld) for v, s in stalks.items()}
+        for e in filt.ids_of_dim(1):
+            u, v = filt.simplices[e]
+            want = []
+            if e in forests[u]:
+                up = filt.cofacets(e)
+                v_a = forests[u][e]
+                v_b = {b: -x for b, x in forests[v][e].items()}
+                if v_a or v_b:
+                    end = filt.values[up[0][0]] if up else INF
+                    want.append(sheaf.LaplacianAtom(filt.values[e], end, v_a, v_b))
+            got = sheaf_laplacian_block(stalks[u], stalks[v], filt, 1, fld).atoms
+            assert repr(got) == repr(want), (fi, e)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,11 @@ order or dict order changes the hash. A change meant to keep outputs
 identical prints the same line before and after it. Since cocycles
 stopped carrying a `coboundary` field, a cocycle's `repr` has no
 `coboundary=`, so the hash moved then with no output change; CHANGES.md
-says how that was checked.
+says how that was checked. The hash moved once more, from 3ee2e9de... to
+70e802a8..., when a representative became a list of (id, coefficient)
+pairs instead of a dict: only a cocycle's `repr` changed. The code before
+that change, with only `PersistentCocycle.__repr__` made to print
+`representative=list(representative.items())`, prints 70e802a8... too.
 """
 
 from __future__ import annotations

@@ -15,7 +15,10 @@ atoms: no block is reduced again), power iteration and 500 diffusion
 steps at alpha = 0.9 / lambda_max. `--cli` instead times `localhom
 diffuse` end to end on the same cloud written as a points CSV. The last
 line of stdout is one JSON object; `peak_rss_mb` is this process's own
-peak resident set.
+peak resident set. `peak_rss_mb_after` gives that peak after each stage,
+which the graph stage's numpy temporaries set at large n, and
+`rss_mb_after` the resident set after each stage (Linux `/proc/self/statm`),
+where a later stage's memory shows.
 """
 
 from __future__ import annotations
@@ -40,6 +43,12 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+def rss_mb() -> float:
+    with open("/proc/self/statm") as statm:
+        resident_pages = int(statm.read().split()[1])
+    return resident_pages * os.sysconf("SC_PAGE_SIZE") / 2**20
+
+
 def cloud(n: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).random((n, 2))
 
@@ -59,13 +68,15 @@ def run_stages(points: np.ndarray, kind: str, order: int) -> dict:
 
     fld = Field(kind=kind)
     stages: dict[str, float] = {}
+    peak: dict[str, float] = {}
     rss: dict[str, float] = {}
 
     def timed(name, fn):
         begin = time.perf_counter()
         out = fn()
         stages[name] = time.perf_counter() - begin
-        rss[name] = peak_rss_mb()
+        peak[name] = peak_rss_mb()
+        rss[name] = rss_mb()
         return out
 
     graph = timed("graph", lambda: graph_from_points(points.tolist(), knn=KNN))
@@ -88,7 +99,8 @@ def run_stages(points: np.ndarray, kind: str, order: int) -> dict:
     atoms = sum(len(b.atoms) for b in lap.blocks.values())
     return {
         "stages_s": stages,
-        "peak_rss_mb_after": rss,
+        "peak_rss_mb_after": peak,
+        "rss_mb_after": rss,
         "counts": {
             "simplices": len(filt),
             "edges": len(filt.ids_of_dim(1)),
