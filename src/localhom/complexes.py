@@ -30,10 +30,6 @@ KNN_BLOCK_ROWS = 256
 Simplex = tuple[int, ...]
 
 
-def dimension(simplex: Simplex) -> int:
-    return len(simplex) - 1
-
-
 def facets(simplex: Simplex) -> list[tuple[Simplex, int]]:
     """Codimension-1 faces with the sign (-1)^i of the dropped vertex."""
     out = []
@@ -88,13 +84,13 @@ class Filtration:
     def __post_init__(self):
         self.index = {s: i for i, s in enumerate(self.simplices)}
         self._by_dim: dict[int, list[int]] = {}
-        for i, s in enumerate(self.simplices):
-            self._by_dim.setdefault(dimension(s), []).append(i)
         self._cofacets: list[list[tuple[int, int]]] = [[] for _ in self.simplices]
+        by_dim, cofacets, index = self._by_dim, self._cofacets, self.index
         for j, s in enumerate(self.simplices):
+            by_dim.setdefault(len(s) - 1, []).append(j)
             if len(s) >= 2:
-                for face, sign in facets(s):
-                    self._cofacets[self.index[face]].append((j, sign))
+                for i in range(len(s)):  # the facet without s[i], sign (-1)^i
+                    cofacets[index[s[:i] + s[i + 1:]]].append((j, -1 if i % 2 else 1))
         self._t_plus = max(self.values) if self.values else 0.0
 
     def __len__(self) -> int:

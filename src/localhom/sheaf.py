@@ -8,11 +8,13 @@ each bar of the relative persistence of the edge's own star st e = st u ∩
 st v, written in both stalks, is a rank-1 Laplacian atom v_A v_B^T tagged
 with the bar's interval. Both come from `persistence.star_diagram`.
 
-The assembled operator is its atoms plus the cocycle lifespans: each
-block is reduced once, and every slice and the weighted operator are read
-from the same atoms. One rule, `_entry_weight`, weights every entry: an
-atom adds coefficient products scaled by 1/0 (alive at the slice time t or
-not) in slice mode, or by the lifespan overlap share in weighted mode. The
+The assembled operator is the bars of its edge stars plus the cocycle
+lifespans: each edge star is reduced once, at assembly, and a bar is
+solved into its atom the first time a read needs it, so every slice and
+the weighted operator read the same atoms and a slice at t solves only the
+bars alive at t. One rule, `_entry_weight`, weights every entry: an atom
+adds coefficient products scaled by 1/0 (alive at the slice time t or not)
+in slice mode, or by the lifespan overlap share in weighted mode. The
 slice operator is delta^T delta of the restriction maps alive at t. The
 entries are built on first read as sorted COO arrays of the cells that
 received a term, and multiply sparsely; nothing on the program's path
@@ -72,9 +74,10 @@ class LocalStalk:
         """Per order k, each k-simplex id -> the column whose pivot it is:
         (position, representative column) for the order-k class born there,
         else (None, coboundary column) for the one that kills it there.
-        Built once, on the first solve against the stalk, so a stalk no
-        block reads never pays for it; `dataclasses.replace` makes a stalk
-        that builds its own.
+        Built once, on the first solve against the stalk, so a stalk that
+        no solved bar touches never pays for it (a slice solves only the
+        bars alive at t); `dataclasses.replace` makes a stalk that builds
+        its own.
         On the float carrier a class's column is its representative itself,
         not a copy; on the exact carrier an integral entry is held as an int
         (`_integral`), so most of the solve runs in ints.
@@ -179,9 +182,7 @@ def _divide(x, y):
     return x / y
 
 
-def _coordinates(
-    stalk: LocalStalk, filtration: Filtration, k: int, xi: PersistentCocycle, fld: Field
-) -> dict[int, object]:
+def _coordinates(stalk: LocalStalk, k: int, xi: PersistentCocycle, fld: Field) -> dict[int, object]:
     """The class of `xi`'s representative in the stalk, by order-k position.
 
     xi's representative is solved from its pivot on against the stalk's
@@ -202,10 +203,10 @@ def _coordinates(
     """
     if not stalk.order_cocycles(k):
         return {}
-    owners = stalk._owners[k]
+    owners, values = stalk._owners[k], stalk.filtration.values
     coords: dict[int, object] = {}
     z = _integral(xi.representative, fld.kind)
-    while z and filtration.values[z[-1][0]] < xi.death:
+    while z and values[z[-1][0]] < xi.death:
         sid, x = z[-1]
         owner = owners.get(sid)
         if owner is None:
@@ -219,6 +220,26 @@ def _coordinates(
             coords[pos] = Fraction(coeff) if type(coeff) is int else coeff
         z = fld.prune(axpy(z[:-1], col[:-1], -coeff))
     return coords
+
+
+def _edge_bars(filtration: Filtration, e: tuple[int, int], k: int, fld: Field):
+    """The order-k bars of the relative persistence of the edge's star st e."""
+    return star_diagram(filtration, e, k, fld)[0].of_order(k)
+
+
+def _atom(stalk_u: LocalStalk, stalk_v: LocalStalk, k: int, xi: PersistentCocycle, fld: Field):
+    """The bar xi as an atom: `v_a` is its class in u's stalk and `v_b`
+    minus its class in v's, both empty if xi is zero in both stalks."""
+    v_a = _coordinates(stalk_u, k, xi, fld)
+    v_b = {b: -x for b, x in _coordinates(stalk_v, k, xi, fld).items()}
+    return LaplacianAtom(start=xi.birth, end=xi.death, v_a=v_a, v_b=v_b)
+
+
+def _check_stalk(stalk: LocalStalk, filtration: Filtration, fld: Field):
+    if stalk.filtration is not filtration:
+        raise ContractError("stalks were computed on a different filtration")
+    if stalk.field_kind != fld.kind:
+        raise ContractError(f"stalks were computed on another carrier than {fld.kind}")
 
 
 def sheaf_laplacian_block(
@@ -243,17 +264,65 @@ def sheaf_laplacian_block(
     e = (min(u, v), max(u, v))
     if e not in filtration.index:
         raise ContractError(f"vertices {u} and {v} are not adjacent (empty intersection)")
-    if stalk_u.filtration is not filtration or stalk_v.filtration is not filtration:
-        raise ContractError("stalks were computed on a different filtration")
-    if {stalk_u.field_kind, stalk_v.field_kind} != {fld.kind}:
-        raise ContractError(f"stalks were computed on another carrier than {fld.kind}")
-    atoms: list[LaplacianAtom] = []
-    for xi in star_diagram(filtration, e, k, fld)[0].of_order(k):
-        v_a = _coordinates(stalk_u, filtration, k, xi, fld)
-        v_b = {b: -x for b, x in _coordinates(stalk_v, filtration, k, xi, fld).items()}
-        if v_a or v_b:
-            atoms.append(LaplacianAtom(start=xi.birth, end=xi.death, v_a=v_a, v_b=v_b))
-    return SheafLaplacianBlock(atoms=atoms)
+    _check_stalk(stalk_u, filtration, fld)
+    _check_stalk(stalk_v, filtration, fld)
+    atoms = [_atom(stalk_u, stalk_v, k, xi, fld) for xi in _edge_bars(filtration, e, k, fld)]
+    return SheafLaplacianBlock(atoms=[a for a in atoms if a.v_a or a.v_b])
+
+
+@dataclass
+class EdgeBars:
+    """Order-k bars of edge stars, flat, by edge then bar, each solved on first read.
+
+    `edges` holds the edges added, as (u, v). Per bar, `edge` holds its
+    edge, `start` and `end` its interval and `bar` its cocycle. `atom(i)`
+    solves bar i in both stalks (`_atom`, as `sheaf_laplacian_block` does)
+    the first time it is read and keeps the atom in `solved`. A solve that
+    raises keeps nothing, so the next read raises again.
+    """
+
+    stalks: dict[int, LocalStalk] = field(repr=False, compare=False)
+    k: int
+    fld: Field
+    edges: list[tuple[int, int]] = field(default_factory=list)
+    edge: list[tuple[int, int]] = field(default_factory=list)
+    start: list[float] = field(default_factory=list)
+    end: list[float] = field(default_factory=list)
+    bar: list[PersistentCocycle] = field(default_factory=list)
+    solved: list[LaplacianAtom | None] = field(default_factory=list, repr=False, compare=False)
+
+    def add(self, e: tuple[int, int], bars: list[PersistentCocycle]):
+        self.edges.append(e)
+        for xi in bars:
+            self.edge.append(e)
+            self.start.append(xi.birth)
+            self.end.append(xi.death)
+            self.bar.append(xi)
+            self.solved.append(None)
+
+    def atom(self, i: int) -> LaplacianAtom:
+        atom = self.solved[i]
+        if atom is None:
+            u, v = self.edge[i]
+            atom = _atom(self.stalks[u], self.stalks[v], self.k, self.bar[i], self.fld)
+            self.solved[i] = atom
+        return atom
+
+    def alive(self, t: float) -> list[int]:
+        """The bars with start <= t < end. Every class a bar's atom reaches
+        is born no earlier than the bar starts, so every other bar has slice
+        weight 0 in every cell."""
+        return [i for i, (s, e) in enumerate(zip(self.start, self.end)) if s <= t < e]
+
+    @cached_property
+    def blocks(self) -> dict[tuple[int, int], SheafLaplacianBlock]:
+        """Each edge's atoms, less those zero in both stalks; every bar is solved."""
+        blocks = {e: SheafLaplacianBlock(atoms=[]) for e in self.edges}
+        for i, e in enumerate(self.edge):
+            atom = self.atom(i)
+            if atom.v_a or atom.v_b:
+                blocks[e].atoms.append(atom)
+        return blocks
 
 
 def _entry_weight(mode: tuple, atom: LaplacianAtom, out_iv, in_iv, horizon: float):
@@ -281,19 +350,22 @@ def _entry_weight(mode: tuple, atom: LaplacianAtom, out_iv, in_iv, horizon: floa
 
 @dataclass
 class AssembledLaplacian:
-    """Block operator over the direct sum of all order-k stalks, held as its atoms.
+    """Block operator over the direct sum of all order-k stalks, held as its bars.
 
     `lifespans` maps each vertex to the (birth, death) of its order-k
     cocycles in stalk order (math.inf if essential); `vertices`, `dims` and
-    `offsets` follow from it. `blocks` holds the atoms of each adjacent pair
-    with a nonempty stalk. `mode`, ("slice", t) or ("weighted",), is
-    checked on construction, so `dataclasses.replace(lap, mode=...)` is the
-    operator of another mode on the same atoms, reducing nothing; the copy
-    shares `blocks` and `lifespans`, which nothing mutates. In slice mode
-    the operator is delta^T delta of the restriction maps alive at t, hence
-    symmetric PSD; weighted mode scales each entry by its overlap share.
+    `offsets` follow from it. `bars` holds the bars of each adjacent pair
+    with a nonempty stalk, each solved into its atom on first read; `blocks`
+    is their atoms by edge, built on first read. `mode`, ("slice", t) or
+    ("weighted",), is checked on construction, so
+    `dataclasses.replace(lap, mode=...)` is the operator of another mode on
+    the same bars, reducing nothing; the copy shares `bars`, whose solves it
+    keeps and reuses, and `lifespans`. In slice mode the operator is
+    delta^T delta of the restriction maps alive at t, hence symmetric PSD;
+    weighted mode scales each entry by its overlap share.
 
-    `entries`, built from the atoms on first read, holds the cells that
+    `entries`, built on first read from the atoms of the bars alive at t
+    (slice) or of every bar (weighted), holds the cells that
     received a term as COO arrays `(rows, cols, vals)` sorted by (row, col),
     each cell once. `vals` are the sums in the carrier's scalars (an object
     array of Fractions on the exact carrier), and a sum may cancel to zero.
@@ -311,9 +383,9 @@ class AssembledLaplacian:
     order: int
     mode: tuple
     lifespans: dict[int, list[tuple[float, float]]]
-    blocks: dict[tuple[int, int], SheafLaplacianBlock]
     horizon: float
     field_kind: str
+    bars: EdgeBars
     vertices: list[int] = field(init=False, repr=False)
     dims: dict[int, int] = field(init=False, repr=False)
     offsets: dict[int, int] = field(init=False, repr=False)
@@ -328,53 +400,56 @@ class AssembledLaplacian:
         self.dims = {v: len(spans) for v, spans in self.lifespans.items()}
         self.offsets = dict(zip(self.vertices, accumulate(self.dims.values(), initial=0)))
 
+    @property
+    def blocks(self) -> dict[tuple[int, int], SheafLaplacianBlock]:
+        return self.bars.blocks
+
     @cached_property
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Each atom couples its u-side and v-side components pairwise, so one
         pass fills the off-diagonal blocks, their transposes and both
         diagonal blocks; every entry is scaled by `_entry_weight`. A slice
-        pairs only the atoms and components alive at t, the pairs it weights 1.
+        solves and pairs only the bars and components alive at t, the pairs
+        it weights 1; weighted mode reads every bar, in edge then bar order.
 
         On the exact carrier a term c_i * c_j * w is the int ratio of the
         coefficients' numerators and denominators and `w.as_integer_ratio()`
         (exact for a float weight), a cell sums its terms over the lcm of
         their denominators, and each cell makes one Fraction at the end."""
         exact = self.field_kind != FLOAT
-        offsets, spans = self.offsets, self.lifespans
+        offsets, spans, bars = self.offsets, self.lifespans, self.bars
         t = self.mode[1] if self.mode[0] == "slice" else None
         # float: cell -> sum; exact: cell -> (numerator, denominator)
         entries: dict[tuple[int, int], object] = {}
-        for (u, v), block in self.blocks.items():
-            for atom in block.atoms:
-                if t is not None and atom.end <= t:
-                    continue  # every slice weight of an ended atom is 0
-                # (global index, coefficient, lifespan) of both sides; u != v,
-                # so each cell gets at most one term per atom
-                comps = [(offsets[u] + a, c, spans[u][a]) for a, c in atom.v_a.items()]
-                comps += [(offsets[v] + b, c, spans[v][b]) for b, c in atom.v_b.items()]
-                if t is not None:
-                    # a component not alive at t has slice weight 0 in its row and column
-                    comps = [comp for comp in comps if comp[2][0] <= t < comp[2][1]]
-                for i, ci, out_iv in comps:
-                    for j, cj, in_iv in comps:
-                        w = _entry_weight(self.mode, atom, out_iv, in_iv, self.horizon)
-                        if not w:
-                            continue
-                        if not exact:
-                            entries[i, j] = entries.get((i, j), 0.0) + ci * cj * float(w)
-                            continue
-                        wn, wd = w.as_integer_ratio()
-                        tn = ci.numerator * cj.numerator * wn
-                        td = ci.denominator * cj.denominator * wd
-                        cell = entries.get((i, j))
-                        if cell is not None:
-                            n, d = cell
-                            if d == td:
-                                tn += n
-                            else:
-                                m = math.lcm(d, td)
-                                tn, td = n * (m // d) + tn * (m // td), m
-                        entries[i, j] = (tn, td)
+        for bi in range(len(bars.bar)) if t is None else bars.alive(t):
+            (u, v), atom = bars.edge[bi], bars.atom(bi)
+            # (global index, coefficient, lifespan) of both sides; u != v,
+            # so each cell gets at most one term per atom
+            comps = [(offsets[u] + a, c, spans[u][a]) for a, c in atom.v_a.items()]
+            comps += [(offsets[v] + b, c, spans[v][b]) for b, c in atom.v_b.items()]
+            if t is not None:
+                # a component not alive at t has slice weight 0 in its row and column
+                comps = [comp for comp in comps if comp[2][0] <= t < comp[2][1]]
+            for i, ci, out_iv in comps:
+                for j, cj, in_iv in comps:
+                    w = _entry_weight(self.mode, atom, out_iv, in_iv, self.horizon)
+                    if not w:
+                        continue
+                    if not exact:
+                        entries[i, j] = entries.get((i, j), 0.0) + ci * cj * float(w)
+                        continue
+                    wn, wd = w.as_integer_ratio()
+                    tn = ci.numerator * cj.numerator * wn
+                    td = ci.denominator * cj.denominator * wd
+                    cell = entries.get((i, j))
+                    if cell is not None:
+                        n, d = cell
+                        if d == td:
+                            tn += n
+                        else:
+                            m = math.lcm(d, td)
+                            tn, td = n * (m // d) + tn * (m // td), m
+                    entries[i, j] = (tn, td)
         cells = sorted(entries)
         if exact:
             vals = np.array([Fraction(*entries[c]) for c in cells], dtype=object)
@@ -461,24 +536,30 @@ def assemble_laplacian(
     mode,
     fld: Field = Field(),
 ) -> AssembledLaplacian:
-    """Reduce the block of every adjacent pair with a nonempty order-k
-    stalk, once; `mode` is ("slice", t) or ("weighted",).
+    """Reduce the star of every edge with a nonempty order-k stalk at either
+    end, once, and keep its order-k bars; `mode` is ("slice", t) or
+    ("weighted",).
 
-    The mode and the stalks are checked before any block is reduced. The
-    entries are built from the atoms when first read; another mode on the
-    same atoms is `dataclasses.replace(lap, mode=...)`.
+    The stalks and the mode are checked before any star is reduced. No bar
+    is solved here: `entries` solves the bars it reads, and `blocks` all of
+    them, each once per assembly; another mode on the same bars is
+    `dataclasses.replace(lap, mode=...)`. So an `IllConditionedError` of a
+    solve is raised by the first read that needs that bar, on every such
+    read, and a slice that reads no broken bar does not raise it.
     """
-    lifespans = {}
+    lifespans, held = {}, {}
     for v in range(filtration.vertex_count):
         if v not in stalks:
             raise ContractError(f"missing stalk for vertex {v}")
         lifespans[v] = [(c.birth, c.death_or(INF)) for c in stalks[v].order_cocycles(k)]
+        _check_stalk(stalks[v], filtration, fld)
+        held[v] = stalks[v]  # a later solve reads these, whatever the caller's dict holds by then
     lap = AssembledLaplacian(
-        order=k, mode=mode, lifespans=lifespans, blocks={},
-        horizon=filtration.t_plus, field_kind=fld.kind,
+        order=k, mode=mode, lifespans=lifespans, horizon=filtration.t_plus,
+        field_kind=fld.kind, bars=EdgeBars(held, k, fld),
     )
     for sid in filtration.ids_of_dim(1):
-        u, v = filtration.simplices[sid]
-        if lifespans[u] or lifespans[v]:
-            lap.blocks[(u, v)] = sheaf_laplacian_block(stalks[u], stalks[v], filtration, k, fld)
+        e = filtration.simplices[sid]
+        if lifespans[e[0]] or lifespans[e[1]]:
+            lap.bars.add(e, _edge_bars(filtration, e, k, fld))
     return lap

@@ -574,14 +574,10 @@ def test_verify_catches_a_dropped_stalk_cocycle(c4_csv, tmp_path, monkeypatch):
 
 
 def test_verify_catches_a_dropped_atom(c4_csv, tmp_path, monkeypatch):
-    """Blocks that each lost an atom leave the slice kernel larger than the
-    dense count of global sections."""
-    real = sheaf.sheaf_laplacian_block
-
-    def drop_first(*args):
-        return sheaf.SheafLaplacianBlock(atoms=real(*args).atoms[1:])
-
-    monkeypatch.setattr(sheaf, "sheaf_laplacian_block", drop_first)
+    """Edge stars that each lost a bar, so blocks that each lost an atom,
+    leave the slice kernel larger than the dense count of global sections."""
+    real = sheaf._edge_bars
+    monkeypatch.setattr(sheaf, "_edge_bars", lambda *args: real(*args)[1:])
     out = tmp_path / "r.json"
     assert main(["verify", "--input", c4_csv, "--out", str(out)]) == 4
     failed = [e for e in json.loads(out.read_text()) if e["status"] == "fail"]

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import reduce_columns, sixteen_cell_graphs
+from conftest import reduce_columns, sixteen_cell_graphs, unit_square_graph
 import dense_reference
 from localhom import nn, oracle, persistence, sheaf
 from localhom.complexes import (
@@ -580,15 +580,15 @@ def test_slice_time_must_be_finite_real(c4_filt, t):
 
 @pytest.fixture
 def block_calls(monkeypatch):
-    """Counts `sheaf_laplacian_block` calls by (u, v) while the test runs."""
-    calls = {}
+    """Counts edge star reductions (`sheaf._edge_bars` calls) by edge while
+    the test runs."""
+    calls, real = {}, sheaf._edge_bars
 
-    def counted(stalk_u, stalk_v, *args):
-        key = (stalk_u.vertex, stalk_v.vertex)
-        calls[key] = calls.get(key, 0) + 1
-        return sheaf_laplacian_block(stalk_u, stalk_v, *args)
+    def counted(filtration, e, *args):
+        calls[e] = calls.get(e, 0) + 1
+        return real(filtration, e, *args)
 
-    monkeypatch.setattr(sheaf, "sheaf_laplacian_block", counted)
+    monkeypatch.setattr(sheaf, "_edge_bars", counted)
     return calls
 
 
@@ -617,6 +617,110 @@ def test_every_mode_reads_one_reduction(corpus, tie_free_corpus, block_calls):
                         assert vals.tobytes() == want[2].tobytes(), (m, k)
                     checked += bool(len(rows))
     assert checked > 100
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Counts `sheaf._coordinates` calls by (bar, stalk vertex) while the
+    test runs; a bar is keyed by its object, which the test keeps alive."""
+    calls, real = {}, sheaf._coordinates
+
+    def counted(stalk, k, xi, fld):
+        key = (id(xi), stalk.vertex)
+        calls[key] = calls.get(key, 0) + 1
+        return real(stalk, k, xi, fld)
+
+    monkeypatch.setattr(sheaf, "_coordinates", counted)
+    return calls
+
+
+def test_lazy_solves_equal_eager_solves(corpus, tie_free_corpus, solve_calls):
+    """A slice that solves only its live bars has the entries of a copy
+    whose `blocks` were read first, which solves every bar: the same cells,
+    bit for bit on the float carrier and equal Fractions on the exact one,
+    at every threshold; one assembly, its `replace` copies over every
+    threshold and its weighted mode solve each (bar, side) at most once."""
+    inputs = [(g, (1, 2)) for g in corpus[:20] + tie_free_corpus[:20]]
+    inputs += [(g, (3,)) for g in sixteen_cell_graphs(12, seed=16)]
+    checked = 0
+    for graph, orders in inputs:
+        filt = build_flag_complex(graph, max(orders) + 1)
+        thresholds = filt.threshold_values()
+        for fld in (Field(), Field(kind="float")):
+            stalks = {
+                v: compute_stalk(filt, v, max(orders), fld=fld) for v in range(filt.vertex_count)
+            }
+            for k in orders:
+                solve_calls.clear()
+                lazy = assemble_laplacian(filt, stalks, k, ("slice", thresholds[0]), fld)
+                eager = assemble_laplacian(filt, stalks, k, ("slice", thresholds[0]), fld)
+                eager.blocks
+                assert all(atom is not None for atom in eager.bars.solved)
+                for t in thresholds:
+                    got = replace(lazy, mode=("slice", t)).entries
+                    want = replace(eager, mode=("slice", t)).entries
+                    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+                    if fld.kind == "exact":
+                        assert all(type(x) is Fraction for x in got[2].tolist())
+                        assert got[2].tolist() == want[2].tolist(), (t, k)
+                    else:
+                        assert got[2].tobytes() == want[2].tobytes(), (t, k)
+                    checked += bool(len(got[0]))
+                replace(lazy, mode=("weighted",)).entries
+                assert set(solve_calls.values()) <= {1}
+                assert len(solve_calls) == 4 * len(lazy.bars.bar), (k, fld.kind)
+    assert checked > 500
+
+
+def test_t_plus_slice_solves_only_the_live_bars():
+    """On the n=200 kNN-6 cloud (float, order 1), the t_plus slice solves
+    8 of the 245 bars, exactly those with start <= t_plus < end, and builds
+    owner tables only for the stalks of their edges' ends."""
+    fld = Field(kind="float")
+    graph = graph_from_points(np.random.default_rng(1).random((200, 2)).tolist(), knn=6)
+    filt = build_flag_complex(graph, 2)
+    stalks = {v: compute_stalk(filt, v, 1, fld=fld) for v in range(filt.vertex_count)}
+    lap = assemble_laplacian(filt, stalks, 1, ("slice", filt.t_plus), fld)
+    bars = lap.bars
+    assert not any(bars.solved)
+    lap.entries
+    solved = [i for i, atom in enumerate(bars.solved) if atom is not None]
+    live = [i for i in range(len(bars.bar)) if bars.start[i] <= filt.t_plus < bars.end[i]]
+    assert solved == live and (len(solved), len(bars.bar)) == (8, 245)
+    touched = {v for i in solved for v in bars.edge[i]}
+    assert {v for v, s in stalks.items() if "_owners" in vars(s)} == touched
+    assert len(lap.blocks) == 703 and all(atom is not None for atom in bars.solved)
+
+
+def test_assembly_raises_each_contract_error_itself(c4_filt, square_filt):
+    """Assembly solves nothing, yet it still checks every stalk and the
+    mode: each contract fault raises from the assembly call."""
+    stalks = {v: compute_stalk(c4_filt, v, 1) for v in range(4)}
+    float_stalks = {v: compute_stalk(c4_filt, v, 1, fld=Field(kind="float")) for v in range(4)}
+    foreign = build_flag_complex(unit_square_graph(), 2)
+    cases = [
+        ({v: stalks[v] for v in range(3)}, 1, ("slice", 1.0), Field(), "missing stalk"),
+        ({**stalks, 2: compute_stalk(foreign, 2, 1)}, 1, ("slice", 1.0), Field(),
+         "different filtration"),
+        (float_stalks, 1, ("slice", 1.0), Field(), "carrier"),
+        (stalks, 1, ("slice", 1.0), Field(kind="float"), "carrier"),
+        (stalks, 2, ("slice", 1.0), Field(), "holds orders"),
+        (stalks, 1, ("weighted", 1.0), Field(), "weighted"),
+        (stalks, 1, ("slice", math.inf), Field(), "slice time"),
+    ]
+    for case_stalks, k, mode, fld, message in cases:
+        with pytest.raises(ContractError, match=message):
+            assemble_laplacian(c4_filt, case_stalks, k, mode, fld)
+
+
+def test_lazy_solves_read_the_stalks_assembly_checked(c4_filt):
+    """A bar solved after assembly is solved against the stalks assembly
+    checked, not whatever the caller's dict holds by then."""
+    stalks = {v: compute_stalk(c4_filt, v, 1) for v in range(4)}
+    want = assemble_laplacian(c4_filt, stalks, 1, ("slice", 1.0)).dense
+    lap = assemble_laplacian(c4_filt, stalks, 1, ("slice", 1.0))
+    stalks.clear()
+    assert np.array_equal(lap.dense, want) and len(lap.blocks) == 4
 
 
 def test_slice_entries_pair_only_live_components(corpus, monkeypatch):
@@ -910,18 +1014,25 @@ def test_cached_columns_match_fresh_filtration(corpus):
 
 
 def test_ill_conditioned_column_raises_every_time(square_filt):
-    """A coboundary column past 1/eps raises on each block that solves
-    against it: no failed solve is kept as if it had been pruned."""
+    """A coboundary column past 1/eps raises on each block, and on each read
+    of an assembled operator, that solves against it: no failed solve is
+    kept as if it had been pruned. Assembly solves nothing, so it does not
+    raise; every read that needs the broken atom does."""
     fld = Field(kind="float", eps=1e-9)
     stalks = {v: compute_stalk(square_filt, v, 1, fld=fld) for v in range(4)}
     scaled = lambda col, s: [(r, s * x) for r, x in col[:-1]] + col[-1:]
     col = stalks[0].coboundaries[1][0]
     stalks[0] = replace(stalks[0], coboundaries={1: [scaled(col, 1e12)]})
+    lap = assemble_laplacian(square_filt, stalks, 1, ("slice", 1.2), fld)
     for _ in range(2):
         with pytest.raises(IllConditionedError):
             sheaf_laplacian_block(stalks[0], stalks[1], square_filt, 1, fld)
         with pytest.raises(IllConditionedError):
-            assemble_laplacian(square_filt, stalks, 1, ("slice", 1.2), fld)
+            lap.blocks
+        with pytest.raises(IllConditionedError):
+            replace(lap, mode=("weighted",)).entries
+    # no bar is alive before the first edge enters, so that slice solves nothing
+    assert replace(lap, mode=("slice", 0.0)).entries[0].size == 0
     # the same column is fine on the exact carrier, and the partner still builds
     e0, e1 = (compute_stalk(square_filt, v, 1) for v in (0, 1))
     huge = {1: [scaled(e0.coboundaries[1][0], 10**12)]}

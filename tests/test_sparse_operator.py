@@ -24,7 +24,13 @@ from localhom.complexes import build_flag_complex, graph_from_points
 from localhom.errors import ContractError
 from localhom.linalg import Field
 from localhom.nn import FeatureBundle, diffuse, message_pass, power_iteration
-from localhom.sheaf import AssembledLaplacian, _entry_weight, assemble_laplacian, compute_stalk
+from localhom.sheaf import (
+    AssembledLaplacian,
+    EdgeBars,
+    _entry_weight,
+    assemble_laplacian,
+    compute_stalk,
+)
 
 ULP_BOUND = 4
 
@@ -265,9 +271,9 @@ def test_matrixmarket_skips_cells_that_cancel_to_zero():
         order=1,
         mode=("slice", 0.0),
         lifespans={0: [(0.0, 1.0), (0.0, 1.0)], 1: [(0.0, 1.0)]},
-        blocks={},
         horizon=1.0,
         field_kind="float",
+        bars=EdgeBars({}, 1, Field(kind="float")),
     )
     lap.entries = (
         np.array([0, 0, 1, 2, 2], dtype=np.intp),
@@ -290,9 +296,9 @@ def test_kernel_dim_exact_drops_cells_that_cancel_to_zero():
             order=1,
             mode=("slice", 0.0),
             lifespans={0: [(0.0, 1.0)], 1: [(0.0, 1.0)]},
-            blocks={},
             horizon=1.0,
             field_kind="exact",
+            bars=EdgeBars({}, 1, Field(kind="exact")),
         )
         lap.entries = (
             np.array([i for i, _, _ in cells], dtype=np.intp),

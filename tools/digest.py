@@ -9,9 +9,10 @@ is built with max_dim 3 and run on both carriers: the diagram up to order
 2, every stalk cocycle (max_order 2), and, for orders 1 and 2 and the
 modes slice at t_plus, slice at the middle threshold and weighted, every
 block atom, every `entries` item and, on the exact carrier,
-`kernel_dim_exact`. Each order's blocks are reduced once, by the first
-mode's `assemble_laplacian`; the other modes are `dataclasses.replace`
-copies of that operator.
+`kernel_dim_exact`. Each order's edge stars are reduced once, by the
+first mode's `assemble_laplacian`, whose blocks are read first, so every
+bar is solved before any `entries`; the other modes are
+`dataclasses.replace` copies of that operator and share its solves.
 
 The hash then covers the dense oracle on the first 20 graphs of each
 corpus, built with max_dim 3: for vertex `gi % n` (gi the graph's position

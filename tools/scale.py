@@ -8,22 +8,28 @@ Each call is one fresh process and one cloud: n uniform points in the unit
 square (numpy `default_rng(seed)`), kNN 6, order `--order` (1 or 2, default
 1) with max_dim = order + 1, on the `--field` carrier (float or exact,
 default float). The default runs the library stages in CLI order: graph, flag
-complex, persistence, stalks, slice Laplacian at t_plus (its blocks
-reduced and its entries built), weighted Laplacian (the entries of
-`dataclasses.replace(lap, mode=("weighted",))`, read from the slice's
-atoms: no block is reduced again), power iteration and 500 diffusion
-steps at alpha = 0.9 / lambda_max. `--cli` instead times `localhom
-diffuse` end to end on the same cloud written as a points CSV. The last
-line of stdout is one JSON object; `peak_rss_mb` is this process's own
-peak resident set. `peak_rss_mb_after` gives that peak after each stage,
-which the graph stage's numpy temporaries set at large n, and
-`rss_mb_after` the resident set after each stage (Linux `/proc/self/statm`),
-where a later stage's memory shows.
+complex, persistence, stalks, slice Laplacian at t_plus (every edge star
+reduced, the bars alive at t_plus solved and its entries built), weighted
+Laplacian (the entries of `dataclasses.replace(lap, mode=("weighted",))`:
+no edge star is reduced again, and it solves the bars the slice did not
+read), power iteration and 500 diffusion steps at alpha = 0.9 /
+lambda_max. Since the weighted stage pays for the solves the slice
+skipped, compare slice + weighted as a sum across versions. `counts`
+gives the bars and the bars solved after each of those two stages.
+`--cli` instead times `localhom diffuse` end to end on the same cloud
+written as a points CSV. The last line of stdout is one JSON object;
+`peak_rss_mb` is this process's own peak resident set. `peak_rss_mb_after`
+gives that peak after each stage, which the graph stage's numpy
+temporaries set at large n, `rss_mb_after` the resident set after each
+stage (Linux `/proc/self/statm`), where a later stage's memory shows, and
+`gc_objects_after` the objects the garbage collector tracks after each
+stage, which every full collection walks.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import resource
@@ -70,6 +76,7 @@ def run_stages(points: np.ndarray, kind: str, order: int) -> dict:
     stages: dict[str, float] = {}
     peak: dict[str, float] = {}
     rss: dict[str, float] = {}
+    tracked: dict[str, int] = {}
 
     def timed(name, fn):
         begin = time.perf_counter()
@@ -77,6 +84,7 @@ def run_stages(points: np.ndarray, kind: str, order: int) -> dict:
         stages[name] = time.perf_counter() - begin
         peak[name] = peak_rss_mb()
         rss[name] = rss_mb()
+        tracked[name] = len(gc.get_objects())
         return out
 
     graph = timed("graph", lambda: graph_from_points(points.tolist(), knn=KNN))
@@ -91,8 +99,11 @@ def run_stages(points: np.ndarray, kind: str, order: int) -> dict:
         lap.entries  # built on first read: the stage times reduction and emission
         return lap
 
+    solved = lambda: sum(atom is not None for atom in lap.bars.solved)
     lap = timed("slice", slice_operator)
+    bars = {"bars": len(lap.bars.bar), "bars_solved_after_slice": solved()}
     timed("weighted", lambda: replace(lap, mode=("weighted",)).entries)
+    bars["bars_solved_after_weighted"] = solved()
     lam = timed("power_iteration", lambda: power_iteration(lap))
     features = FeatureBundle.random(lap, order, seed=0)
     timed("diffuse", lambda: diffuse(features, lap, 0.9 / lam if lam > 0 else 0.5, STEPS))
@@ -101,7 +112,9 @@ def run_stages(points: np.ndarray, kind: str, order: int) -> dict:
         "stages_s": stages,
         "peak_rss_mb_after": peak,
         "rss_mb_after": rss,
+        "gc_objects_after": tracked,
         "counts": {
+            **bars,
             "simplices": len(filt),
             "edges": len(filt.ids_of_dim(1)),
             "laplacian_dim": lap.dimension,
