@@ -100,6 +100,33 @@ def sixteen_cell_graphs(count, seed):
     return graphs
 
 
+# the triangles of the 6-vertex projective plane (Munkres 1984, §6)
+RP2_TRIANGLES = (
+    (0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1),
+    (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3),
+)
+
+
+def rp2_cone_graph(seed):
+    """The cone over the barycentric subdivision of the 6-vertex RP²: its
+    vertices are the 31 faces and an apex (vertex 31), two faces are joined
+    when one contains the other and the apex is joined to every face, with
+    seeded random weights. Its flag complex is the cone itself, whose apex
+    link has 2-torsion, so reductions meet coefficients other than ±1."""
+    faces = sorted(
+        {face for t in RP2_TRIANGLES for r in (1, 2, 3) for face in combinations(sorted(t), r)},
+        key=lambda face: (len(face), face),
+    )
+    apex = len(faces)
+    edges = [
+        (i, j) for i, j in combinations(range(apex), 2)
+        if set(faces[i]) < set(faces[j]) or set(faces[j]) < set(faces[i])
+    ]
+    edges += [(i, apex) for i in range(apex)]
+    rng = random.Random(seed)
+    return WeightedGraph(apex + 1, tuple((u, v, round(rng.uniform(1.0, 3.0), 2)) for u, v in edges))
+
+
 def reduce_columns(cols, fld):
     """`reduce_column` over columns by decreasing index, left to right, with
     V starting as the identity: (R columns, V columns, pivot -> column)."""
@@ -139,6 +166,14 @@ def two_c4_filt():
 @pytest.fixture(scope="session")
 def square_filt():
     return build_flag_complex(unit_square_graph(), 3)
+
+
+@pytest.fixture(scope="session")
+def rp2_cone_filt():
+    """`rp2_cone_graph(33)` with max_dim 4: its apex stalk's order-3
+    coboundary column, its order-2 representatives and its order-2 block
+    coordinates hold coefficient 2."""
+    return build_flag_complex(rp2_cone_graph(33), 4)
 
 
 @pytest.fixture(scope="session")

@@ -340,15 +340,17 @@ def deep_filtrations():
 
 
 @pytest.mark.parametrize("kind", ["exact", "float"])
-def test_star_diagram_equals_matrix_reduction(closed_form_filtrations, kind):
+def test_star_diagram_equals_matrix_reduction(closed_form_filtrations, rp2_cone_filt, kind):
     """The closed forms of `star_diagram`, σ's bar and the elder rule on the
     link, match the explicit-matrix reduction to the repr: the whole complex
     at max orders 0, 1 and 2, every vertex and edge star at max orders 1
     and 2, and every star at max order 3 on filtrations built with max_dim 4,
-    where the walk takes over above the link's degree."""
+    where the walk takes over above the link's degree; the RP² cone, whose
+    columns hold coefficient 2, at max orders 1 to 3."""
     fld = Field(kind=kind)
     cases = [(filt, (0, 1, 2)) for filt in closed_form_filtrations]
     cases += [(filt, (3,)) for filt in deep_filtrations()]
+    cases.append((rp2_cone_filt, (1, 2, 3)))
     for fi, (filt, orders) in enumerate(cases):
         for sigma, ids in stars_with_ids(filt):
             for max_order in orders:

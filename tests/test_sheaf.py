@@ -416,20 +416,22 @@ def bowtie_graph():
     return WeightedGraph(5, tuple((u, v, 1.0) for u, v in edges))
 
 
-def test_slice_kernel_counts_global_sections(corpus, tie_free_corpus):
+def test_slice_kernel_counts_global_sections(corpus, tie_free_corpus, rp2_cone_filt):
     """On the cocycles alive at t, the slice kernel is the dense count of
     global sections of σ ↦ H^k_c(st σ), at every threshold: orders 1 and 2
     on both corpora and the bowtie, and orders 1 to 3 on weighted 16-cell
-    graphs, whose stalks are walked at order 3."""
+    graphs, whose stalks are walked at order 3. On the RP² cone, whose
+    order-2 atoms hold coefficient 2, orders 1 to 3 at every fourth
+    threshold."""
     checked = {1: 0, 2: 0, 3: 0}
-    inputs = [(g, 2) for g in corpus + tie_free_corpus + [bowtie_graph()]]
-    inputs += [(g, 3) for g in sixteen_cell_graphs(12, seed=16)]
-    for gi, (graph, max_order) in enumerate(inputs):
-        filt = build_flag_complex(graph, max_order + 1)
+    inputs = [(build_flag_complex(g, 3), 2, 1) for g in corpus + tie_free_corpus + [bowtie_graph()]]
+    inputs += [(build_flag_complex(g, 4), 3, 1) for g in sixteen_cell_graphs(12, seed=16)]
+    inputs.append((rp2_cone_filt, 3, 4))
+    for gi, (filt, max_order, step) in enumerate(inputs):
         stalks = {v: compute_stalk(filt, v, max_order) for v in range(filt.vertex_count)}
         for k in range(1, max_order + 1):
             lap = assemble_laplacian(filt, stalks, k, ("slice", filt.t_plus))
-            for t in filt.threshold_values():
+            for t in filt.threshold_values()[::step]:
                 assert live_kernel(lap, t) == oracle.global_sections_dim(filt, t, k), (gi, k, t)
                 checked[k] += 1
     assert checked[1] + checked[2] > 4000 and checked[3] > 200
@@ -446,11 +448,11 @@ def test_bowtie_kernel_is_a_global_section_not_a_cycle():
     assert oracle.betti_dense(filt, 1.0, 1) == 0
 
 
-def test_carriers_give_the_same_atoms(corpus, tie_free_corpus):
+def test_carriers_give_the_same_atoms(corpus, tie_free_corpus, rp2_cone_filt):
     """Exact and float stalks give every block the same atoms' intervals and
-    supports, orders 1 and 2, on both corpora."""
-    for gi, graph in enumerate(corpus + tie_free_corpus):
-        filt = build_flag_complex(graph, 3)
+    supports, orders 1 and 2, on both corpora and the RP² cone."""
+    filts = [build_flag_complex(g, 3) for g in corpus + tie_free_corpus] + [rp2_cone_filt]
+    for gi, filt in enumerate(filts):
         shapes = []
         for fld in (Field(), Field(kind="float")):
             stalks = {v: compute_stalk(filt, v, 2, fld=fld) for v in range(filt.vertex_count)}
@@ -461,6 +463,24 @@ def test_carriers_give_the_same_atoms(corpus, tie_free_corpus):
                 for edge, blk in lap.blocks.items()
             ])
         assert shapes[0] == shapes[1], gi
+
+
+def test_rp2_cone_reaches_coefficient_2(rp2_cone_filt):
+    """The RP² cone is the input whose reductions leave ±1: on both
+    carriers the apex stalk has an order-3 coboundary column and order-2
+    representatives holding ±2, and so do order-2 block coordinates."""
+    filt = rp2_cone_filt
+    for fld in (Field(), Field(kind="float")):
+        stalks = {v: compute_stalk(filt, v, 3, fld=fld) for v in range(filt.vertex_count)}
+        apex = stalks[filt.vertex_count - 1]
+        assert any(abs(x) == 2 for col in apex.coboundaries[3] for _, x in col), fld.kind
+        reps = [x for c in apex.order_cocycles(2) for _, x in c.representative]
+        assert {abs(x) for x in reps} == {1, 2}, fld.kind
+        lap = assemble_laplacian(filt, stalks, 2, ("weighted",), fld)
+        coords = [
+            x for blk in lap.blocks.values() for a in blk.atoms for x in (*a.v_a.values(), *a.v_b.values())
+        ]
+        assert {abs(x) for x in coords} == {1, 2}, fld.kind
 
 
 def test_block_sign_flip_equivariance(square_filt):
