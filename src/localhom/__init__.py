@@ -18,7 +18,6 @@ from .errors import (
     BudgetExceededError,
     ConfigError,
     ContractError,
-    IllConditionedError,
     UnknownSimplexError,
 )
 from .linalg import Field

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import formats, golden, oracle
 from .complexes import Filtration, build_flag_complex, star_of_vertices
-from .errors import ConfigError, ContractError, IllConditionedError
+from .errors import ConfigError, ContractError
 from .linalg import Field
 from .nn import FeatureBundle, diffuse
 from .persistence import betti_at, persistent_cohomology
@@ -41,7 +41,6 @@ FLAGS = {
     "max_dim": dict(type=int, help="clique-scan depth (default max-order + 1)"),
     "out": dict(help="output path (directory for stalks)"),
     "field": dict(choices=["exact", "float"], default="exact"),
-    "eps": dict(type=float, help="float field only: zero tolerance (default 1e-9)"),
     "rings": dict(type=int, default=1, help="no effect"),
     "threads": dict(type=int, default=0, help="ignored; stalks run serially"),
     "mode": dict(default="weighted", help="weighted or slice=<t>"),
@@ -53,7 +52,7 @@ FLAGS = {
     "channels": dict(type=int, help="random features only (default 1)"),
 }
 GRAPH_FLAGS = ("input", "format", "metric", "knn", "max_order", "max_dim", "out")
-FIELD_FLAGS = (*GRAPH_FLAGS, "field", "eps")
+FIELD_FLAGS = (*GRAPH_FLAGS, "field")
 STALK_FLAGS = (*FIELD_FLAGS, "rings", "threads")
 
 # flag -> (other flag, value, default): the flag is read only while the other
@@ -65,7 +64,6 @@ CONDITIONAL = {
     "max_dim": ("input", GIVEN, None),
     "knn": ("format", "points", None),
     "metric": ("format", "points", "euclidean"),
-    "eps": ("field", "float", 1e-9),
     "seed": ("features", None, 0),
     "channels": ("features", None, 1),
 }
@@ -108,7 +106,7 @@ def check_flags(args) -> None:
 
     Raises ConfigError naming the first bad flag. Afterwards CONDITIONAL flags left out
     hold their defaults, `args.max_dim` is set (default max_order + 1), `args.field` is
-    the `Field` of --field and --eps, `args.mode` ("weighted",) or ("slice", t), and
+    the `Field` of --field, `args.mode` ("weighted",) or ("slice", t), and
     `args.slice` t or None.
     """
     command = args.command
@@ -142,9 +140,7 @@ def check_flags(args) -> None:
     if getattr(args, "slice", None) is not None:
         args.slice = _slice_time(args.slice)
     if hasattr(args, "field"):
-        if not (0 < args.eps < 1):
-            raise ConfigError("--eps must lie in (0, 1)")
-        args.field = Field(kind=args.field, eps=args.eps)
+        args.field = Field(kind=args.field)
 
 
 def load_filtration(args) -> Filtration:
@@ -299,12 +295,6 @@ def _verify_fixture(name: str, filt: Filtration, max_order: int, checks: list):
         )
         record("mayer_vietoris", rep.exact, None if rep.exact else rep.positions)
 
-    # field parity on diagrams
-    float_diag = persistent_cohomology(filt, max_order, Field(kind="float"))
-    exact_pairs = sorted((c.order, c.birth, c.death) for c in diagram.classes)
-    float_pairs = sorted((c.order, c.birth, c.death) for c in float_diag.classes)
-    record("field_parity", exact_pairs == float_pairs)
-
 
 def cmd_verify(args) -> int:
     checks: list[dict] = []
@@ -347,7 +337,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ContractError, IllConditionedError) as exc:
+    except ContractError as exc:
         print(f"contract error: {exc}", file=sys.stderr)
         return EXIT_CONTRACT
 

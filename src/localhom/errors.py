@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Reductions run on ints and Fractions (`linalg`), so no arithmetic error
+type exists: a computation fails only on a broken contract.
+"""
 
 
 class ConfigError(ValueError):
@@ -15,11 +19,3 @@ class BudgetExceededError(ContractError):
 
 class UnknownSimplexError(ContractError, KeyError):
     """A simplex lookup failed (not present in the filtration)."""
-
-
-class IllConditionedError(ArithmeticError):
-    """Float-carrier elimination produced entries larger than 1/eps.
-
-    Nothing retries: the CLI exits 3, and the run can be repeated with
-    `--field exact`.
-    """

@@ -37,9 +37,10 @@ class PersistentCocycle:
 
     `representative` is a `linalg.Column` of (k-simplex id in the source
     filtration, coefficient) pairs by strictly decreasing id, whose pivot is
-    `birth_index`; it carries the sign/scale freedom of the reduction. Its
-    coboundary is zero for an essential class; otherwise its lowest-id
-    simplex is `death_index`.
+    `birth_index`; it carries the sign/scale freedom of the reduction. A
+    coefficient is an int, or a Fraction where a division left a remainder,
+    on either carrier. Its coboundary is zero for an essential class;
+    otherwise its lowest-id simplex is `death_index`.
     """
 
     order: int
@@ -80,7 +81,6 @@ def _reduce_order(
     k: int,
     col_ids: list[int],
     cleared: set[int],
-    fld: Field,
     classes: list[PersistentCocycle],
 ) -> tuple[list[Column], set[int]]:
     """Reduce the order-k columns `col_ids` (by decreasing id), appending
@@ -94,7 +94,6 @@ def _reduce_order(
     the representative.
     """
     values = filtration.values
-    one, signs = fld.one, fld.signs
     pivots: dict[int, tuple[Column, Column]] = {}
     reduced: list[Column] = []
     killed: set[int] = set()
@@ -102,8 +101,7 @@ def _reduce_order(
         if sid in cleared:
             continue  # a pivot one order down has a zero column
         # cofacets run by increasing id, so read backwards
-        col = [(c, signs[sign]) for c, sign in reversed(filtration.cofacets(sid))]
-        r, v = reduce_column(col, [(sid, one)], pivots, fld)
+        r, v = reduce_column(filtration.cofacets(sid)[::-1], [(sid, 1)], pivots)
         if r:
             reduced.append(r)
             death_id = r[-1][0]
@@ -117,10 +115,7 @@ def _reduce_order(
 
 
 def star_diagram(
-    filtration: Filtration,
-    sigma: Simplex,
-    max_order: int,
-    fld: Field = Field(),
+    filtration: Filtration, sigma: Simplex, max_order: int
 ) -> tuple[Diagram, dict[int, list[Column]]]:
     """The diagram of st σ up to `max_order` (σ = () for the whole complex)
     and, for a vertex star only, its nonzero reduced coboundary columns:
@@ -156,14 +151,13 @@ def star_diagram(
         death_id = up[0][0] if up else None
         death = INF if death_id is None else values[death_id]
         if d <= max_order and values[sid] < death:
-            bar = PersistentCocycle(d, values[sid], death, sid, death_id, [(sid, fld.one)])
+            bar = PersistentCocycle(d, values[sid], death, sid, death_id, [(sid, 1)])
             classes.append(bar)
     if d < max_order:
-        signs = fld.signs
         # link vertex τ -> sign of σ in τ
         sign = dict(up) if sigma else dict.fromkeys(filtration.ids_of_dim(0), 1)
         if keep:
-            coboundaries[1] = [[(c, signs[x]) for c, x in reversed(up)]] if up else []
+            coboundaries[1] = [up[::-1]] if up else []
         # each link edge's two link vertices, in int dicts: a container per
         # edge would add collector work on a large complex
         first: dict[int, int] = {}
@@ -198,7 +192,7 @@ def star_diagram(
                     for rho, x in filtration.cofacets(tau):
                         delta[rho] = delta.get(rho, 0) + x * sign[tau] * sign[root]
                 coboundaries[d + 2].append(
-                    [(rho, signs[x]) for rho, x in sorted(delta.items(), reverse=True) if x]
+                    [(rho, x) for rho, x in sorted(delta.items(), reverse=True) if x]
                 )
         # σ's own column kills the component of its first cofacet
         bars += [(root, None, m) for root, m in members.items() if root != death_id]
@@ -206,14 +200,14 @@ def star_diagram(
             death = INF if rho is None else values[rho]
             if values[root] < death:
                 s = sign[root]
-                rep = [(tau, signs[sign[tau] * s]) for tau in sorted(dying, reverse=True)]
+                rep = [(tau, sign[tau] * s) for tau in sorted(dying, reverse=True)]
                 classes.append(PersistentCocycle(d + 1, values[root], death, root, rho, rep))
         for k in range(d + 2, max_order + 1):
             if k > d + 2:  # the k-simplices over σ, each a cofacet of one below
                 level = filtration.ids_of_dim(k) if not sigma else sorted(
                     {c for t in level for c, _ in filtration.cofacets(t)}
                 )
-            reduced, cleared = _reduce_order(filtration, k, level[::-1], cleared, fld, classes)
+            reduced, cleared = _reduce_order(filtration, k, level[::-1], cleared, classes)
             if keep and k < max_order:
                 coboundaries[k + 1] = reduced
     classes.sort(key=lambda c: (c.order, c.birth, c.birth_index))
@@ -226,5 +220,7 @@ def persistent_cohomology(
     fld: Field = Field(),
 ) -> Diagram:
     """Diagram of the absolute persistent cohomology up to max_order: the
-    star of the empty simplex."""
-    return star_diagram(filtration, (), max_order, fld)[0]
+    star of the empty simplex. Every carrier gives the same diagram, whose
+    coefficients are ints, or Fractions where a division left a remainder
+    (`linalg`); `fld` is kept for callers that pass it."""
+    return star_diagram(filtration, (), max_order)[0]

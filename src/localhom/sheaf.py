@@ -19,6 +19,14 @@ slice operator is delta^T delta of the restriction maps alive at t. The
 entries are built on first read as sorted COO arrays of the cells that
 received a term, and multiply sparsely; nothing on the program's path
 builds a dense `dim x dim` array.
+
+Carriers. Every reduction runs on ints (`linalg`), so representatives and
+atom coordinates are ints, or Fractions where a division left a
+remainder, and equal on both carriers. A carrier (`linalg.Field`) decides
+only two things: how `AssembledLaplacian.entries` sums a cell (in floats,
+or as an int numerator over an int denominator) and the type of its
+`vals` (floats, or Fractions). Stalks remember the carrier they were made
+for, and assembly rejects a mix.
 """
 
 from __future__ import annotations
@@ -34,8 +42,8 @@ from operator import itemgetter
 import numpy as np
 
 from .complexes import Filtration, star_of_vertices
-from .errors import ContractError, IllConditionedError
-from .linalg import FLOAT, Column, Field, axpy, reduce_integer_column
+from .errors import ContractError
+from .linalg import FLOAT, Column, Field, axpy, divide, reduce_integer_column
 from .persistence import INF, PersistentCocycle, star_diagram
 
 
@@ -50,7 +58,8 @@ class LocalStalk:
     structure at the orders the Laplacian couples, so stalks keep orders
     1..max_order, and `order_cocycles` groups them by order once, when the
     stalk is made.
-    `field_kind` is the carrier the cocycles were computed on.
+    `field_kind` is the carrier the stalk was made for; its cocycles are
+    the same on both, and a Laplacian takes only stalks of its own carrier.
     `coboundaries[k]`, for k in 1..max_order, holds the star's nonzero
     reduced order-(k-1) coboundary columns, indexed by simplex id.
     """
@@ -77,19 +86,13 @@ class LocalStalk:
         Built once, on the first solve against the stalk, so a stalk that
         no solved bar touches never pays for it (a slice solves only the
         bars alive at t); `dataclasses.replace` makes a stalk that builds
-        its own.
-        On the float carrier a class's column is its representative itself,
-        not a copy; on the exact carrier an integral entry is held as an int
-        (`_integral`), so most of the solve runs in ints.
+        its own. Each column is held itself, not a copy, on both carriers.
         """
-        kind = self.field_kind
         owners = {}
         for k, cocycles in self._by_order.items():
-            owners[k] = {
-                col[-1][0]: (None, _integral(col, kind)) for col in self.coboundaries.get(k, [])
-            }
+            owners[k] = {col[-1][0]: (None, col) for col in self.coboundaries.get(k, [])}
             for pos, c in enumerate(cocycles):
-                owners[k][c.birth_index] = (pos, _integral(c.representative, kind))
+                owners[k][c.birth_index] = (pos, c.representative)
         return owners
 
     @property
@@ -124,7 +127,8 @@ def compute_stalk(
     Computed on `filtration` itself; no neighborhood is cut out, so the
     cost is that of the star. `rings` is accepted for compatibility and
     must be >= 1; it has no effect. A stalk holds orders >= 1 only, so
-    `max_order` must be >= 1.
+    `max_order` must be >= 1. `fld` only names the carrier the stalk is
+    made for (`field_kind`); it changes no cocycle.
     """
     if not (0 <= vertex < filtration.vertex_count):
         raise ContractError(f"vertex {vertex} does not exist")
@@ -132,7 +136,7 @@ def compute_stalk(
         raise ContractError(f"max_order must be >= 1 for a stalk, not {max_order}")
     if rings < 1:
         raise ContractError("rings must be >= 1")
-    diagram, coboundaries = star_diagram(filtration, (vertex,), max_order, fld)
+    diagram, coboundaries = star_diagram(filtration, (vertex,), max_order)
     return LocalStalk(
         vertex=vertex,
         cocycles=[c for c in diagram.classes if c.order >= 1],
@@ -167,22 +171,7 @@ class SheafLaplacianBlock:
     atoms: list[LaplacianAtom]
 
 
-def _integral(col: Column, kind: str) -> Column:
-    """`col` with each integral exact entry as an int; a float column as it is."""
-    if kind == FLOAT:
-        return col
-    return [(r, x.numerator if x.denominator == 1 else x) for r, x in col]
-
-
-def _divide(x, y):
-    """x / y, as an int when both are ints and y divides x, else in the carrier."""
-    if type(x) is int and type(y) is int:
-        q, rem = divmod(x, y)
-        return Fraction(x, y) if rem else q
-    return x / y
-
-
-def _coordinates(stalk: LocalStalk, k: int, xi: PersistentCocycle, fld: Field) -> dict[int, object]:
+def _coordinates(stalk: LocalStalk, k: int, xi: PersistentCocycle) -> dict[int, object]:
     """The class of `xi`'s representative in the stalk, by order-k position.
 
     xi's representative is solved from its pivot on against the stalk's
@@ -195,43 +184,42 @@ def _coordinates(stalk: LocalStalk, k: int, xi: PersistentCocycle, fld: Field) -
     representative is a cocycle on S_t for every t < death. For the same reason a class dying before xi gets
     coefficient 0, and every class reached is born no earlier than xi.
 
-    On the exact carrier the owner table and the column solved hold
-    integral entries as ints (elder-rule representatives and vertex
-    coboundary columns are all +-1), a quotient is an int when the
-    division is exact and a Fraction otherwise, and every coordinate
-    returned is a Fraction.
+    Each quotient is `linalg.divide`'s, so a coordinate is an int, or a
+    Fraction where a division left a remainder, on both carriers. A row
+    that nothing in the table owns means the stalk does not match the
+    filtration: a ContractError, raised on every solve that reaches it.
     """
     if not stalk.order_cocycles(k):
         return {}
     owners, values = stalk._owners[k], stalk.filtration.values
     coords: dict[int, object] = {}
-    z = _integral(xi.representative, fld.kind)
+    z = xi.representative
     while z and values[z[-1][0]] < xi.death:
         sid, x = z[-1]
         owner = owners.get(sid)
         if owner is None:
-            raise IllConditionedError(
+            raise ContractError(
                 f"simplex {sid} has no owner among vertex {stalk.vertex}'s order-{k} classes "
                 "and coboundaries"
             )
         pos, col = owner
-        coeff = _divide(x, col[-1][1])
+        coeff = divide(x, col[-1][1])
         if pos is not None:
-            coords[pos] = Fraction(coeff) if type(coeff) is int else coeff
-        z = fld.prune(axpy(z[:-1], col[:-1], -coeff))
+            coords[pos] = coeff
+        z = axpy(z[:-1], col[:-1], -coeff)
     return coords
 
 
-def _edge_bars(filtration: Filtration, e: tuple[int, int], k: int, fld: Field):
+def _edge_bars(filtration: Filtration, e: tuple[int, int], k: int):
     """The order-k bars of the relative persistence of the edge's star st e."""
-    return star_diagram(filtration, e, k, fld)[0].of_order(k)
+    return star_diagram(filtration, e, k)[0].of_order(k)
 
 
-def _atom(stalk_u: LocalStalk, stalk_v: LocalStalk, k: int, xi: PersistentCocycle, fld: Field):
+def _atom(stalk_u: LocalStalk, stalk_v: LocalStalk, k: int, xi: PersistentCocycle):
     """The bar xi as an atom: `v_a` is its class in u's stalk and `v_b`
     minus its class in v's, both empty if xi is zero in both stalks."""
-    v_a = _coordinates(stalk_u, k, xi, fld)
-    v_b = {b: -x for b, x in _coordinates(stalk_v, k, xi, fld).items()}
+    v_a = _coordinates(stalk_u, k, xi)
+    v_b = {b: -x for b, x in _coordinates(stalk_v, k, xi).items()}
     return LaplacianAtom(start=xi.birth, end=xi.death, v_a=v_a, v_b=v_b)
 
 
@@ -266,7 +254,7 @@ def sheaf_laplacian_block(
         raise ContractError(f"vertices {u} and {v} are not adjacent (empty intersection)")
     _check_stalk(stalk_u, filtration, fld)
     _check_stalk(stalk_v, filtration, fld)
-    atoms = [_atom(stalk_u, stalk_v, k, xi, fld) for xi in _edge_bars(filtration, e, k, fld)]
+    atoms = [_atom(stalk_u, stalk_v, k, xi) for xi in _edge_bars(filtration, e, k)]
     return SheafLaplacianBlock(atoms=[a for a in atoms if a.v_a or a.v_b])
 
 
@@ -283,7 +271,6 @@ class EdgeBars:
 
     stalks: dict[int, LocalStalk] = field(repr=False, compare=False)
     k: int
-    fld: Field
     edges: list[tuple[int, int]] = field(default_factory=list)
     edge: list[tuple[int, int]] = field(default_factory=list)
     start: list[float] = field(default_factory=list)
@@ -304,7 +291,7 @@ class EdgeBars:
         atom = self.solved[i]
         if atom is None:
             u, v = self.edge[i]
-            atom = _atom(self.stalks[u], self.stalks[v], self.k, self.bar[i], self.fld)
+            atom = _atom(self.stalks[u], self.stalks[v], self.k, self.bar[i])
             self.solved[i] = atom
         return atom
 
@@ -543,9 +530,9 @@ def assemble_laplacian(
     The stalks and the mode are checked before any star is reduced. No bar
     is solved here: `entries` solves the bars it reads, and `blocks` all of
     them, each once per assembly; another mode on the same bars is
-    `dataclasses.replace(lap, mode=...)`. So an `IllConditionedError` of a
-    solve is raised by the first read that needs that bar, on every such
-    read, and a slice that reads no broken bar does not raise it.
+    `dataclasses.replace(lap, mode=...)`. So the "no owner" ContractError
+    of a solve is raised by the first read that needs that bar, on every
+    such read, and a slice that reads no broken bar does not raise it.
     """
     lifespans, held = {}, {}
     for v in range(filtration.vertex_count):
@@ -556,10 +543,10 @@ def assemble_laplacian(
         held[v] = stalks[v]  # a later solve reads these, whatever the caller's dict holds by then
     lap = AssembledLaplacian(
         order=k, mode=mode, lifespans=lifespans, horizon=filtration.t_plus,
-        field_kind=fld.kind, bars=EdgeBars(held, k, fld),
+        field_kind=fld.kind, bars=EdgeBars(held, k),
     )
     for sid in filtration.ids_of_dim(1):
         e = filtration.simplices[sid]
         if lifespans[e[0]] or lifespans[e[1]]:
-            lap.bars.add(e, _edge_bars(filtration, e, k, fld))
+            lap.bars.add(e, _edge_bars(filtration, e, k))
     return lap

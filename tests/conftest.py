@@ -127,12 +127,12 @@ def rp2_cone_graph(seed):
     return WeightedGraph(apex + 1, tuple((u, v, round(rng.uniform(1.0, 3.0), 2)) for u, v in edges))
 
 
-def reduce_columns(cols, fld):
+def reduce_columns(cols):
     """`reduce_column` over columns by decreasing index, left to right, with
     V starting as the identity: (R columns, V columns, pivot -> column)."""
     owners, rcols, vcols = {}, [], []
     for j, col in enumerate(cols):
-        r, v = reduce_column(col, [(j, fld.one)], owners, fld)
+        r, v = reduce_column(col, [(j, 1)], owners)
         rcols.append(r)
         vcols.append(v)
     return rcols, vcols, {r[-1][0]: j for j, r in enumerate(rcols) if r}

@@ -113,12 +113,15 @@ def test_persistence_single_point(tmp_path):
 
 @pytest.mark.parametrize("eps", ["0", "-1", "inf", "nan", "1", "2"])
 def test_bad_eps_is_config_error(eps, c4_csv, tmp_path, capsys):
+    """No command reads --eps any more, since no reduction has a tolerance:
+    every value, the old range's rejects included, exits 2 as a flag
+    persistence does not read."""
     code = main(
         ["persistence", "--input", c4_csv, "--field", "float", "--eps", eps,
          "--out", str(tmp_path / "d")]
     )
     assert code == 2
-    assert "--eps" in capsys.readouterr().err
+    assert "does not read --eps" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("mode", ["slice=nan", "slice=inf"])
@@ -537,14 +540,13 @@ def test_verify_golden_corpus(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report and all(entry["status"] == "pass" for entry in report)
     fixtures = ["c4", "two_c4", "octahedron", "k4", "k3"]
-    assert [e["fixture"] for e in report] == [f for f in fixtures for _ in range(5)]
+    assert [e["fixture"] for e in report] == [f for f in fixtures for _ in range(4)]
     for fixture in fixtures:
         assert [e["check"] for e in report if e["fixture"] == fixture] == [
             "betti_fast_vs_dense",
             "stalks_fast_vs_dense",
             "sheaf_kernel_vs_global_sections",
             "mayer_vietoris",
-            "field_parity",
         ], fixture
 
 
@@ -675,10 +677,10 @@ GRAPH_ROW = ["--input", "--format", "--metric", "--knn", "--max-order", "--max-d
 ROWS = {
     "filtration": GRAPH_ROW,
     "verify": GRAPH_ROW,
-    "persistence": [*GRAPH_ROW, "--field", "--eps"],
-    "stalks": [*GRAPH_ROW, "--field", "--eps", "--rings", "--threads"],
-    "laplacian": [*GRAPH_ROW, "--field", "--eps", "--rings", "--threads", "--mode"],
-    "diffuse": [*GRAPH_ROW, "--field", "--eps", "--rings", "--threads", "--mode",
+    "persistence": [*GRAPH_ROW, "--field"],
+    "stalks": [*GRAPH_ROW, "--field", "--rings", "--threads"],
+    "laplacian": [*GRAPH_ROW, "--field", "--rings", "--threads", "--mode"],
+    "diffuse": [*GRAPH_ROW, "--field", "--rings", "--threads", "--mode",
                 "--alpha", "--steps", "--features", "--seed", "--channels"],
 }
 # a valid value of each flag, with the flags it needs to be read
@@ -689,7 +691,6 @@ VALID = {
     "--max-order": ["--max-order", "1"],
     "--max-dim": ["--max-dim", "2"],
     "--field": ["--field", "float"],
-    "--eps": ["--field", "float", "--eps", "1e-6"],
     "--rings": ["--rings", "1"],
     "--threads": ["--threads", "2"],
     "--mode": ["--mode", "slice=1.0"],
@@ -733,8 +734,6 @@ CONDITIONAL = [
     ("persistence", ["--format", "filtration", "--knn", "6"], "--knn"),
     ("filtration", ["--metric", "manhattan"], "--metric"),
     ("verify", ["--format", "edges", "--metric", "euclidean"], "--metric"),
-    ("persistence", ["--eps", "1e-6"], "--eps"),
-    ("stalks", ["--field", "exact", "--eps", "1e-6"], "--eps"),
     ("diffuse", ["--features", None, "--seed", "1"], "--seed"),
     ("diffuse", ["--features", None, "--channels", "2"], "--channels"),
     ("diffuse", ["--mode", "weighted"], "--mode"),

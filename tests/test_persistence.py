@@ -104,7 +104,7 @@ def test_relative_with_whole_complex_equals_absolute(c4_filt, square_filt):
     """The walk relative to the whole id set gives the pairs of the star of
     the empty simplex, which is the absolute diagram."""
     for filt, k in ((c4_filt, 1), (square_filt, 2)):
-        rel = matrix_reductions(filt, frozenset(range(len(filt))), k, Field())[0]
+        rel = matrix_reductions(filt, frozenset(range(len(filt))), k)[0]
         absd = persistent_cohomology(filt, k)
         assert sorted((c.order, c.birth, c.death) for c in rel) == pairs(absd)
 
@@ -126,18 +126,17 @@ def test_betti_duality_against_oracle(corpus):
 
 
 def test_relative_betti_against_oracle(corpus):
-    """Cleared diagrams relative to a vertex star, both carriers, against
-    dense relative Betti numbers."""
+    """Cleared diagrams relative to a vertex star against dense relative
+    Betti numbers."""
     for gi, graph in enumerate(corpus[:25]):
         filt = build_flag_complex(graph, 3)
         open_star = star_of_vertices(filt, [gi % graph.vertex_count])
         rest = frozenset(range(len(filt))) - open_star
-        for fld in (Field(), Field(kind="float")):
-            d = star_diagram(filt, (gi % graph.vertex_count,), 2, fld)[0]
-            for t in filt.threshold_values():
-                for k in range(3):
-                    dense = dense_reference.relative_betti_dense(filt, t, rest, k)
-                    assert betti_at(d, t, k) == dense, (gi, fld.kind, t, k)
+        d = star_diagram(filt, (gi % graph.vertex_count,), 2)[0]
+        for t in filt.threshold_values():
+            for k in range(3):
+                dense = dense_reference.relative_betti_dense(filt, t, rest, k)
+                assert betti_at(d, t, k) == dense, (gi, t, k)
 
 
 def test_representative_validity(corpus):
@@ -220,13 +219,12 @@ def test_coboundary_of_representative_is_zero_or_dies_at_death_index(corpus):
     """delta of each representative, read from `Filtration.cofacets` (a
     star is open, so every cofacet stays in it): zero for an essential
     class, and otherwise nonzero with its lowest id at `death_index`. Whole
-    complex, vertex stars and edge stars, exact carrier, orders up to 2."""
-    fld = Field()
+    complex, vertex stars and edge stars, orders up to 2."""
     for gi, graph in enumerate(corpus[:15]):
         filt = build_flag_complex(graph, 3)
         sigmas = [()] + [filt.simplices[sid] for sid in filt.ids_of_dim(0) + filt.ids_of_dim(1)]
         for sigma in sigmas:
-            for c in star_diagram(filt, sigma, 2, fld)[0].classes:
+            for c in star_diagram(filt, sigma, 2)[0].classes:
                 delta = {}
                 for sid, x in c.representative:
                     for cof, sign in filt.cofacets(sid):
@@ -243,7 +241,7 @@ def test_coboundary_of_representative_is_zero_or_dies_at_death_index(corpus):
 # ---------------------------------------------------------------------------
 
 
-def matrix_reductions(filt, keep, max_order, fld):
+def matrix_reductions(filt, keep, max_order):
     """The diagram and reduced coboundary columns from explicit matrices:
     each order's coboundary block (columns by decreasing id, rows by simplex
     id) reduced by `conftest.reduce_columns`. V is indexed by column
@@ -256,11 +254,8 @@ def matrix_reductions(filt, keep, max_order, fld):
             sid for sid in reversed(filt.ids_of_dim(k))
             if (keep is None or sid in keep) and sid not in destroyers
         ]
-        cols = [
-            [(c, fld.signs[sign]) for c, sign in reversed(filt.cofacets(sid))]
-            for sid in col_ids
-        ]
-        rcols, vcols, _ = reduce_columns(cols, fld)
+        cols = [filt.cofacets(sid)[::-1] for sid in col_ids]
+        rcols, vcols, _ = reduce_columns(cols)
         if k < max_order:
             coboundaries[k + 1] = [col for col in rcols if col]
         destroyers = set()
@@ -294,11 +289,12 @@ def stars_with_ids(filt):
     )
 
 
-def assert_star_matches_matrices(filt, sigma, ids, max_order, fld, where):
+def assert_star_matches_matrices(filt, sigma, ids, max_order, where):
     """`star_diagram` equals `matrix_reductions` on st σ to the repr (dict
-    key order included): the diagram always, the columns of a vertex star."""
-    diagram, coboundaries = star_diagram(filt, sigma, max_order, fld)
-    classes, reference = matrix_reductions(filt, ids, max_order, fld)
+    key order and coefficient types included): the diagram always, the
+    columns of a vertex star."""
+    diagram, coboundaries = star_diagram(filt, sigma, max_order)
+    classes, reference = matrix_reductions(filt, ids, max_order)
     assert repr(diagram.classes) == repr(classes), where
     if len(sigma) == 1:
         assert repr(coboundaries) == repr(reference), where
@@ -306,12 +302,10 @@ def assert_star_matches_matrices(filt, sigma, ids, max_order, fld, where):
         assert coboundaries == {}, where
 
 
-@pytest.mark.parametrize("kind", ["exact", "float"])
-def test_column_kernel_equals_matrix_reduction(corpus, tie_free_corpus, kind):
+def test_column_kernel_equals_matrix_reduction(corpus, tie_free_corpus):
     """Diagrams match the explicit-matrix reduction to the repr for the
     whole complex, every vertex star and every edge star, and reduced
     coboundary columns for every vertex star, at max orders 1 and 2."""
-    fld = Field(kind=kind)
     rng = random.Random(60)
     cloud = graph_from_points([(rng.random(), rng.random()) for _ in range(60)], knn=6)
     for gi, graph in enumerate(corpus[:40] + tie_free_corpus[:20] + [cloud]):
@@ -319,7 +313,7 @@ def test_column_kernel_equals_matrix_reduction(corpus, tie_free_corpus, kind):
         for max_order in (1, 2):
             for sigma, ids in stars_with_ids(filt):
                 where = (gi, max_order, sigma)
-                assert_star_matches_matrices(filt, sigma, ids, max_order, fld, where)
+                assert_star_matches_matrices(filt, sigma, ids, max_order, where)
 
 
 def deep_filtrations():
@@ -339,15 +333,13 @@ def deep_filtrations():
     return [build_flag_complex(g, 4) for g in graphs + load_corpus()[:30]]
 
 
-@pytest.mark.parametrize("kind", ["exact", "float"])
-def test_star_diagram_equals_matrix_reduction(closed_form_filtrations, rp2_cone_filt, kind):
+def test_star_diagram_equals_matrix_reduction(closed_form_filtrations, rp2_cone_filt):
     """The closed forms of `star_diagram`, σ's bar and the elder rule on the
     link, match the explicit-matrix reduction to the repr: the whole complex
     at max orders 0, 1 and 2, every vertex and edge star at max orders 1
     and 2, and every star at max order 3 on filtrations built with max_dim 4,
     where the walk takes over above the link's degree; the RP² cone, whose
     columns hold coefficient 2, at max orders 1 to 3."""
-    fld = Field(kind=kind)
     cases = [(filt, (0, 1, 2)) for filt in closed_form_filtrations]
     cases += [(filt, (3,)) for filt in deep_filtrations()]
     cases.append((rp2_cone_filt, (1, 2, 3)))
@@ -356,4 +348,4 @@ def test_star_diagram_equals_matrix_reduction(closed_form_filtrations, rp2_cone_
             for max_order in orders:
                 if not sigma or max_order:
                     where = (fi, sigma, max_order)
-                    assert_star_matches_matrices(filt, sigma, ids, max_order, fld, where)
+                    assert_star_matches_matrices(filt, sigma, ids, max_order, where)

@@ -235,19 +235,25 @@ def test_kernel_dim_exact_matches_fraction_elimination(operators):
         groups = groupby(cells, key=itemgetter(0))
         rows = [[(j, x) for _, j, x in row if x][::-1] for _, row in groups]
         scaled += any(x.denominator > 1 for row in rows for _, x in row)
-        _, _, pivots = reduce_columns(rows, Field())
+        _, _, pivots = reduce_columns(rows)
         assert lap.kernel_dim_exact() == lap.dimension - len(pivots), name
     assert scaled
 
 
-def test_exact_values_and_atom_coefficients_are_fractions(operators):
-    """Integral values computed in ints still come out as Fractions."""
-    for name, lap in exact_operators(operators):
-        assert all(type(x) is Fraction for x in lap.entries[2].tolist()), name
+def test_values_follow_the_carrier_and_atom_coefficients_are_rationals(operators):
+    """The carrier sets only the type of `vals`: Fractions on the exact
+    carrier, integral ones included, and floats on the float one. An atom
+    coefficient is an int or a Fraction on both carriers."""
+    for name, lap in operators:
+        vals = lap.entries[2]
+        if lap.field_kind == "exact":
+            assert all(type(x) is Fraction for x in vals.tolist()), name
+        else:
+            assert vals.dtype == float, name
         for block in lap.blocks.values():
             for atom in block.atoms:
                 coeffs = [*atom.v_a.values(), *atom.v_b.values()]
-                assert all(type(c) is Fraction for c in coeffs), name
+                assert all(type(c) in (int, Fraction) for c in coeffs), name
 
 
 def dense_matrixmarket(matrix):
@@ -273,7 +279,7 @@ def test_matrixmarket_skips_cells_that_cancel_to_zero():
         lifespans={0: [(0.0, 1.0), (0.0, 1.0)], 1: [(0.0, 1.0)]},
         horizon=1.0,
         field_kind="float",
-        bars=EdgeBars({}, 1, Field(kind="float")),
+        bars=EdgeBars({}, 1),
     )
     lap.entries = (
         np.array([0, 0, 1, 2, 2], dtype=np.intp),
@@ -298,7 +304,7 @@ def test_kernel_dim_exact_drops_cells_that_cancel_to_zero():
             lifespans={0: [(0.0, 1.0)], 1: [(0.0, 1.0)]},
             horizon=1.0,
             field_kind="exact",
-            bars=EdgeBars({}, 1, Field(kind="exact")),
+            bars=EdgeBars({}, 1),
         )
         lap.entries = (
             np.array([i for i, _, _ in cells], dtype=np.intp),

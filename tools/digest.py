@@ -43,6 +43,16 @@ says how that was checked. The hash moved once more, from 3ee2e9de... to
 pairs instead of a dict: only a cocycle's `repr` changed. The code before
 that change, with only `PersistentCocycle.__repr__` made to print
 `representative=list(representative.items())`, prints 70e802a8... too.
+It moved from 70e802a8... to a3285649... when every reduction moved to
+ints on both carriers: a representative's or an atom's coefficient 1 now
+reads `1` where it read `Fraction(1, 1)` (exact) or `1.0` (float), and
+`verify` no longer writes its `field_parity` lines. That only these moved
+was shown on the same inputs at both commits: a hash of every
+representative and atom coefficient as `Fraction(x)` and of every
+`entries` value with its Python type (both carriers, orders 1-2, the
+three modes) was equal, every CLI run but `verify` wrote the same exit
+code, stdout and bytes, and every `verify` report was equal once its
+`field_parity` entries were left out.
 """
 
 from __future__ import annotations
